@@ -18,12 +18,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .matrices import (
-    IntMatrix,
-    Vector,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from .matrices import IntMatrix, Vector, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -177,21 +172,19 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
     a = c.delta_at(n)        # C^n -> C^{n+1}
     b = c.delta_at(n - 1)    # C^{n-1} -> C^n
 
-    snf_a = smith_normal_form(a)
+    snf_a = smith_normal_form(a, inverses=True)
     r_a = snf_a.rank
-    v_inv = unimodular_inverse(snf_a.v)
     k = rank_n - r_a
     # kernel basis = last k columns of V; kernel coordinates = last k rows of V^-1
-    reduce_rows = IntMatrix.from_rows(v_inv.entries[r_a:], cols=rank_n)
+    reduce_rows = IntMatrix.from_rows(snf_a.v_inv.entries[r_a:], cols=rank_n)
 
     # image of b in kernel coordinates (top coordinates vanish since a @ b == 0)
     p = reduce_rows @ b
-    snf_p = smith_normal_form(p)
-    u_p_inv = unimodular_inverse(snf_p.u)
+    snf_p = smith_normal_form(p, inverses=True)
     kernel_cols = IntMatrix.from_rows(
         [row[r_a:] for row in snf_a.v.entries], cols=k
     )
-    gens_all = kernel_cols @ u_p_inv
+    gens_all = kernel_cols @ snf_p.u_inv
 
     factors = []
     for i in range(k):

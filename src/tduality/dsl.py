@@ -140,6 +140,16 @@ def _parse_int_list(value: str, section: Section, key: str) -> tuple[int, ...]:
         )
 
 
+def _parse_int(value: str, section: Section, key: str) -> int:
+    try:
+        return int(value.strip())
+    except ValueError:
+        raise ParseError(
+            f"{key} in [{section.kind} {section.name}] must be an integer",
+            section.line,
+        )
+
+
 def _parse_matrix(value: str, rows: int, cols: int, section: Section, key: str) -> IntMatrix:
     value = value.strip()
     if not value:
@@ -315,7 +325,9 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             kind = _require(section, "type")
             charges = _parse_int_list(section.get("charges") or "", section, "charges")
             truncation_value = section.get("truncation")
-            truncation = int(truncation_value) if truncation_value else 1
+            truncation = (
+                _parse_int(truncation_value, section, "truncation") if truncation_value else 1
+            )
             base_name = section.get("base")
             if kind == "free_bundle":
                 if base_name is None:

@@ -12,7 +12,16 @@ Conventions:
   transforms unimodular, ``D`` diagonal with a divisibility chain
   ``d1 | d2 | ...`` and nonnegative entries.  The pivot rule (smallest nonzero
   absolute value, ties broken by lowest row then lowest column index) is fixed
-  so decompositions are deterministic.
+  so decompositions are deterministic.  The pivot search stops at the first
+  entry of absolute value 1 in row-major order, which is the entry the rule
+  picks, so the early exit leaves the decomposition unchanged.
+* ``smith_normal_form(m, inverses=True)`` also returns ``U^-1`` and ``V^-1``
+  from the same elimination: every step on ``U`` or ``V`` is mirrored by its
+  inverse step (``row_i -= q row_j`` on ``U`` is ``col_j += q col_i`` on
+  ``U^-1``; ``col_i -= q col_j`` on ``V`` is ``row_j += q row_i`` on
+  ``V^-1``; swaps and negations mirror themselves).  A unimodular inverse is
+  unique, so these equal what ``unimodular_inverse`` computes with a second
+  Smith form.
 * Lattices are handled through a unique row-style Hermite normal form:
   positive pivots, entries in the pivot column of earlier rows reduced into
   ``[0, pivot)``, rows ordered by pivot column.
@@ -155,9 +164,19 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFDecomposition:
+    """``U @ M @ V == D`` from ``smith_normal_form``.
+
+    ``u_inv`` and ``v_inv`` are ``U^-1`` and ``V^-1`` when the form was asked
+    for with ``inverses=True`` and ``None`` otherwise.  They are tracked by
+    mirroring each elimination step (see the module docstring), so asking
+    for them leaves ``u``, ``d`` and ``v`` unchanged.
+    """
+
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    u_inv: Optional[IntMatrix] = None
+    v_inv: Optional[IntMatrix] = None
 
     @property
     def rank(self) -> int:
@@ -173,62 +192,88 @@ class SNFDecomposition:
         )
 
 
-def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
+def smith_normal_form(m: IntMatrix, *, inverses: bool = False) -> SNFDecomposition:
     """Smith normal form ``U @ M @ V == D`` with unimodular transforms.
 
     Deterministic: the pivot is always the submatrix entry of smallest nonzero
     absolute value, ties broken by lowest row index then lowest column index.
+    With ``inverses=True`` the result also carries ``U^-1`` and ``V^-1``.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    # Row k of ``ui_t`` is column k of U^-1, so the column steps that mirror
+    # row steps on U are row steps here; ``vi`` holds the rows of V^-1.
+    ui_t = [[int(i == j) for j in range(nr)] for i in range(nr)] if inverses else None
+    vi = [[int(i == j) for j in range(nc)] for i in range(nc)] if inverses else None
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        if inverses:
+            ui_t[i], ui_t[j] = ui_t[j], ui_t[i]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        if inverses:
+            vi[i], vi[j] = vi[j], vi[i]
 
     def row_sub(i, j, q):
-        # row_i -= q * row_j
+        # row_i -= q * row_j; on U^-1, col_j += q * col_i
         ai, aj = a[i], a[j]
         for k in range(nc):
             ai[k] -= q * aj[k]
         ui, uj = u[i], u[j]
         for k in range(nr):
             ui[k] -= q * uj[k]
+        if inverses:
+            ti, tj = ui_t[i], ui_t[j]
+            for k in range(nr):
+                tj[k] += q * ti[k]
 
     def col_sub(i, j, q):
-        # col_i -= q * col_j
+        # col_i -= q * col_j; on V^-1, row_j += q * row_i
         for r in a:
             r[i] -= q * r[j]
         for r in v:
             r[i] -= q * r[j]
+        if inverses:
+            vi_i, vi_j = vi[i], vi[j]
+            for k in range(nc):
+                vi_j[k] += q * vi_i[k]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        if inverses:
+            ui_t[i] = [-x for x in ui_t[i]]
 
     def pivot(t):
+        # Row-major scan: the first unit entry is the one the rule picks.
         best = None
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
+                x = row[j]
+                if x:
+                    ax = abs(x)
+                    if ax == 1:
+                        return (1, i, j)
+                    if best is None or ax < best[0]:
+                        best = (ax, i, j)
         return best
 
     t = 0
     while t < min(nr, nc):
-        if pivot(t) is None:
+        best = pivot(t)
+        if best is None:
             break
         while True:
-            _, pi, pj = pivot(t)
+            _, pi, pj = best
             if pi != t:
                 row_swap(t, pi)
             if pj != t:
@@ -247,7 +292,10 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
             if any(a[i][t] for i in range(t + 1, nr)) or any(
                 a[t][j] for j in range(t + 1, nc)
             ):
-                continue  # remainders force a strictly smaller pivot
+                best = pivot(t)  # remainders force a strictly smaller pivot
+                continue
+            if p == 1:
+                break  # every entry is divisible by a unit pivot
             bad_row = None
             for i in range(t + 1, nr):
                 if any(a[i][j] % p for j in range(t + 1, nc)):
@@ -256,12 +304,19 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
             if bad_row is None:
                 break
             row_sub(t, bad_row, -1)  # drag a non-divisible entry into row t
+            best = pivot(t)
         t += 1
 
+    u_inv = v_inv = None
+    if inverses:
+        u_inv = IntMatrix.from_rows(zip(*ui_t), cols=nr)
+        v_inv = IntMatrix.from_rows(vi, cols=nc)
     return SNFDecomposition(
         IntMatrix.from_rows(u, cols=nr),
         IntMatrix.from_rows(a, cols=nc),
         IntMatrix.from_rows(v, cols=nc),
+        u_inv,
+        v_inv,
     )
 
 

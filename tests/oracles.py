@@ -1,10 +1,10 @@
 """Independent oracles for the test suite.
 
 These deliberately share no code with the package: a minimal gcd-reduction
-Smith diagonal without transform bookkeeping, a Bareiss determinant, a
-brute-force solver over a box, and a cohomology-shape calculator built only
-on the diagonal oracle.  Production results are checked against these, never
-the other way around.
+Smith diagonal without transform bookkeeping, a triple-loop matrix product,
+a Bareiss determinant, a brute-force solver over a box, and a
+cohomology-shape calculator built only on the diagonal oracle.  Production
+results are checked against these, never the other way around.
 """
 
 from __future__ import annotations
@@ -83,6 +83,16 @@ def nonzero_factors(rows) -> list[int]:
 
 def matrix_rank(rows) -> int:
     return len(nonzero_factors(rows))
+
+
+def mat_mul(a, b, width) -> list[list[int]]:
+    """Plain triple-loop product of row lists; ``width`` is the column count
+    of ``b``, which its rows cannot give when it has none."""
+    inner = len(b)
+    return [
+        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(width)]
+        for row in a
+    ]
 
 
 def bareiss_det(rows) -> int:

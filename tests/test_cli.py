@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from tduality.cli import (
@@ -109,6 +112,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "cohom", "--complex", "x", str(bad))
     assert code == EXIT_PARSE
     assert "parse error" in err
+
+
+def test_non_integer_truncation_is_a_parse_error(tmp_path):
+    model = tmp_path / "bad.tdsl"
+    model.write_text(
+        "# one action\n[action m]\ntype = monopole\ncharges = 3\ntruncation = x\n",
+        encoding="utf-8",
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tduality", "borel", "--action", "m", str(model)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: line 2, ")
+    assert "truncation in [action m]" in proc.stderr
 
 
 def test_missing_file_is_parse_class(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from generators import random_complex, random_sparse_candidate
-from oracles import canonical_shape, cohom_shape, group_direct_sum
+from oracles import canonical_shape, cohom_shape, group_direct_sum, mat_mul
 from tduality.complexes import (
     CochainMap,
     GradedComplex,
@@ -16,7 +16,13 @@ from tduality.complexes import (
     validate_complex,
 )
 from tduality.errors import PreconditionError
-from tduality.matrices import IntMatrix
+from tduality.matrices import (
+    IntMatrix,
+    kernel_basis,
+    smith_normal_form,
+    unimodular_inverse,
+)
+from tduality.simplicial import cochain_complex_of, from_facets
 
 
 def circle_model():
@@ -182,6 +188,122 @@ def test_random_cohomology_matches_oracle():
         got = [canonical_shape(s) for s in shapes_of(cx)]
         want = [canonical_shape(s) for s in oracle_shapes(cx)]
         assert got == want
+
+
+# --- cohomology against the two-pass route ---------------------------------
+
+
+def two_pass_cohomology(cx, n):
+    """``H^n`` as ``(torsion, free rank, generators, coordinate rows)`` by the
+    route that inverts each transform with a second Smith form
+    (``unimodular_inverse``) and multiplies with the oracle's triple loop;
+    coordinate row ``i`` belongs to generator ``i``, with its factor."""
+    a, b = cx.delta_at(n), cx.delta_at(n - 1)
+    rank_n = cx.rank_at(n)
+    snf_a = smith_normal_form(a)
+    r_a = snf_a.rank
+    k = rank_n - r_a
+    reduce_rows = unimodular_inverse(snf_a.v).entries[r_a:]
+    p = IntMatrix.from_rows(mat_mul(reduce_rows, b.entries, b.cols), cols=b.cols)
+    snf_p = smith_normal_form(p)
+    kernel_cols = [row[r_a:] for row in snf_a.v.entries]
+    gens_all = mat_mul(kernel_cols, unimodular_inverse(snf_p.u).entries, k)
+    coord_all = mat_mul(snf_p.u.entries, reduce_rows, rank_n)
+    factors = [
+        snf_p.d.entries[i][i] if i < min(snf_p.d.shape) else 0 for i in range(k)
+    ]
+    order = [i for i, f in enumerate(factors) if f >= 2]
+    order += [i for i, f in enumerate(factors) if f == 0]
+    generators, coord_rows = [], []
+    for i in order:
+        gen = [row[i] for row in gens_all]
+        sign = -1 if next((x for x in gen if x), 1) < 0 else 1
+        generators.append(tuple(sign * x for x in gen))
+        coord_rows.append(([sign * x for x in coord_all[i]], factors[i]))
+    torsion = tuple(factors[i] for i in order if factors[i])
+    return torsion, len(order) - len(torsion), tuple(generators), coord_rows
+
+
+def two_pass_coordinates(coord_rows, z):
+    out = []
+    for row, f in coord_rows:
+        w = sum(x * y for x, y in zip(row, z))
+        out.append(w % f if f else w)
+    return tuple(out)
+
+
+def grid_facets(m, vertex, flipped=()):
+    """Triangles of the m x m square grid, each unit square split along its
+    main diagonal except the squares in ``flipped``."""
+    facets = []
+    for x in range(m):
+        for y in range(m):
+            a, b = vertex(x, y), vertex(x + 1, y)
+            c, d = vertex(x, y + 1), vertex(x + 1, y + 1)
+            facets += [(a, b, c), (b, c, d)] if (x, y) in flipped else [(a, b, d), (a, c, d)]
+    return facets
+
+
+def torus_facets(m):
+    return grid_facets(m, lambda x, y: (x % m) * m + y % m)
+
+
+def rp2_facets(m):
+    """Antipodal boundary points of the square identified; the corner squares
+    at (0, m - 1) and (m - 1, 0) take the other diagonal so that no two
+    boundary triangles are glued to each other."""
+    ids = {}
+
+    def vertex(x, y):
+        key = (x, y)
+        if x in (0, m) or y in (0, m):
+            key = min(key, (m - x, m - y))
+        return ids.setdefault(key, len(ids))
+
+    return grid_facets(m, vertex, flipped=((0, m - 1), (m - 1, 0)))
+
+
+def relabelled(facets, rng):
+    vertices = sorted({v for f in facets for v in f})
+    image = dict(zip(vertices, rng.sample(range(4 * len(vertices)), len(vertices))))
+    return [sorted(image[v] for v in f) for f in facets]
+
+
+def assert_matches_two_pass(cx, rng):
+    for n in range(len(cx.ranks)):
+        g = cohomology(cx, n)
+        torsion, free_rank, generators, coord_rows = two_pass_cohomology(cx, n)
+        assert (g.torsion, g.free_rank) == (torsion, free_rank)
+        assert g.generators == generators
+        # a kernel basis, a random combination of it, and a coboundary
+        cocycles = list(kernel_basis(cx.delta_at(n)))
+        combo = [rng.randint(-4, 4) for _ in cocycles]
+        cocycles.append(tuple(
+            sum(c * z[k] for c, z in zip(combo, cocycles)) for k in range(cx.rank_at(n))
+        ))
+        w = [rng.randint(-3, 3) for _ in range(cx.rank_at(n - 1))]
+        cocycles.append(cx.delta_at(n - 1).apply(w))
+        for z in cocycles:
+            assert g.coordinates(z) == two_pass_coordinates(coord_rows, z)
+
+
+def test_cohomology_matches_two_pass_route_on_random_complexes():
+    rng = random.Random(41)
+    for _ in range(40):
+        assert_matches_two_pass(random_complex(rng), rng)
+
+
+def test_cohomology_matches_two_pass_route_on_relabelled_grids():
+    rng = random.Random(43)
+    torus = [((), 1), ((), 2), ((), 1)]
+    rp2 = [((), 1), ((), 0), ((2,), 0)]
+    cases = [(torus_facets, 3, torus), (torus_facets, 4, torus),
+             (rp2_facets, 3, rp2), (rp2_facets, 4, rp2)]
+    for build, m, shape in cases:
+        for _ in range(2):
+            cx = cochain_complex_of(from_facets(relabelled(build(m), rng)))
+            assert shapes_of(cx) == shape
+            assert_matches_two_pass(cx, rng)
 
 
 # --- mapping cones -------------------------------------------------------

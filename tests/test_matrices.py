@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bareiss_det, brute_solutions, matrix_rank, snf_diag
+from oracles import bareiss_det, brute_solutions, mat_mul, matrix_rank, snf_diag
 from tduality.errors import PreconditionError
 from tduality.matrices import (
     IntMatrix,
@@ -81,6 +81,57 @@ def test_snf_matches_gcd_reduction_oracle(rows, cols, data):
     m = IntMatrix.from_rows(entries, cols=cols)
     snf = check_snf_invariants(m)
     assert list(snf.invariant_factors()) == snf_diag(entries)
+
+
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_snf_inverses_mirror_the_transforms(rows, cols, data):
+    # unit entries take the early pivot exit; wider ones force remainders
+    entry = st.one_of(st.integers(-1, 1), st.integers(-9, 9))
+    entries = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    m = IntMatrix.from_rows(entries, cols=cols)
+    plain = smith_normal_form(m)
+    tracked = smith_normal_form(m, inverses=True)
+    assert (tracked.u, tracked.d, tracked.v) == (plain.u, plain.d, plain.v)
+    assert plain.u_inv is None and plain.v_inv is None
+    assert tracked.u_inv.shape == (rows, rows) and tracked.v_inv.shape == (cols, cols)
+    assert mat_mul(tracked.u_inv.entries, tracked.u.entries, rows) == _identity_rows(rows)
+    assert mat_mul(tracked.v.entries, tracked.v_inv.entries, cols) == _identity_rows(cols)
+
+
+def test_snf_unit_pivot_tie_break_is_pinned():
+    # Five entries of absolute value 1; the rule (smallest value, then lowest
+    # row, then lowest column) picks the -1 at (0, 1), which is also the first
+    # unit entry of a row-major scan.  The expected transforms are those of a
+    # full scan of every step's submatrix.
+    m = IntMatrix.from_rows([[3, -1, 2, 1], [1, 0, -1, 5], [-1, 1, 4, 0]])
+    for snf in (smith_normal_form(m), smith_normal_form(m, inverses=True)):
+        assert snf.u.entries == ((-1, 0, 0), (0, 1, 0), (1, -2, 1))
+        assert snf.d.entries == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        assert snf.v.entries == (
+            (0, 1, 4, -31), (1, 3, 9, -67), (0, 0, -1, 9), (0, 0, -1, 8)
+        )
+
+
+def test_matmul_empty_shapes():
+    for (r, k, c) in ((0, 0, 1), (0, 0, 0), (2, 0, 3), (0, 3, 2), (3, 2, 0)):
+        prod = IntMatrix.zeros(r, k) @ IntMatrix.zeros(k, c)
+        assert prod == IntMatrix.zeros(r, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matmul_matches_triple_loop(rows, inner, cols, data):
+    entry = st.one_of(st.integers(-2, 2), st.integers(-(2**300), 2**300))
+    a = [[data.draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[data.draw(entry) for _ in range(cols)] for _ in range(inner)]
+    prod = IntMatrix.from_rows(a, cols=inner) @ IntMatrix.from_rows(b, cols=cols)
+    assert prod.shape == (rows, cols)
+    assert [list(row) for row in prod.entries] == mat_mul(a, b, cols)
 
 
 def test_unimodular_inverse():
