@@ -47,11 +47,10 @@ from .gysin import (
     PROVENANCE_ALGEBRAIC,
     CupStructure,
     EulerModel,
-    cone_exactness,
     total_space,
 )
 from .matrices import IntMatrix, Vector
-from .tdual import TDualResult, TDualityTriple, dualize, triple
+from .tdual import TDualResult, TDualityTriple, canonical_flux_rep, dualize, triple
 
 KINDS = ("point_fixed", "monopole", "free_hopf", "multi_monopole", "free_bundle")
 
@@ -130,7 +129,8 @@ def mayer_vietoris_glue(
     Builds the mapping cone of the restriction difference
     ``(x, y) -> r_a(x) - r_b(y)``; with the cone convention used here its
     cohomology is the cohomology of the union, and the induced long exact
-    sequence is the Mayer-Vietoris sequence (checked by ``cone_exactness``).
+    sequence is the Mayer-Vietoris sequence:
+    ``gysin.cone_exactness(glue.cone, lo, hi)`` checks it node by node.
     """
     if r_a.degree != 0 or r_b.degree != 0:
         raise PreconditionError("restriction maps must have degree 0")
@@ -396,6 +396,12 @@ def bunke_route_dual(space: SemiFreeSpace, n: int) -> TDualResult:
     return dualize(_triple_for(BorelBundle(n, model.complex, euler), space.flux))
 
 
+def routes_agree(a: TDualResult, b: TDualResult) -> bool:
+    """Two dualization routes agree when they give the same dual Euler class
+    and the same canonical dual flux."""
+    return a.dual_euler == b.dual_euler and canonical_flux_rep(a) == canonical_flux_rep(b)
+
+
 def multi_monopole_dual(charges: tuple[int, ...], n: int) -> TDualResult:
     """Assemble the glued Borel base for the given charges and dualize."""
     space = SemiFreeSpace("multi_monopole", charges=tuple(charges))
@@ -450,8 +456,3 @@ def stability_check(space: SemiFreeSpace, n: int, max_degree: int) -> StabilityR
         total_entries.append(StabilityEntry(d, lo_t == hi_t, lo_t, hi_t))
     return StabilityReport(n, max_degree, tuple(base_entries), tuple(total_entries))
 
-
-def mv_exactness(glue: MVGlue, lo: int, hi: int):
-    """Mayer-Vietoris long exact sequence check, delegated to the cone
-    machinery."""
-    return cone_exactness(glue.cone, lo, hi)

@@ -170,17 +170,11 @@ def euler_model_from_label_coeffs(
             f"unknown degree-2 labels {unknown} on {model.display_name}; "
             f"declared: {list(model.cup.labels) or 'none'}"
         )
-    group = cohomology(model.complex, 2)
-    acc = [0] * group.coord_dim
+    rep = [0] * model.complex.rank_at(2)
     for label, c in coeffs.items():
-        idx = model.cup.labels.index(label)
-        rep_coords = group.coordinates(model.cup.reps[idx])
-        for i in range(group.coord_dim):
-            acc[i] += c * rep_coords[i]
-    coords = tuple(
-        acc[i] % f if (f := (group.torsion[i] if i < len(group.torsion) else 0)) else acc[i]
-        for i in range(group.coord_dim)
-    )
+        for k, x in enumerate(model.cup.reps[model.cup.labels.index(label)]):
+            rep[k] += c * x
+    coords = cohomology(model.complex, 2).coordinates(rep)
     provenance = PROVENANCE_AW if model.simplicial is not None else PROVENANCE_ALGEBRAIC
     return realize_euler_class(model.complex, model.cup, coords, provenance)
 

@@ -26,6 +26,9 @@ from typing import Optional, Sequence
 
 from . import borel as borel_mod
 from . import tdual as tdual_mod
+from .catalog import (
+    CATALOG_NAMES, SHIPPED_LENS_PARAMETERS, catalog_build, euler_model_from_label_coeffs,
+)
 from .complexes import cohomology, validate_complex
 from .dsl import ActionSpec, ResolvedSpec, SpecFile, build_euler_model, parse_spec, resolve
 from .errors import InternalCheckError, ParseError, PreconditionError
@@ -194,11 +197,7 @@ def _cmd_borel(args, resolved: ResolvedSpec) -> Report:
         routes["bunke"] = _dual_payload(results["bunke"])
     payload["routes"] = routes
     if len(results) == 2:
-        agree = (
-            routes["mathai_wu"]["dual_euler_coords"] == routes["bunke"]["dual_euler_coords"]
-            and routes["mathai_wu"]["canonical_flux_coords"]
-            == routes["bunke"]["canonical_flux_coords"]
-        )
+        agree = borel_mod.routes_agree(results["mathai_wu"], results["bunke"])
         payload["routes_agree"] = agree
         if not agree:
             raise InternalCheckError(
@@ -218,17 +217,18 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
         )
 
     for name, model in resolved.bundles.items():
-        tsm = total_space(model)
+        try:
+            tsm = total_space(model)
+        except PreconditionError as exc:
+            checks.append((f"bundle {name}: total complex builds", False, str(exc), False))
+            continue
         rep = validate_complex(tsm.total)
         checks.append((f"bundle {name}: total complex valid", rep.valid, rep.detail or "", True))
         seq = gysin_sequence(model, 0, tsm.total.top_degree)
+        failing = [node.label for node in seq.nodes if not node.exact]
+        detail = "not exact at " + ", ".join(failing) if failing else ""
         checks.append(
-            (
-                f"bundle {name}: Gysin sequence exact at all nodes",
-                seq.exact,
-                "",
-                True,
-            )
+            (f"bundle {name}: Gysin sequence exact at all nodes", seq.exact, detail, True)
         )
 
     for name in resolved.fluxes:
@@ -242,21 +242,16 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
             checks.append((f"action {name}: Borel model builds", True, "", False))
             stability = borel_mod.stability_check(space, n, max(2 * n - 1, 0))
             checks.append((f"action {name}: stable under N -> N+1", stability.stable, "", True))
-            if spec.kind in ("point_fixed", "monopole", "free_hopf"):
-                mw = borel_mod.mathai_wu_dual(space, n)
-                bk = borel_mod.bunke_route_dual(space, n)
-                agree = (
-                    mw.dual_euler == bk.dual_euler
-                    and tdual_mod.canonical_flux_rep(mw) == tdual_mod.canonical_flux_rep(bk)
+            if spec.kind in borel_mod._SIMPLICIAL_ROUTE:
+                agree = borel_mod.routes_agree(
+                    borel_mod.mathai_wu_dual(space, n), borel_mod.bunke_route_dual(space, n)
                 )
                 checks.append((f"action {name}: dualization routes agree", agree, "", True))
         except PreconditionError as exc:
             checks.append((f"action {name}: {exc}", False, str(exc), False))
 
     if include_catalog:
-        from .catalog import SHIPPED_LENS_PARAMETERS, catalog_build, euler_model_from_label_coeffs
-
-        for cname in ("cp", "lens", "circle", "point", "sphere2", "torus2", "rp2"):
+        for cname in CATALOG_NAMES:
             params = {"cp": (2,), "lens": (5, 1)}.get(cname, ())
             model = catalog_build(cname, params)
             rep = validate_complex(model.complex)

@@ -321,21 +321,6 @@ class MappingCone:
     projection: CochainMap  # Cone -> A, degree 0, sign (-1)^n
     f: CochainMap
 
-    def a_rank(self, n: int) -> int:
-        return self.f.source.rank_at(n)
-
-    def b_rank(self, n: int) -> int:
-        return self.f.target.rank_at(n + self.f.degree - 1)
-
-    def split(self, n: int, vec: Sequence[int]) -> tuple[Vector, Vector]:
-        ra = self.a_rank(n)
-        return tuple(vec[:ra]), tuple(vec[ra:])
-
-    def join(self, n: int, a_part: Sequence[int], b_part: Sequence[int]) -> Vector:
-        if len(a_part) != self.a_rank(n) or len(b_part) != self.b_rank(n):
-            raise PreconditionError("cone component length mismatch")
-        return tuple(a_part) + tuple(b_part)
-
 
 def mapping_cone(f: CochainMap) -> MappingCone:
     """Mapping cone of a cochain map, with its two structural maps.

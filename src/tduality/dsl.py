@@ -40,7 +40,7 @@ from typing import Optional
 
 from .catalog import CATALOG_NAMES, CatalogModel, catalog_build
 from .complexes import GradedComplex
-from .errors import ParseError, PreconditionError, TdualityError
+from .errors import ParseError, PreconditionError
 from .gysin import CupStructure, EulerModel, zero_euler_model
 from .matrices import IntMatrix, Vector
 from .simplicial import cochain_complex_of, from_facets
@@ -57,12 +57,21 @@ class Section:
     name: str
     entries: tuple[tuple[str, str], ...]
     line: int = field(compare=False, default=0)  # diagnostics only
+    # (line, column) of each entry's key, parallel to ``entries``
+    positions: tuple[tuple[int, int], ...] = field(compare=False, default=())
 
     def get(self, key: str) -> Optional[str]:
         for k, v in self.entries:
             if k == key:
                 return v
         return None
+
+    def position(self, key: str) -> tuple[int, int]:
+        """Where ``key`` is set, or the header line when it is not."""
+        for (k, _), pos in zip(self.entries, self.positions):
+            if k == key:
+                return pos
+        return self.line, 0
 
 
 @dataclass(frozen=True)
@@ -78,14 +87,14 @@ class SpecFile:
 
 def parse_spec(text: str) -> SpecFile:
     sections: list[Section] = []
-    current: Optional[tuple[str, str, int, list[tuple[str, str]]]] = None
+    current: Optional[tuple[str, str, int, list[tuple[str, str]], list[tuple[int, int]]]] = None
     seen: set[tuple[str, str]] = set()
 
     def close_current():
         nonlocal current
         if current is not None:
-            kind, name, line, entries = current
-            sections.append(Section(kind, name, tuple(entries), line))
+            kind, name, line, entries, positions = current
+            sections.append(Section(kind, name, tuple(entries), line, tuple(positions)))
             current = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -105,7 +114,7 @@ def parse_spec(text: str) -> SpecFile:
                 raise ParseError(f"duplicate {kind} name {name!r}", lineno, col)
             seen.add((kind, name))
             close_current()
-            current = (kind, name, lineno, [])
+            current = (kind, name, lineno, [], [])
             continue
         m = _KEY_RE.match(stripped)
         if not m:
@@ -113,6 +122,7 @@ def parse_spec(text: str) -> SpecFile:
         if current is None:
             raise ParseError("key outside of any section", lineno, col)
         current[3].append((m.group(1), m.group(2).strip()))
+        current[4].append((lineno, col))
     close_current()
     return SpecFile(tuple(sections))
 
@@ -136,7 +146,7 @@ def _parse_int_list(value: str, section: Section, key: str) -> tuple[int, ...]:
     except ValueError:
         raise ParseError(
             f"{key} in [{section.kind} {section.name}] must be comma-separated integers",
-            section.line,
+            *section.position(key),
         )
 
 
@@ -146,7 +156,7 @@ def _parse_int(value: str, section: Section, key: str) -> int:
     except ValueError:
         raise ParseError(
             f"{key} in [{section.kind} {section.name}] must be an integer",
-            section.line,
+            *section.position(key),
         )
 
 
@@ -157,7 +167,7 @@ def _parse_matrix(value: str, rows: int, cols: int, section: Section, key: str) 
             return IntMatrix.zeros(rows, cols)
         raise ParseError(
             f"{key} in [{section.kind} {section.name}] needs {rows} rows",
-            section.line,
+            *section.position(key),
         )
     data = []
     for chunk in value.split(";"):
@@ -166,7 +176,7 @@ def _parse_matrix(value: str, rows: int, cols: int, section: Section, key: str) 
         raise ParseError(
             f"{key} in [{section.kind} {section.name}] must be {rows} rows of "
             f"{cols} entries",
-            section.line,
+            *section.position(key),
         )
     return IntMatrix.from_rows(data, cols=cols)
 
@@ -195,7 +205,7 @@ def parse_euler_value(value: str, section: Section) -> EulerSpec:
         m = _TERM_RE.match(compact, pos)
         if not m or m.start() != pos:
             raise ParseError(
-                f"cannot parse euler expression {value!r}", section.line
+                f"cannot parse euler expression {value!r}", *section.position("euler")
             )
         sign = -1 if m.group(1) == "-" else 1
         mult = int(m.group(2)) if m.group(2) else 1
@@ -240,13 +250,13 @@ def _resolve_complex(section: Section) -> CatalogModel:
         if name not in CATALOG_NAMES:
             raise ParseError(
                 f"unknown catalog model {name!r} in [complex {section.name}]",
-                section.line,
+                *section.position("name"),
             )
         params = _parse_int_list(section.get("params") or "", section, "params")
         try:
             return catalog_build(name, params)
         except PreconditionError as exc:
-            raise ParseError(str(exc), section.line)
+            raise ParseError(str(exc), *section.position("params"))
     if kind == "simplicial":
         facets_value = _require(section, "facets")
         facets = [
@@ -256,7 +266,7 @@ def _resolve_complex(section: Section) -> CatalogModel:
         try:
             k = from_facets(facets)
         except PreconditionError as exc:
-            raise ParseError(str(exc), section.line)
+            raise ParseError(str(exc), *section.position("facets"))
         return CatalogModel(
             f"user:{section.name}", (), cochain_complex_of(k),
             CupStructure((), (), (), simplicial=k), simplicial=k,
@@ -265,7 +275,7 @@ def _resolve_complex(section: Section) -> CatalogModel:
         ranks = _parse_int_list(_require(section, "ranks"), section, "ranks")
         if any(r < 0 for r in ranks):
             raise ParseError(
-                f"negative rank in [complex {section.name}]", section.line
+                f"negative rank in [complex {section.name}]", *section.position("ranks")
             )
         deltas = []
         for n in range(max(len(ranks) - 1, 0)):
@@ -279,7 +289,8 @@ def _resolve_complex(section: Section) -> CatalogModel:
             f"user:{section.name}", (), cx, CupStructure((), (), ())
         )
     raise ParseError(
-        f"unknown complex kind {kind!r} in [complex {section.name}]", section.line
+        f"unknown complex kind {kind!r} in [complex {section.name}]",
+        *section.position("kind"),
     )
 
 
@@ -310,15 +321,10 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             if base_name not in complexes:
                 raise ParseError(
                     f"bundle {section.name!r} references undeclared complex {base_name!r}",
-                    section.line,
+                    *section.position("base"),
                 )
             euler_spec = parse_euler_value(_require(section, "euler"), section)
-            try:
-                bundles[section.name] = build_euler_model(complexes[base_name], euler_spec)
-            except ParseError:
-                raise
-            except TdualityError:
-                raise
+            bundles[section.name] = build_euler_model(complexes[base_name], euler_spec)
         elif section.kind == "flux":
             fluxes[section.name] = _parse_int_list(_require(section, "h"), section, "h")
         elif section.kind == "action":
@@ -338,7 +344,7 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
                 if base_name not in complexes:
                     raise ParseError(
                         f"action {section.name!r} references undeclared complex {base_name!r}",
-                        section.line,
+                        *section.position("base"),
                     )
             euler_value = section.get("euler")
             euler_spec = (

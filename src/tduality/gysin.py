@@ -14,13 +14,22 @@ the exact sequence, so exactness of the induced long exact sequence
 is a machine-checked statement rather than an assumption.  The connecting map
 is ``(-1)^{m+1} (e ~ .)`` on ``H^m(B)``; the transfer orientation is the
 ``+`` convention, projecting ``(phi, psi)`` to ``psi``.
+
+One verifier, ``triangle_exactness``, checks the long exact sequence of any
+triangle ``X -> Y -> Z -> X`` of cochain maps whose degrees add up to 1.
+``gysin_sequence`` gives it (pullback, transfer, ``e ~ .``) and
+``cone_exactness`` gives it (projection, ``f``, inclusion) of a mapping cone,
+which for a ``borel.mayer_vietoris_glue`` is the Mayer-Vietoris sequence.
+Exactness at a node compares the image and kernel lattices, and neither
+changes when a map is multiplied by -1, so the connecting map goes in
+unsigned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .complexes import (
     CochainMap,
@@ -153,16 +162,9 @@ def express_in_basis(
     """
     from .matrices import solve_integer_system
 
-    dim = group.coord_dim
-    cols = [group.coordinates(rep) for rep in basis_reps]
-    t = IntMatrix.from_rows(
-        [[col[i] for col in cols] for i in range(dim)], cols=len(cols)
-    )
-    relations = group.relation_rows()
-    rel_cols = IntMatrix.from_rows(
-        [[row[i] for row in relations] for i in range(dim)], cols=len(relations)
-    )
-    sol = solve_integer_system(t.hstack(rel_cols), target)
+    # columns: the basis classes, then the torsion relations
+    rows = [group.coordinates(rep) for rep in basis_reps] + list(group.relation_rows())
+    sol = solve_integer_system(IntMatrix.from_rows(rows, cols=group.coord_dim).transpose(), target)
     if sol is None:
         return None
     return sol.particular[: len(basis_reps)]
@@ -192,6 +194,11 @@ class TotalSpaceModel:
 def total_space(model: EulerModel) -> TotalSpaceModel:
     """Build the twisted cone; the result satisfies ``validate_complex``."""
     base = model.base
+    report = validate_complex(base)
+    if not report.valid:
+        raise PreconditionError(
+            f"base is not a cochain complex at degree {report.degree}: {report.detail}"
+        )
     top = base.top_degree + 1
     ranks = tuple(base.rank_at(n) + base.rank_at(n - 1) for n in range(top + 1))
     deltas = []
@@ -267,22 +274,14 @@ def fiber_integration(model: EulerModel, n: int, coords: Vector) -> Vector:
 # ---------------------------------------------------------------------------
 
 
-def induced_matrix(
-    src: CohomologyGroup,
-    image_of_rep: Callable[[Vector], Vector],
-    dst_complex: GradedComplex,
-    dst_degree: int,
-) -> IntMatrix:
-    """Matrix of the map sending each generator's representative through
-    ``image_of_rep`` and reading coordinates in the target group."""
-    dst = cohomology(dst_complex, dst_degree)
-    cols = [
-        class_coordinates(dst_complex, dst_degree, image_of_rep(gen))
-        for gen in src.generators
-    ]
-    return IntMatrix.from_rows(
-        [[col[i] for col in cols] for i in range(dst.coord_dim)], cols=len(cols)
-    )
+def induced_matrix(f: CochainMap, n: int) -> IntMatrix:
+    """Matrix of ``H^n(source) -> H^{n+d}(target)`` induced by ``f`` of
+    degree ``d``: column ``j`` is the target coordinates of the image of
+    generator ``j``."""
+    m = n + f.degree
+    src, dst = cohomology(f.source, n), cohomology(f.target, m)
+    cols = [class_coordinates(f.target, m, f.apply(n, gen)) for gen in src.generators]
+    return IntMatrix.from_rows(cols, cols=dst.coord_dim).transpose()
 
 
 def exact_at(
@@ -300,10 +299,7 @@ def exact_at(
     image_rows = [incoming.col(j) for j in range(incoming.cols)] + relations
     im_hnf = hermite_normal_form(image_rows, dim)
 
-    next_rel = nxt.relation_rows()
-    rel_cols = IntMatrix.from_rows(
-        [[row[i] for row in next_rel] for i in range(nxt.coord_dim)], cols=len(next_rel)
-    )
+    rel_cols = IntMatrix.from_rows(nxt.relation_rows(), cols=nxt.coord_dim).transpose()
     augmented = outgoing.hstack(rel_cols)
     ker_rows = [vec[:dim] for vec in kernel_basis(augmented)] + relations
     ker_hnf = hermite_normal_form(ker_rows, dim)
@@ -318,177 +314,83 @@ class SequenceNode:
 
 
 @dataclass(frozen=True)
-class GysinSequenceReport:
-    """Groups, maps and nodewise exactness of the Gysin sequence in a window.
-
-    ``cup_matrices[m]`` is the unsigned matrix of ``(e ~ .)`` on H^m(B); the
-    connecting map of the long exact sequence is that matrix times
-    ``(-1)^(m+1)``, per the recorded sign convention.
-    """
+class SequenceReport:
+    """Nodewise exactness of a long exact sequence, three nodes per degree."""
 
     degree_range: tuple[int, int]
-    base_groups: dict[int, CohomologyGroup]
-    total_groups: dict[int, CohomologyGroup]
-    cup_matrices: dict[int, IntMatrix]
-    pullback_matrices: dict[int, IntMatrix]
-    transfer_matrices: dict[int, IntMatrix]
     nodes: tuple[SequenceNode, ...]
-    sign_convention: str = SIGN_CONVENTION
 
     @property
     def exact(self) -> bool:
         return all(node.exact for node in self.nodes)
 
 
-def gysin_sequence(model: EulerModel, lo: int, hi: int) -> GysinSequenceReport:
-    """Assemble the sequence and verify exactness at every node in degrees
-    ``lo..hi`` of the total space."""
+def triangle_exactness(
+    f: CochainMap,
+    g: CochainMap,
+    h: CochainMap,
+    labels: tuple[str, str, str],
+    lo: int,
+    hi: int,
+) -> SequenceReport:
+    """Exactness of the long exact sequence of ``X -f-> Y -g-> Z -h-> X``.
+
+    The degrees of the three maps add up to 1, so for each ``n`` in
+    ``lo..hi`` the nodes are ``H^n(X)``, ``H^{n+|f|}(Y)`` and
+    ``H^{n+|f|+|g|}(Z)``, and ``h`` leads on to ``H^{n+1}(X)``.  Each label
+    is a format string receiving its node's degree.
+    """
+    maps = (f, g, h)
+    if f.target != g.source or g.target != h.source or h.target != f.source:
+        raise PreconditionError("the three maps do not form a triangle")
+    if f.degree + g.degree + h.degree != 1:
+        raise PreconditionError("the degrees of a triangle's maps must add up to 1")
     if lo < 0 or hi < lo:
         raise PreconditionError(f"bad degree range {lo}..{hi}")
-    tsm = total_space(model)
-    base, total = model.base, tsm.total
 
-    def bgroup(m: int) -> CohomologyGroup:
-        return cohomology(base, m)
+    matrices: dict[tuple[int, int], IntMatrix] = {}
 
-    def tgroup(n: int) -> CohomologyGroup:
-        return cohomology(total, n)
-
-    base_groups = {m: bgroup(m) for m in range(max(lo - 2, 0), hi + 2)}
-    total_groups = {n: tgroup(n) for n in range(lo, hi + 1)}
-
-    cup_matrices: dict[int, IntMatrix] = {}
-    pullback_matrices: dict[int, IntMatrix] = {}
-    transfer_matrices: dict[int, IntMatrix] = {}
-
-    def cup_mat(m: int) -> IntMatrix:
-        if m not in cup_matrices:
-            cup_matrices[m] = induced_matrix(
-                bgroup(m), lambda g, m=m: model.mu.apply(m, g), base, m + 2
-            )
-        return cup_matrices[m]
-
-    def pull_mat(n: int) -> IntMatrix:
-        if n not in pullback_matrices:
-            pullback_matrices[n] = induced_matrix(
-                bgroup(n), lambda g, n=n: tsm.pullback_incl.apply(n, g), total, n
-            )
-        return pullback_matrices[n]
-
-    def transfer_mat(n: int) -> IntMatrix:
-        if n not in transfer_matrices:
-            transfer_matrices[n] = induced_matrix(
-                tgroup(n), lambda g, n=n: tsm.fiber_proj.apply(n, g), base, n - 1
-            )
-        return transfer_matrices[n]
-
-    def connecting(m: int) -> IntMatrix:
-        sign = -1 if (m + 1) % 2 else 1
-        return cup_mat(m).scale(sign)
+    def induced(i: int, n: int) -> IntMatrix:
+        if (i, n) not in matrices:
+            matrices[i, n] = induced_matrix(maps[i], n)
+        return matrices[i, n]
 
     nodes = []
     for n in range(lo, hi + 1):
-        nodes.append(
-            SequenceNode(
-                f"H^{n}(B)",
-                exact_at(connecting(n - 2), bgroup(n), pull_mat(n), tgroup(n)),
+        d = n
+        for i, (out, label) in enumerate(zip(maps, labels)):
+            into = (i - 1) % 3
+            exact = exact_at(
+                induced(into, d - maps[into].degree),
+                cohomology(out.source, d),
+                induced(i, d),
+                cohomology(out.target, d + out.degree),
             )
-        )
-        nodes.append(
-            SequenceNode(
-                f"H^{n}(E)",
-                exact_at(pull_mat(n), tgroup(n), transfer_mat(n), bgroup(n - 1)),
-            )
-        )
-        nodes.append(
-            SequenceNode(
-                f"H^{n - 1}(B) [transfer target]",
-                exact_at(transfer_mat(n), bgroup(n - 1), connecting(n - 1), bgroup(n + 1)),
-            )
-        )
-    return GysinSequenceReport(
-        degree_range=(lo, hi),
-        base_groups=base_groups,
-        total_groups=total_groups,
-        cup_matrices=dict(cup_matrices),
-        pullback_matrices=dict(pullback_matrices),
-        transfer_matrices=dict(transfer_matrices),
-        nodes=tuple(nodes),
+            nodes.append(SequenceNode(label.format(d), exact))
+            d += out.degree
+    return SequenceReport((lo, hi), tuple(nodes))
+
+
+def gysin_sequence(model: EulerModel, lo: int, hi: int) -> SequenceReport:
+    """Exactness at every node of the Gysin sequence in degrees ``lo..hi`` of
+    the total space: pullback, transfer, then cup with ``e`` unsigned."""
+    tsm = total_space(model)
+    return triangle_exactness(
+        tsm.pullback_incl, tsm.fiber_proj, model.mu,
+        ("H^{}(B)", "H^{}(E)", "H^{}(B) [transfer target]"), lo, hi,
     )
 
 
-@dataclass(frozen=True)
-class ConeSequenceReport:
-    nodes: tuple[SequenceNode, ...]
+def cone_exactness(cone: MappingCone, lo: int, hi: int) -> SequenceReport:
+    """Exactness of the long exact sequence of a degree-0 mapping cone,
+    ``-> H^{n-1}(B) -> H^n(Cone) -> H^n(A) -> H^n(B) ->``.
 
-    @property
-    def exact(self) -> bool:
-        return all(node.exact for node in self.nodes)
-
-
-def cone_exactness(cone: MappingCone, lo: int, hi: int) -> ConeSequenceReport:
-    """Exactness of the long exact sequence of a degree-0 mapping cone.
-
-    The sequence is ``-> H^{n-1}(B) -> H^n(Cone) -> H^n(A) -> H^n(B) ->``
-    with connecting map induced by ``f`` itself.
+    Only degree 0 is accepted because ``mapping_cone`` truncates the target
+    degrees of other maps.
     """
     if cone.f.degree != 0:
         raise PreconditionError("cone exactness is implemented for degree-0 maps")
-    a_cx, b_cx = cone.f.source, cone.f.target
-    cone_cx = cone.complex
-
-    def agroup(n):
-        return cohomology(a_cx, n)
-
-    def bgroup(n):
-        return cohomology(b_cx, n)
-
-    def cgroup(n):
-        return cohomology(cone_cx, n)
-
-    incl = {}
-    proj = {}
-    fmat = {}
-
-    def incl_mat(m):  # H^m(B) -> H^{m+1}(Cone)
-        if m not in incl:
-            incl[m] = induced_matrix(
-                bgroup(m), lambda g, m=m: cone.inclusion.apply(m, g), cone_cx, m + 1
-            )
-        return incl[m]
-
-    def proj_mat(n):  # H^n(Cone) -> H^n(A)
-        if n not in proj:
-            proj[n] = induced_matrix(
-                cgroup(n), lambda g, n=n: cone.projection.apply(n, g), a_cx, n
-            )
-        return proj[n]
-
-    def f_mat(n):  # H^n(A) -> H^n(B)
-        if n not in fmat:
-            fmat[n] = induced_matrix(
-                agroup(n), lambda g, n=n: cone.f.apply(n, g), b_cx, n
-            )
-        return fmat[n]
-
-    nodes = []
-    for n in range(lo, hi + 1):
-        nodes.append(
-            SequenceNode(
-                f"H^{n}(Cone)",
-                exact_at(incl_mat(n - 1), cgroup(n), proj_mat(n), agroup(n)),
-            )
-        )
-        nodes.append(
-            SequenceNode(
-                f"H^{n}(A)",
-                exact_at(proj_mat(n), agroup(n), f_mat(n), bgroup(n)),
-            )
-        )
-        nodes.append(
-            SequenceNode(
-                f"H^{n}(B)",
-                exact_at(f_mat(n), bgroup(n), incl_mat(n), cgroup(n + 1)),
-            )
-        )
-    return ConeSequenceReport(tuple(nodes))
+    return triangle_exactness(
+        cone.projection, cone.f, cone.inclusion,
+        ("H^{}(Cone)", "H^{}(A)", "H^{}(B)"), lo, hi,
+    )

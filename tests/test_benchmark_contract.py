@@ -1,0 +1,46 @@
+"""The names the benchmark's tracer looks up in the engine.
+
+``perfbench/tracing.py`` patches engine functions by name with ``getattr``,
+so a rename there would only show when the benchmark runs.  These tests load
+the tracer by path and fail on such a rename instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from tduality.catalog import catalog_build, euler_model_from_label_coeffs
+from tduality.matrices import IntMatrix
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve():
+    tracing = _tracing()
+    for layer, names in tracing.FUNCTIONS.items():
+        module = importlib.import_module(f"tduality.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"tduality.{layer}.{name}"
+
+
+def test_traced_methods_exist():
+    for name in _tracing().METHODS:
+        assert callable(getattr(IntMatrix, name, None)), f"IntMatrix.{name}"
+
+
+def test_gysin_report_fields_read_by_the_benchmark():
+    from tduality.gysin import gysin_sequence
+
+    model = euler_model_from_label_coeffs(catalog_build("cp", (1,)), {"u": 2})
+    report = gysin_sequence(model, 0, 3)
+    assert report.degree_range == (0, 3)
+    assert report.exact is True
+    assert len(report.nodes) == 12
+    assert all(node.exact for node in report.nodes)

@@ -6,14 +6,13 @@ from tduality.borel import (
     mathai_wu_dual,
     mayer_vietoris_glue,
     multi_monopole_dual,
-    mv_exactness,
     stability_check,
     truncated_borel,
 )
 from tduality.catalog import catalog_build, cp_restriction
 from tduality.complexes import CochainMap, GradedComplex, cohomology
 from tduality.errors import PreconditionError
-from tduality.gysin import total_space
+from tduality.gysin import cone_exactness, total_space
 from tduality.matrices import IntMatrix
 from tduality.tdual import canonical_flux_rep
 
@@ -137,7 +136,7 @@ def test_glue_two_disks_into_sphere():
     assert shapes_of(glue.complex) == [((), 1), ((), 0), ((), 1)]
     sphere = catalog_build("sphere2").complex
     assert shapes_of(glue.complex) == shapes_of(sphere)
-    assert mv_exactness(glue, 0, 3).exact
+    assert cone_exactness(glue.cone, 0, 3).exact
 
 
 def test_glue_disjoint_union_over_empty_overlap():
@@ -157,7 +156,7 @@ def test_glue_two_cones_over_boundary_model():
     assert shapes_of(glue.complex) == [
         ((), 1), ((), 0), ((), 1), ((), 0), ((), 2),
     ]
-    assert mv_exactness(glue, 0, 6).exact
+    assert cone_exactness(glue.cone, 0, 6).exact
 
 
 def test_glue_rejects_wrong_degree_or_targets():

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from tduality.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -130,7 +131,7 @@ def test_non_integer_truncation_is_a_parse_error(tmp_path):
     assert proc.returncode == EXIT_PARSE
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("parse error: line 2, ")
+    assert proc.stderr.startswith("parse error: line 5, column 1: ")
     assert "truncation in [action m]" in proc.stderr
 
 
@@ -188,3 +189,44 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(SAMPLE.read_text(encoding="utf-8")))
     code, out, _ = run(capsys, "cohom", "--complex", "circle", "-")
     assert code == EXIT_OK
+
+
+def _run_module(*argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, "-m", "tduality", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_bundle_over_non_cochain_base_is_user_data(tmp_path):
+    model = tmp_path / "bad.tdsl"
+    model.write_text(
+        "[complex bad]\nkind = algebraic\nranks = 1,1,1,1\ndelta0 = 1\ndelta1 = 1\n"
+        "[bundle b]\nbase = bad\neuler = 0\n",
+        encoding="utf-8",
+    )
+    for argv in (("verify", str(model)), ("dualize", "--bundle", "b", str(model))):
+        proc = _run_module(*argv)
+        assert proc.returncode == EXIT_PRECONDITION, proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert "not a cochain complex at degree 0" in proc.stderr
+
+
+def test_failed_gysin_check_names_its_nodes(capsys, monkeypatch):
+    from tduality.gysin import SequenceNode, SequenceReport
+
+    def broken(model, lo, hi):
+        return SequenceReport((lo, hi), (
+            SequenceNode("H^0(B)", True), SequenceNode("H^2(E)", False),
+        ))
+
+    monkeypatch.setattr("tduality.cli.gysin_sequence", broken)
+    code, out, _ = run(capsys, "--json", "verify", str(SAMPLE))
+    assert code == EXIT_INTERNAL
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    check = checks["bundle b: Gysin sequence exact at all nodes"]
+    assert not check["ok"]
+    assert check["detail"] == "not exact at H^2(E)"

@@ -159,3 +159,24 @@ def test_bad_facets_reported_at_parse_level():
     text = "[complex s]\nkind = simplicial\nfacets = 1,0\n"
     with pytest.raises(ParseError, match="strictly increasing"):
         resolve(parse_spec(text))
+
+
+def test_value_errors_point_at_the_key_line():
+    text = "[complex c]\nkind = algebraic\n  ranks = 1,x\n"
+    with pytest.raises(ParseError, match="ranks in \\[complex c\\]") as err:
+        resolve(parse_spec(text))
+    assert (err.value.line, err.value.column) == (3, 3)
+    text = "# bundle\n[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n" \
+        "[bundle b]\nbase = cp2\neuler = 5*\n"
+    with pytest.raises(ParseError, match="euler") as err:
+        resolve(parse_spec(text))
+    assert (err.value.line, err.value.column) == (8, 1)
+    text = "[complex m]\nkind = algebraic\nranks = 2,2\n\ndelta0 = 1,2;3\n"
+    with pytest.raises(ParseError, match="delta0") as err:
+        resolve(parse_spec(text))
+    assert err.value.line == 5
+    # a missing key has no line of its own: the header is reported
+    with pytest.raises(ParseError, match="missing key 'ranks'") as err:
+        resolve(parse_spec("\n[complex c]\nkind = algebraic\n"))
+    assert (err.value.line, err.value.column) == (2, 0)
+

@@ -134,9 +134,9 @@ def test_gysin_randomized_models_exact():
 
 
 def test_gysin_connecting_sign_recorded():
-    model = cp_bundle(1, 2)
-    report = gysin_sequence(model, 0, 3)
-    assert "(-1)^(m+1)" in report.sign_convention
+    from tduality import gysin
+
+    assert "(-1)^(m+1)" in gysin.SIGN_CONVENTION
 
 
 def test_euler_representative_change_by_coboundary_keeps_totals():
@@ -242,14 +242,46 @@ def test_total_space_extension_is_degreewise_exact():
 
 def test_sequence_report_carries_generator_matrices():
     model = cp_bundle(2, 3)
-    report = gysin_sequence(model, 0, 4)
+    from tduality.gysin import induced_matrix
+
+    tsm = total_space(model)
+    assert gysin_sequence(model, 0, 4).exact
     # the three families of maps are integer matrices on chosen generators
     g2_base = cohomology(model.base, 2)
     g2_total = cohomology(total_space(model).total, 2)
-    pull = report.pullback_matrices[2]
+    pull = induced_matrix(tsm.pullback_incl, 2)
     assert pull.shape == (g2_total.coord_dim, g2_base.coord_dim)
-    cup = report.cup_matrices[0]
+    cup = induced_matrix(model.mu, 0)
     assert cup.shape == (g2_base.coord_dim, cohomology(model.base, 0).coord_dim)
     assert cup.entries == ((3,),)  # cup with 3u on the unit
-    transfer = report.transfer_matrices[3]
+    transfer = induced_matrix(tsm.fiber_proj, 3)
     assert transfer.shape == (g2_base.coord_dim, cohomology(total_space(model).total, 3).coord_dim)
+
+
+def test_triangle_verifier_names_non_exact_nodes():
+    from tduality.complexes import CochainMap, GradedComplex
+    from tduality.gysin import triangle_exactness
+    from tduality.matrices import IntMatrix
+
+    point = GradedComplex.with_zero_deltas((1,))  # Z in degree 0 only
+    zero = CochainMap.zero(point, point, 0)
+    shift = CochainMap.zero(point, point, 1)
+    labels = ("H^{}(X)", "H^{}(Y)", "H^{}(Z)")
+    # zero maps through Z: every degree-0 node has kernel Z and image 0
+    report = triangle_exactness(zero, zero, shift, labels, 0, 1)
+    assert [node.label for node in report.nodes if not node.exact] == [
+        "H^0(X)", "H^0(Y)", "H^0(Z)",
+    ]
+    assert [node.label for node in report.nodes if node.exact] == [
+        "H^1(X)", "H^1(Y)", "H^1(Z)",
+    ]
+    # an isomorphism X -> Y makes X and Y exact; only Z is left
+    ident = CochainMap(point, point, 0, (IntMatrix.identity(1),))
+    report = triangle_exactness(ident, zero, shift, labels, 0, 0)
+    assert [node.label for node in report.nodes if not node.exact] == ["H^0(Z)"]
+    assert report.degree_range == (0, 0)
+    with pytest.raises(PreconditionError, match="add up to 1"):
+        triangle_exactness(zero, zero, zero, labels, 0, 0)
+    circle = GradedComplex.with_zero_deltas((1, 1))
+    with pytest.raises(PreconditionError, match="triangle"):
+        triangle_exactness(zero, zero, CochainMap.zero(point, circle, 1), labels, 0, 0)
