@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Optional
 
 from .catalog import catalog_build, cp_restriction, euler_model_from_label_coeffs
@@ -93,8 +94,11 @@ class SemiFreeSpace:
 @dataclass(frozen=True)
 class BorelBundle:
     truncation: int
-    base_model: GradedComplex
     euler_s1: EulerModel
+
+    @property
+    def base_model(self) -> GradedComplex:
+        return self.euler_s1.base
 
 
 @dataclass(frozen=True)
@@ -109,12 +113,6 @@ class MVGlue:
     @property
     def complex(self) -> GradedComplex:
         return self.cone.complex
-
-    def block_slices(self, n: int) -> tuple[slice, slice, slice]:
-        ra = self.a.rank_at(n)
-        rb = self.b.rank_at(n)
-        ro = self.overlap.rank_at(n - 1)
-        return slice(0, ra), slice(ra, ra + rb), slice(ra + rb, ra + rb + ro)
 
 
 def mayer_vietoris_glue(
@@ -152,26 +150,46 @@ def _wedge_of_spheres(count: int) -> GradedComplex:
     return GradedComplex.with_zero_deltas((1, 0, count))
 
 
+# Bound on the subset sums ``_sign_pattern`` stores (about 110 bytes each), so
+# that no charge set can exhaust memory; 18 charges up to 10^6 stay below it.
+MAX_SIGN_SEARCH_SUMS = 250_000
+
+
 def _sign_pattern(charges: tuple[int, ...]) -> tuple[int, ...]:
     """First orientation assignment (lexicographic, +1 preferred) whose
     signed charge sum vanishes, as required for the free part of the quotient
-    3-sphere to carry a bundle with the prescribed boundary data."""
-    m = len(charges)
-    for mask in range(1 << m):
-        signs = tuple(-1 if (mask >> i) & 1 else 1 for i in range(m))
-        if sum(s * k for s, k in zip(signs, charges)) == 0:
-            return signs
-    raise PreconditionError(
-        f"no orientation assignment of charges {charges} glues over the 3-sphere "
-        "(signed charge sum cannot vanish)"
-    )
+    3-sphere to carry a bundle with the prescribed boundary data.
+
+    "First" is the smallest mask of the scan ``signs[i] = -1`` iff bit ``i``
+    is set, so the signs are fixed from the last charge down: +1 whenever the
+    charges before it still reach the remaining half of the total.
+    """
+    half, odd = divmod(sum(charges), 2)
+    first = {0: 0}  # subset sum <= half -> length of the shortest prefix reaching it
+    for i, k in enumerate(() if odd else charges):
+        new = [s + k for s in first if s + k <= half and s + k not in first]
+        if len(first) + len(new) > MAX_SIGN_SEARCH_SUMS:
+            raise PreconditionError(
+                f"orientation search for {len(charges)} charges needs more than "
+                f"{MAX_SIGN_SEARCH_SUMS} stored subset sums"
+            )
+        first.update(zip(new, repeat(i + 1)))
+    if odd or half not in first:
+        raise PreconditionError(
+            f"no orientation assignment of charges {charges} glues over the 3-sphere "
+            "(signed charge sum cannot vanish)"
+        )
+    signs = []
+    for i in reversed(range(len(charges))):
+        signs.append(1 if first.get(half, i + 1) <= i else -1)
+        half -= charges[i] if signs[-1] < 0 else 0
+    return tuple(reversed(signs))
 
 
 @dataclass(frozen=True)
 class _MultiMonopoleModel:
     glue: MVGlue
     n: int
-    m: int
     signs: tuple[int, ...]
 
 
@@ -181,52 +199,26 @@ def _multi_monopole_glue(charges: tuple[int, ...], n: int) -> _MultiMonopoleMode
     signs = _sign_pattern(charges)
     free_part = _wedge_of_spheres(m - 1)
     piece = catalog_build("cp", (n,)).complex
-    sphere = catalog_build("cp", (1,)).complex
-    pieces = piece
-    overlaps = sphere
-    for _ in range(m - 1):
-        pieces = direct_sum(pieces, piece)
-        overlaps = direct_sum(overlaps, sphere)
+    pieces = direct_sum(*(piece,) * m)
+    overlaps = direct_sum(*(catalog_build("cp", (1,)).complex,) * m)
 
     # free part restricts with differences c_j - c_{j-1} to consecutive
     # boundary spheres; unit restricts to every component
-    ra_mats = []
-    for d in range(len(free_part.ranks)):
-        rows = overlaps.rank_at(d)
-        cols = free_part.rank_at(d)
-        mat = [[0] * cols for _ in range(rows)]
-        if d == 0:
-            for i in range(m):
-                mat[i][0] = 1
-        elif d == 2:
-            for j in range(m - 1):
-                mat[j][j] += 1
-                mat[j + 1][j] -= 1
-        ra_mats.append(IntMatrix.from_rows(mat, cols=cols))
-    r_a = CochainMap(free_part, overlaps, 0, tuple(ra_mats))
+    r_a = CochainMap(free_part, overlaps, 0, (
+        IntMatrix.column((1,) * m),
+        IntMatrix.zeros(0, 0),
+        IntMatrix.eye(m, m - 1, 0) - IntMatrix.eye(m, m - 1, -1),
+    ))
 
     # each cp(N) piece restricts to its boundary sphere through the skeleton
     # truncation, with the orientation sign on the degree-2 generator
     trunc = cp_restriction(n, 1)
-    rb_mats = []
-    for d in range(len(pieces.ranks)):
-        rows = overlaps.rank_at(d)
-        cols = pieces.rank_at(d)
-        mat = [[0] * cols for _ in range(rows)]
-        block = trunc.mat_at(d)
-        piece_cols = piece.rank_at(d)
-        sphere_rows = sphere.rank_at(d)
-        for i in range(m):
-            for r in range(sphere_rows):
-                for c in range(piece_cols):
-                    coeff = block.entries[r][c]
-                    if coeff:
-                        sign = signs[i] if d == 2 else 1
-                        mat[i * sphere_rows + r][i * piece_cols + c] = sign * coeff
-        rb_mats.append(IntMatrix.from_rows(mat, cols=cols))
-    r_b = CochainMap(pieces, overlaps, 0, tuple(rb_mats))
+    r_b = CochainMap(pieces, overlaps, 0, tuple(
+        IntMatrix.block_diag([trunc.mat_at(d).scale(s if d == 2 else 1) for s in signs])
+        for d in range(len(pieces.ranks))
+    ))
 
-    return _MultiMonopoleModel(mayer_vietoris_glue(free_part, pieces, overlaps, r_a, r_b), n, m, signs)
+    return _MultiMonopoleModel(mayer_vietoris_glue(free_part, pieces, overlaps, r_a, r_b), n, signs)
 
 
 def _glued_mu(model: _MultiMonopoleModel, free_coeffs: Vector, piece_coeffs: Vector) -> CochainMap:
@@ -234,109 +226,64 @@ def _glued_mu(model: _MultiMonopoleModel, free_coeffs: Vector, piece_coeffs: Vec
 
     Componentwise: cup with c on the free part (only the unit pairs
     nontrivially), with b_i * u on piece i, and with the common restriction
-    on overlap sphere i.  This commutes with the cone differential because
-    the restrictions are ring maps on the models involved.
+    on overlap sphere i, which sits one degree lower inside the cone.  This
+    commutes with the cone differential because the restrictions are ring
+    maps on the models involved.
     """
-    glue = model.glue
-    glued = glue.complex
-    n, m, signs = model.n, model.m, model.signs
-    piece = catalog_build("cp", (n,)).complex
-    sphere_mu_scale = tuple(signs[i] * piece_coeffs[i] for i in range(m))
-
-    mats = []
-    for d in range(len(glued.ranks)):
-        rows = glued.rank_at(d + 2)
-        cols = glued.rank_at(d)
-        mat = [[0] * cols for _ in range(rows)]
-        sa_src, sb_src, so_src = glue.block_slices(d)
-        sa_dst, sb_dst, so_dst = glue.block_slices(d + 2)
-        # free part: C^0 -> C^2 sends the unit to the coefficient vector
-        if d == 0 and sa_src.stop - sa_src.start == 1:
-            for j, c in enumerate(free_coeffs):
-                mat[sa_dst.start + j][sa_src.start] = c
-        # pieces: b_i times the degree shift of cp(N)
-        if piece.rank_at(d) == 1 and piece.rank_at(d + 2) == 1:
-            for i in range(m):
-                mat[sb_dst.start + i][sb_src.start + i] = piece_coeffs[i]
-        # overlap spheres sit one degree lower inside the cone
-        od = d - 1
-        sphere = catalog_build("cp", (1,)).complex
-        if sphere.rank_at(od) == 1 and sphere.rank_at(od + 2) == 1:
-            for i in range(m):
-                mat[so_dst.start + i][so_src.start + i] = sphere_mu_scale[i]
-        mats.append(IntMatrix.from_rows(mat, cols=cols))
-    return CochainMap(glued, glued, 2, tuple(mats))
+    free, glued = model.glue.a, model.glue.complex
+    piece = catalog_build("cp", (model.n,)).complex
+    sphere = catalog_build("cp", (1,)).complex
+    return CochainMap(glued, glued, 2, tuple(
+        IntMatrix.block_diag(
+            [IntMatrix.column(free_coeffs) if d == 0
+             else IntMatrix.zeros(free.rank_at(d + 2), free.rank_at(d))]
+            + [IntMatrix.eye(piece.rank_at(d + 2), piece.rank_at(d), 0).scale(b)
+               for b in piece_coeffs]
+            + [IntMatrix.eye(sphere.rank_at(d + 1), sphere.rank_at(d - 1), 0).scale(s * b)
+               for s, b in zip(model.signs, piece_coeffs)]
+        )
+        for d in range(len(glued.ranks))
+    ))
 
 
 def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
     model = _multi_monopole_glue(charges, n)
-    glue = model.glue
-    glued = glue.complex
-    m = model.m
-    signs = model.signs
+    glued = model.glue.complex
 
     # Euler cocycle: k_i * u_i on piece i plus the free-part class whose
-    # boundary values match the signed charges
-    partial = [0] * (m - 1)
-    acc = 0
-    for j in range(m - 1):
-        acc += signs[j] * charges[j]
-        partial[j] = acc
-    free_coeffs = tuple(partial)
-    piece_coeffs = tuple(charges)
-
-    e_vec = [0] * glued.rank_at(2)
-    sa, sb, _ = glue.block_slices(2)
-    for j, c in enumerate(free_coeffs):
-        e_vec[sa.start + j] = c
-    for i, k in enumerate(piece_coeffs):
-        e_vec[sb.start + i] = k
-    e_vec = tuple(e_vec)
-
-    mu = _glued_mu(model, free_coeffs, piece_coeffs)
+    # boundary values match the signed charges; C^2 of the glued base is
+    # free part, then pieces (the overlap has no degree-1 cochains)
+    free_coeffs = tuple(accumulate(s * k for s, k in zip(model.signs[:-1], charges[:-1])))
+    e_vec = free_coeffs + tuple(charges)
+    mu = _glued_mu(model, free_coeffs, tuple(charges))
 
     # declared degree-2 basis of the glued base: every generator is a
     # (free part, pieces) cocycle, so the same formula yields its operator
-    h2 = cohomology(glued, 2)
-    labels = []
-    reps = []
-    mus = []
-    for idx, gen in enumerate(h2.generators):
-        gen_free = tuple(gen[sa])
-        gen_piece = tuple(gen[sb])
-        labels.append(f"g{idx}")
-        reps.append(gen)
-        mus.append(_glued_mu(model, gen_free, gen_piece))
-    cup = CupStructure(tuple(labels), tuple(reps), tuple(mus))
+    split = model.glue.a.rank_at(2)
+    gens = cohomology(glued, 2).generators
+    cup = CupStructure(
+        tuple(f"g{idx}" for idx in range(len(gens))),
+        gens,
+        tuple(_glued_mu(model, gen[:split], gen[split:]) for gen in gens),
+    )
 
-    euler = EulerModel(glued, e_vec, mu, PROVENANCE_ALGEBRAIC, cup)
-    return BorelBundle(n, glued, euler)
+    return BorelBundle(n, EulerModel(glued, e_vec, mu, PROVENANCE_ALGEBRAIC, cup))
 
 
 def truncated_borel(space: SemiFreeSpace, n: int) -> BorelBundle:
     """Catalog closed form of the truncated homotopy quotient at level N."""
     if n < 1:
         raise PreconditionError("truncation level must be at least 1")
-    if space.kind == "point_fixed":
-        model = catalog_build("cp", (n,))
-        return BorelBundle(n, model.complex, euler_model_from_label_coeffs(model, {"u": 1}))
-    if space.kind == "monopole":
-        model = catalog_build("cp", (n,))
-        k = space.charges[0]
-        return BorelBundle(n, model.complex, euler_model_from_label_coeffs(model, {"u": k}))
     if space.kind == "free_hopf":
         model = catalog_build("sphere2")
-        return BorelBundle(n, model.complex, euler_model_from_label_coeffs(model, {"vol": 1}))
+        return BorelBundle(n, euler_model_from_label_coeffs(model, {"vol": 1}))
     if space.kind == "free_bundle":
-        assert space.bundle is not None
-        return BorelBundle(n, space.bundle.base, space.bundle)
-    if space.kind == "multi_monopole":
-        if len(space.charges) == 1:
-            model = catalog_build("cp", (n,))
-            k = space.charges[0]
-            return BorelBundle(n, model.complex, euler_model_from_label_coeffs(model, {"u": k}))
+        return BorelBundle(n, space.bundle)
+    if len(space.charges) > 1:
         return _multi_monopole_bundle(space.charges, n)
-    raise PreconditionError(f"unknown action kind {space.kind!r}")
+    # point_fixed is charge 1; monopole and a one-charge multi_monopole are charge k
+    (k,) = space.charges or (1,)
+    return BorelBundle(n, euler_model_from_label_coeffs(catalog_build("cp", (n,)), {"u": k}))
 
 
 def _triple_for(bundle: BorelBundle, flux: Optional[Vector]) -> TDualityTriple:
@@ -393,7 +340,7 @@ def bunke_route_dual(space: SemiFreeSpace, n: int) -> TDualResult:
                 f"simplicial-route certification failed in degree {d}: "
                 f"total gives {got}, independent model gives {want}"
             )
-    return dualize(_triple_for(BorelBundle(n, model.complex, euler), space.flux))
+    return dualize(_triple_for(BorelBundle(n, euler), space.flux))
 
 
 def routes_agree(a: TDualResult, b: TDualResult) -> bool:

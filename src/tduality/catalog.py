@@ -89,14 +89,9 @@ def _cp_complex(n: int) -> GradedComplex:
 
 
 def _cp_mu(cx: GradedComplex) -> CochainMap:
-    mats = []
-    for d in range(len(cx.ranks)):
-        rows, cols = cx.rank_at(d + 2), cx.rank_at(d)
-        if rows == 1 and cols == 1:
-            mats.append(IntMatrix.from_rows([[1]]))
-        else:
-            mats.append(IntMatrix.zeros(rows, cols))
-    return CochainMap(cx, cx, 2, tuple(mats))
+    return CochainMap(cx, cx, 2, tuple(
+        IntMatrix.eye(cx.rank_at(d + 2), cx.rank_at(d), 0) for d in range(len(cx.ranks))
+    ))
 
 
 def _lens_complex(k: int, n: int) -> GradedComplex:
@@ -202,11 +197,6 @@ def cp_restriction(n_from: int, n_to: int) -> CochainMap:
         raise PreconditionError("restriction goes to a smaller truncation")
     src = catalog_build("cp", (n_from,)).complex
     dst = catalog_build("cp", (n_to,)).complex
-    mats = []
-    for d in range(len(src.ranks)):
-        rows, cols = dst.rank_at(d), src.rank_at(d)
-        if rows == 1 and cols == 1:
-            mats.append(IntMatrix.from_rows([[1]]))
-        else:
-            mats.append(IntMatrix.zeros(rows, cols))
-    return CochainMap(src, dst, 0, tuple(mats))
+    return CochainMap(src, dst, 0, tuple(
+        IntMatrix.eye(dst.rank_at(d), src.rank_at(d), 0) for d in range(len(src.ranks))
+    ))

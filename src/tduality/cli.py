@@ -352,18 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def execute(argv: Sequence[str], spec: SpecFile) -> Report:
     """Run one command against a parsed model file."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
-    resolved = resolve(spec)
-    if args.command == "cohom":
-        return _cmd_cohom(args, resolved)
-    if args.command == "dualize":
-        return _cmd_dualize(args, resolved)
-    if args.command == "borel":
-        return _cmd_borel(args, resolved)
-    if args.command == "verify":
-        return _cmd_verify(args, resolved)
-    raise PreconditionError(f"unknown command {args.command!r}")
+    return _dispatch(build_parser().parse_args(list(argv)), spec)
+
+
+def _dispatch(args: argparse.Namespace, spec: SpecFile) -> Report:
+    command = {"cohom": _cmd_cohom, "dualize": _cmd_dualize, "borel": _cmd_borel,
+               "verify": _cmd_verify}[args.command]  # the parser admits no other
+    return command(args, resolve(spec))
 
 
 def _read_source(path: str) -> str:
@@ -388,7 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         text = _read_source(args.file)
         spec = parse_spec(text)
-        report = execute(argv_without_json(argv), spec)
+        report = _dispatch(args, spec)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
@@ -407,10 +402,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INTERNAL
     emit(report)
     return EXIT_OK
-
-
-def argv_without_json(argv: Sequence[str]) -> list[str]:
-    return [a for a in argv if a != "--json"]
 
 
 if __name__ == "__main__":

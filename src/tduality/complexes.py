@@ -344,48 +344,25 @@ def mapping_cone(f: CochainMap) -> MappingCone:
         deltas.append(IntMatrix.from_blocks(blocks))
     cone = GradedComplex(ranks, tuple(deltas))
 
-    incl_mats = []
-    for m in range(len(b_cx.ranks)):
-        n = m + 1 - d  # cone degree receiving B^m
-        rows = cone.rank_at(n)
-        cols = b_cx.rank_at(m)
-        if rows == 0 or cols == 0:
-            incl_mats.append(IntMatrix.zeros(rows, cols))
-            continue
-        ra = a_cx.rank_at(n)
-        mat = [[0] * cols for _ in range(rows)]
-        for j in range(cols):
-            mat[ra + j][j] = 1
-        incl_mats.append(IntMatrix.from_rows(mat, cols=cols))
-    inclusion = CochainMap(b_cx, cone, 1 - d, tuple(incl_mats))
-
-    proj_mats = []
-    sign = 1
-    for n in range(len(cone.ranks)):
-        ra = a_cx.rank_at(n)
-        rows = a_cx.rank_at(n)
-        cols = cone.rank_at(n)
-        mat = [[0] * cols for _ in range(rows)]
-        for i in range(ra):
-            mat[i][i] = sign
-        proj_mats.append(IntMatrix.from_rows(mat, cols=cols))
-        sign = -sign
-    projection = CochainMap(cone, a_cx, 0, tuple(proj_mats))
+    # B^m sits below A^n in Cone^n, n = m + 1 - d
+    inclusion = CochainMap(b_cx, cone, 1 - d, tuple(
+        IntMatrix.eye(cone.rank_at(m + 1 - d), b_cx.rank_at(m), -a_cx.rank_at(m + 1 - d))
+        for m in range(len(b_cx.ranks))
+    ))
+    projection = CochainMap(cone, a_cx, 0, tuple(
+        IntMatrix.eye(a_cx.rank_at(n), cone.rank_at(n), 0).scale((-1) ** n)
+        for n in range(len(cone.ranks))
+    ))
 
     return MappingCone(cone, inclusion, projection, f)
 
 
-def direct_sum(a: GradedComplex, b: GradedComplex) -> GradedComplex:
-    top = max(a.top_degree, b.top_degree)
-    ranks = tuple(a.rank_at(n) + b.rank_at(n) for n in range(top + 1))
+def direct_sum(*parts: GradedComplex) -> GradedComplex:
+    """Degreewise direct sum, the parts' bases concatenated in order."""
+    top = max(p.top_degree for p in parts)
+    ranks = tuple(sum(p.rank_at(n) for p in parts) for n in range(top + 1))
     deltas = tuple(
-        IntMatrix.from_blocks(
-            [
-                [a.delta_at(n), IntMatrix.zeros(a.rank_at(n + 1), b.rank_at(n))],
-                [IntMatrix.zeros(b.rank_at(n + 1), a.rank_at(n)), b.delta_at(n)],
-            ]
-        )
-        for n in range(top)
+        IntMatrix.block_diag([p.delta_at(n) for p in parts]) for n in range(top)
     )
     return GradedComplex(ranks, deltas)
 

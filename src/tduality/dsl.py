@@ -28,6 +28,10 @@ references resolve to earlier sections):
     euler = ...                (free_bundle only)
     h = 1                      (optional flux coordinates)
 
+Each section accepts only the keys listed for it (for an algebraic complex,
+``delta0`` .. ``delta{len(ranks) - 2}``), each at most once; any other key, or
+a key given twice, is a parse error at that key's line and column.
+
 A line-oriented format keeps goldens diff-friendly and error positions exact;
 structured output is the CLI's --json flag, not the input's job.
 """
@@ -35,6 +39,7 @@ structured output is the CLI's --json flag, not the input's job.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -243,9 +248,25 @@ def _require(section: Section, key: str) -> str:
     return v
 
 
+def _check_keys(section: Section, allowed: tuple[str, ...]) -> None:
+    """Reject, at its line, the first key the section does not read or sets twice."""
+    seen = set()
+    for (key, _), pos in zip(section.entries, section.positions or repeat((section.line, 0))):
+        if key in seen:
+            raise ParseError(f"key {key!r} given twice in [{section.kind} {section.name}]", *pos)
+        if key not in allowed:
+            raise ParseError(
+                f"unknown key {key!r} in [{section.kind} {section.name}] "
+                f"(allowed: {', '.join(allowed)})",
+                *pos,
+            )
+        seen.add(key)
+
+
 def _resolve_complex(section: Section) -> CatalogModel:
     kind = _require(section, "kind")
     if kind == "catalog":
+        _check_keys(section, ("kind", "name", "params"))
         name = _require(section, "name")
         if name not in CATALOG_NAMES:
             raise ParseError(
@@ -258,6 +279,7 @@ def _resolve_complex(section: Section) -> CatalogModel:
         except PreconditionError as exc:
             raise ParseError(str(exc), *section.position("params"))
     if kind == "simplicial":
+        _check_keys(section, ("kind", "facets"))
         facets_value = _require(section, "facets")
         facets = [
             _parse_int_list(chunk, section, "facets")
@@ -277,6 +299,7 @@ def _resolve_complex(section: Section) -> CatalogModel:
             raise ParseError(
                 f"negative rank in [complex {section.name}]", *section.position("ranks")
             )
+        _check_keys(section, ("kind", "ranks", *(f"delta{n}" for n in range(len(ranks) - 1))))
         deltas = []
         for n in range(max(len(ranks) - 1, 0)):
             value = section.get(f"delta{n}")
@@ -317,6 +340,7 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
         if section.kind == "complex":
             complexes[section.name] = _resolve_complex(section)
         elif section.kind == "bundle":
+            _check_keys(section, ("base", "euler"))
             base_name = _require(section, "base")
             if base_name not in complexes:
                 raise ParseError(
@@ -326,8 +350,10 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             euler_spec = parse_euler_value(_require(section, "euler"), section)
             bundles[section.name] = build_euler_model(complexes[base_name], euler_spec)
         elif section.kind == "flux":
+            _check_keys(section, ("h",))
             fluxes[section.name] = _parse_int_list(_require(section, "h"), section, "h")
         elif section.kind == "action":
+            _check_keys(section, ("type", "charges", "truncation", "base", "euler", "h"))
             kind = _require(section, "type")
             charges = _parse_int_list(section.get("charges") or "", section, "charges")
             truncation_value = section.get("truncation")

@@ -214,26 +214,13 @@ def total_space(model: EulerModel) -> TotalSpaceModel:
     if not report.valid:
         raise InternalCheckError(f"twisted total complex broken: {report.detail}")
 
-    incl_mats = []
-    for n in range(len(base.ranks)):
-        rows = total.rank_at(n)
-        cols = base.rank_at(n)
-        mat = [[0] * cols for _ in range(rows)]
-        for i in range(cols):
-            mat[i][i] = 1
-        incl_mats.append(IntMatrix.from_rows(mat, cols=cols))
-    pullback_incl = CochainMap(base, total, 0, tuple(incl_mats))
-
-    proj_mats = []
-    for n in range(len(total.ranks)):
-        rows = base.rank_at(n - 1)
-        cols = total.rank_at(n)
-        r_phi = base.rank_at(n)
-        mat = [[0] * cols for _ in range(rows)]
-        for j in range(rows):
-            mat[j][r_phi + j] = 1
-        proj_mats.append(IntMatrix.from_rows(mat, cols=cols))
-    fiber_proj = CochainMap(total, base, -1, tuple(proj_mats))
+    pullback_incl = CochainMap(base, total, 0, tuple(
+        IntMatrix.eye(total.rank_at(n), base.rank_at(n), 0) for n in range(len(base.ranks))
+    ))
+    fiber_proj = CochainMap(total, base, -1, tuple(
+        IntMatrix.eye(base.rank_at(n - 1), total.rank_at(n), base.rank_at(n))
+        for n in range(len(total.ranks))
+    ))
 
     return TotalSpaceModel(model, total, pullback_incl, fiber_proj)
 

@@ -22,6 +22,10 @@ Conventions:
   ``V^-1``; swaps and negations mirror themselves).  A unimodular inverse is
   unique, so these equal what ``unimodular_inverse`` computes with a second
   Smith form.
+* Structural maps of cones, totals and gluings are built from two
+  constructors: ``IntMatrix.eye(rows, cols, offset)``, ones at
+  ``(i, i + offset)``, and ``IntMatrix.block_diag(blocks)``, the blocks along
+  the diagonal.
 * Lattices are handled through a unique row-style Hermite normal form:
   positive pivots, entries in the pivot column of earlier rows reduced into
   ``[0, pivot)``, rows ordered by pivot column.
@@ -73,8 +77,22 @@ class IntMatrix:
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    def eye(rows: int, cols: int, offset: int) -> "IntMatrix":
+        """Ones at ``(i, i + offset)`` where that lies inside, zeros elsewhere."""
+        return IntMatrix(
+            rows, cols, tuple(tuple(int(j == i + offset) for j in range(cols)) for i in range(rows))
+        )
+
+    @staticmethod
+    def block_diag(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
+        """The blocks along the diagonal, zeros elsewhere; any block may be empty."""
+        cols = sum(b.cols for b in blocks)
+        rows: list[tuple[int, ...]] = []
+        left = 0
+        for b in blocks:
+            rows += [(0,) * left + row + (0,) * (cols - left - b.cols) for row in b.entries]
+            left += b.cols
+        return IntMatrix(len(rows), cols, tuple(rows))
 
     @staticmethod
     def column(vec: Sequence[int]) -> "IntMatrix":
@@ -325,7 +343,7 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     if m.rows != m.cols:
         raise PreconditionError("only square matrices can be unimodular")
     snf = smith_normal_form(m)
-    if snf.d != IntMatrix.identity(m.rows):
+    if snf.d != IntMatrix.eye(m.rows, m.rows, 0):
         raise PreconditionError("matrix is not unimodular")
     return snf.v @ snf.u
 

@@ -99,6 +99,7 @@ class TDualResult:
     dual_model: EulerModel
     dual_flux: Vector               # vector in the dual T^3
     ambiguity: tuple[Vector, ...]   # pullback generators, coordinates in H^3(dual total)
+    ambiguity_lattice: tuple[Vector, ...]  # HNF of the ambiguity plus H^3 torsion relations
     ambiguity_rank: int
     certificate: SolveCertificate
 
@@ -157,16 +158,10 @@ def dualize(t: TDualityTriple) -> TDualResult:
         dual_model=dual_model,
         dual_flux=dual_flux,
         ambiguity=amb,
+        ambiguity_lattice=full,
         ambiguity_rank=ambiguity_rank,
         certificate=SolveCertificate(True),
     )
-
-
-def _ambiguity_lattice(result: TDualResult) -> tuple[Vector, ...]:
-    dual_total = total_space(result.dual_model).total
-    group = cohomology(dual_total, 3)
-    rows = list(result.ambiguity) + list(group.relation_rows())
-    return hermite_normal_form(rows, group.coord_dim)
 
 
 def canonical_flux_rep(result: TDualResult) -> Vector:
@@ -174,13 +169,13 @@ def canonical_flux_rep(result: TDualResult) -> Vector:
     lattice: the unique coset representative produced by Hermite reduction,
     lexicographically least with nonnegative pivot coordinates."""
     coords = result.dual_flux_coords()
-    return reduce_mod_lattice(coords, _ambiguity_lattice(result))
+    return reduce_mod_lattice(coords, result.ambiguity_lattice)
 
 
 def flux_congruent(result: TDualResult, coords_a: Vector, coords_b: Vector) -> bool:
     """Do two H^3 classes of the dual total space agree modulo the ambiguity?"""
     diff = tuple(a - b for a, b in zip(coords_a, coords_b))
-    return lattice_member(diff, _ambiguity_lattice(result))
+    return lattice_member(diff, result.ambiguity_lattice)
 
 
 @dataclass(frozen=True)

@@ -189,3 +189,42 @@ def group_direct_sum(*shapes) -> tuple[tuple[int, ...], int]:
 def canonical_shape(shape) -> tuple[tuple[int, ...], int]:
     """Normalize a (torsion, free) pair for comparisons across presentations."""
     return group_direct_sum(shape)
+
+
+def first_sign_pattern(charges):
+    """The brute-force scan over all 2^m sign masks: the signs of the smallest
+    mask (bit i set means charge i enters with -1) whose signed sum vanishes,
+    or None when no mask does."""
+    m = len(charges)
+    for mask in range(1 << m):
+        signs = tuple(-1 if (mask >> i) & 1 else 1 for i in range(m))
+        if sum(s * k for s, k in zip(signs, charges)) == 0:
+            return signs
+    return None
+
+
+def eye_rows(rows, cols, offset):
+    """Row lists of the matrix with ones at (i, i + offset), cell by cell."""
+    return [[1 if j == i + offset else 0 for j in range(cols)] for i in range(rows)]
+
+
+def block_diag_rows(blocks):
+    """Row lists of the block-diagonal matrix, one cell at a time: cell (r, c)
+    is the entry of the block owning both row r and column c, else 0."""
+    shapes = [(len(b), width) for b, width in blocks]
+    rows = sum(h for h, _ in shapes)
+    cols = sum(w for _, w in shapes)
+    out = []
+    for r in range(rows):
+        line = []
+        for c in range(cols):
+            top = left = 0
+            value = 0
+            for (b, width), (h, _) in zip(blocks, shapes):
+                if top <= r < top + h and left <= c < left + width:
+                    value = b[r - top][c - left]
+                top += h
+                left += width
+            line.append(value)
+        out.append(line)
+    return out

@@ -1,5 +1,10 @@
+import random
+import time
+
 import pytest
 
+from oracles import first_sign_pattern
+from tduality import borel
 from tduality.borel import (
     SemiFreeSpace,
     bunke_route_dual,
@@ -203,6 +208,68 @@ def test_multi_monopole_rejects_unglueable_charges():
         multi_monopole_dual((2, 3), 2)
     with pytest.raises(PreconditionError, match="orientation"):
         multi_monopole_dual((2, 2, 2), 1)
+
+
+def _sign_pattern_or_none(charges):
+    try:
+        return borel._sign_pattern(charges)
+    except PreconditionError as exc:
+        assert "no orientation assignment" in str(exc)
+        return None
+
+
+def test_sign_pattern_matches_the_mask_scan():
+    rng = random.Random(1312)
+    signable = 0
+    for trial in range(600):
+        m = rng.randint(1, 11)
+        top = rng.choice((3, 10, 1000, 10**6))
+        charges = [rng.randint(1, top) for _ in range(m)]
+        if trial % 2 and m > 1:
+            # make a signing exist: the last charge balances a random subset
+            lhs = sum(k for k in charges[:-1] if rng.random() < 0.5)
+            rhs = sum(charges[:-1]) - lhs
+            if lhs != rhs:
+                charges[-1] = abs(lhs - rhs)
+        charges = tuple(charges)
+        want = first_sign_pattern(charges)
+        assert _sign_pattern_or_none(charges) == want, charges
+        signable += want is not None
+    assert signable > 200
+
+
+def test_sign_pattern_scales_past_the_scan():
+    rng = random.Random(40)
+    charges = tuple(rng.randint(1, 63) for _ in range(40))
+    if sum(charges) % 2:
+        charges = charges[:-1] + (charges[-1] + 1,)
+    start = time.perf_counter()
+    signs = borel._sign_pattern(charges)
+    assert time.perf_counter() - start < 1.0
+    assert sum(s * k for s, k in zip(signs, charges)) == 0
+    # an odd total fails at once, whatever the number of charges
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="no orientation assignment"):
+        borel._sign_pattern((1,) * 31)
+    assert time.perf_counter() - start < 1.0
+    assert borel._sign_pattern((1,) * 30) == (-1,) * 15 + (1,) * 15
+
+
+def test_sign_search_is_bounded(monkeypatch):
+    monkeypatch.setattr(borel, "MAX_SIGN_SEARCH_SUMS", 50)
+    with pytest.raises(PreconditionError, match="more than 50 stored subset sums"):
+        borel._sign_pattern(tuple(range(1, 21)))
+    assert borel._sign_pattern((1, 2, 3)) == (-1, -1, 1)
+
+
+def test_point_fixed_monopole_and_single_charge_share_one_model():
+    for n in (1, 2, 3):
+        unit = truncated_borel(SemiFreeSpace("point_fixed"), n)
+        assert unit == truncated_borel(SemiFreeSpace("monopole", charges=(1,)), n)
+        for k in (1, 4):
+            mono = truncated_borel(SemiFreeSpace("monopole", charges=(k,)), n)
+            assert mono == truncated_borel(SemiFreeSpace("multi_monopole", charges=(k,)), n)
+            assert mono.base_model is mono.euler_s1.base
 
 
 def test_free_bundle_zero_data_dualizes_to_zero():

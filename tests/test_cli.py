@@ -183,6 +183,26 @@ def test_golden_dualize_report(capsys):
     assert out == golden
 
 
+MULTI_MODEL = "[action tri]\ntype = multi_monopole\ncharges = 5,2,3\ntruncation = 2\n"
+
+
+def test_golden_multi_monopole_report(capsys, tmp_path):
+    model = tmp_path / "multi.tdsl"
+    model.write_text(MULTI_MODEL, encoding="utf-8")
+    code, out, _ = run(capsys, "borel", "--action", "tri", "--json", str(model))
+    assert code == EXIT_OK
+    golden = (DATA / "golden_borel_multi.txt").read_text(encoding="utf-8")
+    assert out == golden
+    assert json.loads(out)["routes"]["mathai_wu"]["dual_flux_coords"] == [-2, -3]
+
+
+def test_execute_ignores_the_output_flag():
+    spec = parse_spec(SAMPLE.read_text(encoding="utf-8"))
+    for argv in (["--json", "dualize", "--bundle", "b", str(SAMPLE)],
+                 ["dualize", "--json", "--bundle", "b", str(SAMPLE)]):
+        assert execute(argv, spec) == execute(["dualize", "--bundle", "b", str(SAMPLE)], spec)
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -325,7 +325,7 @@ def test_cone_of_zero_map_is_sum_with_shift():
 
 def test_cone_of_identity_is_acyclic():
     cx = lens_model(3, n=2)
-    f = CochainMap(cx, cx, 0, tuple(IntMatrix.identity(1) for _ in cx.ranks))
+    f = CochainMap(cx, cx, 0, tuple(IntMatrix.eye(1, 1, 0) for _ in cx.ranks))
     cone = mapping_cone(f)
     for n in range(len(cone.complex.ranks) + 1):
         assert cohomology(cone.complex, n).is_trivial()
@@ -341,7 +341,7 @@ def test_cone_of_multiplication_by_k_on_point():
 
 def test_cone_rejects_non_chain_map():
     cx = lens_model(2)
-    mats = list(IntMatrix.identity(1) for _ in cx.ranks)
+    mats = list(IntMatrix.eye(1, 1, 0) for _ in cx.ranks)
     mats[1] = IntMatrix.from_rows([[3]])  # breaks commuting across delta1 = [2]
     with pytest.raises(PreconditionError):
         CochainMap(cx, cx, 0, tuple(mats))

@@ -3,6 +3,8 @@ import pytest
 from tduality.complexes import cohomology
 from tduality.dsl import (
     EulerSpec,
+    Section,
+    SpecFile,
     parse_euler_value,
     parse_spec,
     resolve,
@@ -180,3 +182,64 @@ def test_value_errors_point_at_the_key_line():
         resolve(parse_spec("\n[complex c]\nkind = algebraic\n"))
     assert (err.value.line, err.value.column) == (2, 0)
 
+
+
+def test_unknown_and_repeated_keys_are_parse_errors():
+    text = (
+        "[complex c]\nkind = algebraic\nranks = 1,1\nranks = 1,1,1\n"
+        "delta7 = 5\ncolour = red\n"
+    )
+    with pytest.raises(ParseError, match="key 'ranks' given twice") as err:
+        resolve(parse_spec(text))
+    assert (err.value.line, err.value.column) == (4, 1)
+    with pytest.raises(ParseError, match="unknown key 'delta7'") as err:
+        resolve(parse_spec("[complex c]\nkind = algebraic\nranks = 1,1\ndelta7 = 5\n"))
+    assert (err.value.line, err.value.column) == (4, 1)
+    # a typo no longer reads as an omitted, zero coboundary
+    with pytest.raises(ParseError, match="unknown key 'detla0'.*allowed: kind, ranks, delta0"):
+        resolve(parse_spec("[complex c]\nkind = algebraic\nranks = 1,1\n  detla0 = 2\n"))
+    # keys of another complex kind are not read, so they are refused
+    with pytest.raises(ParseError, match="unknown key 'ranks'") as err:
+        resolve(parse_spec("[complex c]\nkind = catalog\nname = circle\nranks = 1,1\n"))
+    assert err.value.line == 4
+    with pytest.raises(ParseError, match="unknown key 'params'"):
+        resolve(parse_spec("[complex s]\nkind = simplicial\nfacets = 0,1\nparams = 2\n"))
+    # a section built without key positions is checked too, at its header
+    entries = (("kind", "algebraic"), ("ranks", "1,1"), ("colour", "red"))
+    with pytest.raises(ParseError, match="unknown key 'colour'") as err:
+        resolve(SpecFile((Section("complex", "c", entries, 7),)))
+    assert (err.value.line, err.value.column) == (7, 0)
+
+
+@pytest.mark.parametrize("section, extra", [
+    ("[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n", "kind = catalog"),
+    ("[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n", "colour = red"),
+    ("[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n[bundle b]\nbase = cp2\neuler = u\n",
+     "flux = 1"),
+    ("[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n[bundle b]\nbase = cp2\neuler = u\n",
+     "euler = 2*u"),
+    ("[flux f]\nh = 1\n", "h = 2"),
+    ("[flux f]\nh = 1\n", "base = cp2"),
+    ("[action a]\ntype = monopole\ncharges = 2\ntruncation = 2\n", "truncation = 3"),
+    ("[action a]\ntype = monopole\ncharges = 2\ntruncation = 2\n", "charge = 2"),
+])
+def test_every_section_kind_checks_its_keys(section, extra):
+    text = section + extra + "\n"
+    with pytest.raises(ParseError, match="given twice|unknown key") as err:
+        resolve(parse_spec(text))
+    assert err.value.line == text.count("\n")
+    # without the extra line the same text resolves
+    resolve(parse_spec(section))
+
+
+def test_every_allowed_key_is_accepted():
+    text = (
+        "[complex a]\nkind = algebraic\nranks = 1,1,1\ndelta0 = 0\ndelta1 = 0\n"
+        "[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n"
+        "[complex t]\nkind = simplicial\nfacets = 0,1;0,2;1,2\n"
+        "[bundle b]\nbase = cp2\neuler = u\n[flux f]\nh = 1\n"
+        "[action m]\ntype = monopole\ncharges = 3\ntruncation = 2\nh = 1\n"
+        "[action f]\ntype = free_bundle\nbase = cp2\neuler = u\ntruncation = 1\n"
+    )
+    resolved = resolve(parse_spec(text))
+    assert set(resolved.actions) == {"m", "f"}

@@ -191,7 +191,7 @@ def test_exactness_checker_rejects_broken_sequences():
     zero = IntMatrix.zeros(1, 1)
     assert not exact_at(zero, g, zero, g)
     # and the identity through Z is exact at the middle (im = ker = 0)
-    ident = IntMatrix.identity(1)
+    ident = IntMatrix.eye(1, 1, 0)
     assert exact_at(zero, g, ident, g)
 
 
@@ -276,7 +276,7 @@ def test_triangle_verifier_names_non_exact_nodes():
         "H^1(X)", "H^1(Y)", "H^1(Z)",
     ]
     # an isomorphism X -> Y makes X and Y exact; only Z is left
-    ident = CochainMap(point, point, 0, (IntMatrix.identity(1),))
+    ident = CochainMap(point, point, 0, (IntMatrix.eye(1, 1, 0),))
     report = triangle_exactness(ident, zero, shift, labels, 0, 0)
     assert [node.label for node in report.nodes if not node.exact] == ["H^0(Z)"]
     assert report.degree_range == (0, 0)

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bareiss_det, brute_solutions, mat_mul, matrix_rank, snf_diag
+from oracles import (
+    bareiss_det,
+    block_diag_rows,
+    brute_solutions,
+    eye_rows,
+    mat_mul,
+    matrix_rank,
+    snf_diag,
+)
+from tduality.complexes import direct_sum
 from tduality.errors import PreconditionError
 from tduality.matrices import (
     IntMatrix,
@@ -39,13 +48,13 @@ def check_snf_invariants(m: IntMatrix):
 def test_snf_zero_1x1():
     snf = smith_normal_form(IntMatrix.from_rows([[0]]))
     assert snf.d == IntMatrix.from_rows([[0]])
-    assert snf.u == IntMatrix.identity(1)
-    assert snf.v == IntMatrix.identity(1)
+    assert snf.u == IntMatrix.eye(1, 1, 0)
+    assert snf.v == IntMatrix.eye(1, 1, 0)
 
 
 def test_snf_identity():
-    snf = smith_normal_form(IntMatrix.identity(3))
-    assert snf.d == IntMatrix.identity(3)
+    snf = smith_normal_form(IntMatrix.eye(3, 3, 0))
+    assert snf.d == IntMatrix.eye(3, 3, 0)
 
 
 def test_snf_2x2_example():
@@ -137,7 +146,7 @@ def test_matmul_matches_triple_loop(rows, inner, cols, data):
 def test_unimodular_inverse():
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
     inv = unimodular_inverse(m)
-    assert m @ inv == IntMatrix.identity(2)
+    assert m @ inv == IntMatrix.eye(2, 2, 0)
     with pytest.raises(PreconditionError):
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
@@ -244,12 +253,56 @@ def test_matrix_shape_and_type_guards():
 
 
 def test_block_assembly():
-    a = IntMatrix.identity(2)
+    a = IntMatrix.eye(2, 2, 0)
     b = IntMatrix.zeros(2, 1)
     c = IntMatrix.zeros(1, 2)
     d = IntMatrix.from_rows([[5]])
     m = IntMatrix.from_blocks([[a, b], [c, d]])
     assert m.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 5))
+
+
+def test_eye_against_cell_by_cell_reference():
+    for rows in range(5):
+        for cols in range(5):
+            for offset in range(-5, 6):
+                m = IntMatrix.eye(rows, cols, offset)
+                assert m.shape == (rows, cols)
+                assert [list(r) for r in m.entries] == eye_rows(rows, cols, offset)
+    assert IntMatrix.eye(3, 3, 0).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert IntMatrix.eye(3, 2, -1).entries == ((0, 0), (1, 0), (0, 1))
+    assert IntMatrix.eye(2, 4, 2).entries == ((0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def test_block_diag_against_cell_by_cell_reference():
+    rng = random.Random(11)
+    for _ in range(200):
+        blocks = []
+        for _ in range(rng.randint(0, 4)):
+            r, c = rng.randint(0, 3), rng.randint(0, 3)
+            blocks.append(IntMatrix.from_rows(
+                [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)], cols=c
+            ))
+        m = IntMatrix.block_diag(blocks)
+        assert m.shape == (sum(b.rows for b in blocks), sum(b.cols for b in blocks))
+        want = block_diag_rows([(b.entries, b.cols) for b in blocks])
+        assert [list(r) for r in m.entries] == want
+    # empty blocks still take their rows or columns
+    m = IntMatrix.block_diag(
+        [IntMatrix.zeros(0, 2), IntMatrix.from_rows([[7]]), IntMatrix.zeros(1, 0)]
+    )
+    assert m.entries == ((0, 0, 7), (0, 0, 0))
+    assert IntMatrix.block_diag([]) == IntMatrix.zeros(0, 0)
+
+
+def test_direct_sum_is_associative_over_block_diag():
+    from generators import random_complex
+
+    rng = random.Random(5)
+    for _ in range(30):
+        a, b, c = (random_complex(rng) for _ in range(3))
+        assert direct_sum(a, b, c) == direct_sum(direct_sum(a, b), c)
+        assert direct_sum(a, b, c) == direct_sum(a, direct_sum(b, c))
+        assert direct_sum(a) == a
 
 
 def test_snf_exact_on_entries_beyond_machine_words():

@@ -188,3 +188,19 @@ def test_dual_flux_depends_only_on_pushforward_mod_ambiguity():
         result = dualize(triple_from_flux_coords(model, coords))
         assert push_flux(result.triple) == ()
         assert canonical_flux_rep(result) == base_canonical
+
+
+def test_result_carries_the_hermite_form_of_its_ambiguity():
+    from tduality.matrices import hermite_normal_form
+
+    cases = [triple_from_flux_coords(cp_bundle(2, 5), ()), torus_flux_triple(3),
+             triple_from_flux_coords(sphere3_trivial(), (1,))]
+    for t in cases:
+        result = dualize(t)
+        group = cohomology(total_space(result.dual_model).total, 3)
+        want = hermite_normal_form(
+            list(result.ambiguity) + list(group.relation_rows()), group.coord_dim
+        )
+        assert result.ambiguity_lattice == want
+        rel_only = hermite_normal_form(group.relation_rows(), group.coord_dim)
+        assert result.ambiguity_rank == len(want) - len(rel_only)
