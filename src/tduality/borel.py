@@ -101,34 +101,20 @@ class BorelBundle:
         return self.euler_s1.base
 
 
-@dataclass(frozen=True)
-class MVGlue:
-    """Result of gluing two complexes over a common overlap."""
-
-    cone: MappingCone
-    a: GradedComplex
-    b: GradedComplex
-    overlap: GradedComplex
-
-    @property
-    def complex(self) -> GradedComplex:
-        return self.cone.complex
-
-
 def mayer_vietoris_glue(
     a: GradedComplex,
     b: GradedComplex,
     overlap: GradedComplex,
     r_a: CochainMap,
     r_b: CochainMap,
-) -> MVGlue:
+) -> MappingCone:
     """Cochain model of the union of two pieces glued over an overlap.
 
-    Builds the mapping cone of the restriction difference
-    ``(x, y) -> r_a(x) - r_b(y)``; with the cone convention used here its
-    cohomology is the cohomology of the union, and the induced long exact
-    sequence is the Mayer-Vietoris sequence:
-    ``gysin.cone_exactness(glue.cone, lo, hi)`` checks it node by node.
+    Returns the mapping cone of the restriction difference
+    ``(x, y) -> r_a(x) - r_b(y)`` from ``A (+) B`` to the overlap.  With the
+    cone convention used here the cone's complex computes the cohomology of
+    the union, and its long exact sequence is the Mayer-Vietoris sequence:
+    ``gysin.cone_exactness(glue, lo, hi)`` checks it node by node.
     """
     if r_a.degree != 0 or r_b.degree != 0:
         raise PreconditionError("restriction maps must have degree 0")
@@ -141,8 +127,7 @@ def mayer_vietoris_glue(
         r_a.mat_at(n).hstack(r_b.mat_at(n).scale(-1))
         for n in range(len(summed.ranks))
     )
-    diff = CochainMap(summed, overlap, 0, mats)
-    return MVGlue(mapping_cone(diff), a, b, overlap)
+    return mapping_cone(CochainMap(summed, overlap, 0, mats))
 
 
 def _wedge_of_spheres(count: int) -> GradedComplex:
@@ -186,21 +171,15 @@ def _sign_pattern(charges: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(signs))
 
 
-@dataclass(frozen=True)
-class _MultiMonopoleModel:
-    glue: MVGlue
-    n: int
-    signs: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
-def _multi_monopole_glue(charges: tuple[int, ...], n: int) -> _MultiMonopoleModel:
+def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
     m = len(charges)
     signs = _sign_pattern(charges)
     free_part = _wedge_of_spheres(m - 1)
     piece = catalog_build("cp", (n,)).complex
+    sphere = catalog_build("cp", (1,)).complex
     pieces = direct_sum(*(piece,) * m)
-    overlaps = direct_sum(*(catalog_build("cp", (1,)).complex,) * m)
+    overlaps = direct_sum(*(sphere,) * m)
 
     # free part restricts with differences c_j - c_{j-1} to consecutive
     # boundary spheres; unit restricts to every component
@@ -217,57 +196,44 @@ def _multi_monopole_glue(charges: tuple[int, ...], n: int) -> _MultiMonopoleMode
         IntMatrix.block_diag([trunc.mat_at(d).scale(s if d == 2 else 1) for s in signs])
         for d in range(len(pieces.ranks))
     ))
+    glued = mayer_vietoris_glue(free_part, pieces, overlaps, r_a, r_b).complex
 
-    return _MultiMonopoleModel(mayer_vietoris_glue(free_part, pieces, overlaps, r_a, r_b), n, signs)
-
-
-def _glued_mu(model: _MultiMonopoleModel, free_coeffs: Vector, piece_coeffs: Vector) -> CochainMap:
-    """Cup operator of a degree-2 cocycle (c, b, 0) on the glued complex.
-
-    Componentwise: cup with c on the free part (only the unit pairs
-    nontrivially), with b_i * u on piece i, and with the common restriction
-    on overlap sphere i, which sits one degree lower inside the cone.  This
-    commutes with the cone differential because the restrictions are ring
-    maps on the models involved.
-    """
-    free, glued = model.glue.a, model.glue.complex
-    piece = catalog_build("cp", (model.n,)).complex
-    sphere = catalog_build("cp", (1,)).complex
-    return CochainMap(glued, glued, 2, tuple(
-        IntMatrix.block_diag(
-            [IntMatrix.column(free_coeffs) if d == 0
-             else IntMatrix.zeros(free.rank_at(d + 2), free.rank_at(d))]
-            + [IntMatrix.eye(piece.rank_at(d + 2), piece.rank_at(d), 0).scale(b)
-               for b in piece_coeffs]
-            + [IntMatrix.eye(sphere.rank_at(d + 1), sphere.rank_at(d - 1), 0).scale(s * b)
-               for s, b in zip(model.signs, piece_coeffs)]
-        )
-        for d in range(len(glued.ranks))
-    ))
-
-
-def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
-    model = _multi_monopole_glue(charges, n)
-    glued = model.glue.complex
+    def glued_mu(free_coeffs: Vector, piece_coeffs: Vector) -> CochainMap:
+        # Cup operator of a degree-2 cocycle (c, b, 0) on the glued complex.
+        # Componentwise: cup with c on the free part (only the unit pairs
+        # nontrivially), with b_i * u on piece i, and with the common
+        # restriction on overlap sphere i, which sits one degree lower inside
+        # the cone.  This commutes with the cone differential because the
+        # restrictions are ring maps on the models involved.
+        return CochainMap(glued, glued, 2, tuple(
+            IntMatrix.block_diag(
+                [IntMatrix.column(free_coeffs) if d == 0
+                 else IntMatrix.zeros(free_part.rank_at(d + 2), free_part.rank_at(d))]
+                + [IntMatrix.eye(piece.rank_at(d + 2), piece.rank_at(d), 0).scale(b)
+                   for b in piece_coeffs]
+                + [IntMatrix.eye(sphere.rank_at(d + 1), sphere.rank_at(d - 1), 0).scale(s * b)
+                   for s, b in zip(signs, piece_coeffs)]
+            )
+            for d in range(len(glued.ranks))
+        ))
 
     # Euler cocycle: k_i * u_i on piece i plus the free-part class whose
     # boundary values match the signed charges; C^2 of the glued base is
     # free part, then pieces (the overlap has no degree-1 cochains)
-    free_coeffs = tuple(accumulate(s * k for s, k in zip(model.signs[:-1], charges[:-1])))
-    e_vec = free_coeffs + tuple(charges)
-    mu = _glued_mu(model, free_coeffs, tuple(charges))
+    free_coeffs = tuple(accumulate(s * k for s, k in zip(signs[:-1], charges[:-1])))
+    mu = glued_mu(free_coeffs, charges)
 
     # declared degree-2 basis of the glued base: every generator is a
     # (free part, pieces) cocycle, so the same formula yields its operator
-    split = model.glue.a.rank_at(2)
+    split = free_part.rank_at(2)
     gens = cohomology(glued, 2).generators
     cup = CupStructure(
         tuple(f"g{idx}" for idx in range(len(gens))),
         gens,
-        tuple(_glued_mu(model, gen[:split], gen[split:]) for gen in gens),
+        tuple(glued_mu(gen[:split], gen[split:]) for gen in gens),
     )
 
-    return BorelBundle(n, EulerModel(glued, e_vec, mu, PROVENANCE_ALGEBRAIC, cup))
+    return BorelBundle(n, EulerModel(glued, free_coeffs + charges, mu, PROVENANCE_ALGEBRAIC, cup))
 
 
 def truncated_borel(space: SemiFreeSpace, n: int) -> BorelBundle:
@@ -343,10 +309,15 @@ def bunke_route_dual(space: SemiFreeSpace, n: int) -> TDualResult:
     return dualize(_triple_for(BorelBundle(n, euler), space.flux))
 
 
-def routes_agree(a: TDualResult, b: TDualResult) -> bool:
-    """Two dualization routes agree when they give the same dual Euler class
-    and the same canonical dual flux."""
-    return a.dual_euler == b.dual_euler and canonical_flux_rep(a) == canonical_flux_rep(b)
+def route_disagreement(a: TDualResult, b: TDualResult) -> str:
+    """Empty when two dualization routes agree, that is, give the same dual
+    Euler class and the same canonical dual flux; otherwise the first field
+    that differs with both values."""
+    for field, x, y in (("dual_euler", a.dual_euler, b.dual_euler),
+                        ("canonical_flux_coords", canonical_flux_rep(a), canonical_flux_rep(b))):
+        if x != y:
+            return f"{field} differs: {list(x)} against {list(y)}"
+    return ""
 
 
 def multi_monopole_dual(charges: tuple[int, ...], n: int) -> TDualResult:
@@ -374,12 +345,25 @@ class StabilityReport:
     def stable(self) -> bool:
         return all(e.stable for e in self.base_entries + self.total_entries)
 
+    @property
+    def witness(self) -> str:
+        """Empty when stable; otherwise the first degree whose groups differ,
+        base before total, with the shapes (torsion, free rank) at both
+        levels."""
+        for base, total in zip(self.base_entries, self.total_entries):
+            for side, e in (("base", base), ("total", total)):
+                if not e.stable:
+                    return (f"{side} H^{e.degree} differs: {e.at_n} at N={self.truncation}, "
+                            f"{e.at_n_plus_1} at N={self.truncation + 1}")
+        return ""
+
 
 def stability_check(space: SemiFreeSpace, n: int, max_degree: int) -> StabilityReport:
     """Compare truncations N and N+1 in degrees <= max_degree <= 2N-1.
 
     Both the base model and the twisted total must have equal cohomology in
-    the window; this certifies the finite approximation level.
+    the window; this certifies the finite approximation level.  Degrees above
+    every compared complex are zero on both sides and are not listed.
     """
     if n < 1:
         raise PreconditionError("truncation level must be at least 1")
@@ -394,7 +378,7 @@ def stability_check(space: SemiFreeSpace, n: int, max_degree: int) -> StabilityR
 
     base_entries = []
     total_entries = []
-    for d in range(max_degree + 1):
+    for d in range(min(max_degree, max(lo_total.top_degree, hi_total.top_degree)) + 1):
         lo_shape = cohomology(lo_bundle.base_model, d).shape
         hi_shape = cohomology(hi_bundle.base_model, d).shape
         base_entries.append(StabilityEntry(d, lo_shape == hi_shape, lo_shape, hi_shape))

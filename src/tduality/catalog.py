@@ -67,6 +67,10 @@ CATALOG_NAMES = ("cp", "lens", "circle", "point", "sphere2", "torus2", "rp2")
 
 SHIPPED_LENS_PARAMETERS = tuple((k, n) for k in (1, 2, 3, 5, 7) for n in (1, 2, 3))
 
+# Largest level N of cp(N) and lens(k, N), which have 2N+1 and 2N+2 degrees:
+# levels come from model files, and one must not exhaust memory or time.
+MAX_LEVEL = 200
+
 
 @dataclass(frozen=True)
 class CatalogModel:
@@ -115,6 +119,11 @@ def _simplicial_model(name: str, facets) -> CatalogModel:
     return CatalogModel(name, (), cx, cup, simplicial=k)
 
 
+def _check_level(n: int) -> None:
+    if n > MAX_LEVEL:
+        raise PreconditionError(f"level N = {n} exceeds catalog.MAX_LEVEL = {MAX_LEVEL}")
+
+
 @lru_cache(maxsize=None)
 def catalog_build(name: str, params: tuple[int, ...] = ()) -> CatalogModel:
     """Build a shipped model by name; deterministic for fixed arguments."""
@@ -123,6 +132,7 @@ def catalog_build(name: str, params: tuple[int, ...] = ()) -> CatalogModel:
         if len(params) != 1 or params[0] < 1:
             raise PreconditionError("cp requires one parameter N >= 1")
         (n,) = params
+        _check_level(n)
         cx = _cp_complex(n)
         cup = CupStructure(("u",), ((1,),), (_cp_mu(cx),))
         return CatalogModel(name, params, cx, cup)
@@ -130,6 +140,7 @@ def catalog_build(name: str, params: tuple[int, ...] = ()) -> CatalogModel:
         if len(params) != 2 or params[0] < 1 or params[1] < 1:
             raise PreconditionError("lens requires parameters k >= 1, N >= 1")
         k, n = params
+        _check_level(n)
         return CatalogModel(name, params, _lens_complex(k, n), CupStructure((), (), ()))
     if name == "circle":
         if params:

@@ -117,7 +117,7 @@ def _dual_payload(result) -> dict:
         "dual_flux_coords": _coords(result.dual_flux_coords()),
         "canonical_flux_coords": _coords(canonical),
         "ambiguity_rank": result.ambiguity_rank,
-        "defining_equation": "ok" if result.certificate.solved else "failed",
+        "defining_equation": "ok",  # dualize re-checks it and raises otherwise
         "h3_dual_total": cohomology(dual_total, 3).describe(),
         "h2_dual_total": cohomology(dual_total, 2).describe(),
     }
@@ -197,12 +197,10 @@ def _cmd_borel(args, resolved: ResolvedSpec) -> Report:
         routes["bunke"] = _dual_payload(results["bunke"])
     payload["routes"] = routes
     if len(results) == 2:
-        agree = borel_mod.routes_agree(results["mathai_wu"], results["bunke"])
-        payload["routes_agree"] = agree
-        if not agree:
-            raise InternalCheckError(
-                "dualization routes disagree on " + name
-            )
+        disagreement = borel_mod.route_disagreement(results["mathai_wu"], results["bunke"])
+        payload["routes_agree"] = not disagreement
+        if disagreement:
+            raise InternalCheckError(f"dualization routes disagree on {name}: {disagreement}")
     return Report(payload)
 
 
@@ -241,12 +239,14 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
             borel_mod.truncated_borel(space, n)
             checks.append((f"action {name}: Borel model builds", True, "", False))
             stability = borel_mod.stability_check(space, n, max(2 * n - 1, 0))
-            checks.append((f"action {name}: stable under N -> N+1", stability.stable, "", True))
+            checks.append((f"action {name}: stable under N -> N+1", stability.stable,
+                           stability.witness, True))
             if spec.kind in borel_mod._SIMPLICIAL_ROUTE:
-                agree = borel_mod.routes_agree(
+                disagreement = borel_mod.route_disagreement(
                     borel_mod.mathai_wu_dual(space, n), borel_mod.bunke_route_dual(space, n)
                 )
-                checks.append((f"action {name}: dualization routes agree", agree, "", True))
+                checks.append((f"action {name}: dualization routes agree", not disagreement,
+                               disagreement, True))
         except PreconditionError as exc:
             checks.append((f"action {name}: {exc}", False, str(exc), False))
 

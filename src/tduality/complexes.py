@@ -309,51 +309,46 @@ def cochain_map_sum(terms: Sequence[tuple[int, CochainMap]]) -> CochainMap:
 
 @dataclass(frozen=True)
 class MappingCone:
-    """Cone of ``f : A -> B`` with ``Cone^n = A^n (+) B^{n+d-1}``.
+    """Cone of a degree-0 map ``f : A -> B``, ``Cone^n = A^n (+) B^{n-1}``.
 
     Differential ``D(a, b) = (-delta a, f(a) + delta b)``; any consistent
     convention with the same long exact sequence would do, this one is fixed.
-    The projection carries a per-degree sign so it commutes strictly.
+    ``inclusion`` is ``b -> (0, b)`` and ``projection`` is
+    ``(a, b) -> (-1)^n a``, signed per degree so it commutes strictly.
     """
 
     complex: GradedComplex
-    inclusion: CochainMap   # B -> Cone, degree 1 - d
+    inclusion: CochainMap   # B -> Cone, degree 1
     projection: CochainMap  # Cone -> A, degree 0, sign (-1)^n
     f: CochainMap
 
 
 def mapping_cone(f: CochainMap) -> MappingCone:
-    """Mapping cone of a cochain map, with its two structural maps.
-
-    Target degrees below ``f.degree - 1`` fall outside the cone's degree
-    range and are truncated away; every use in this package has degree 0,
-    where nothing is lost.
-    """
-    a_cx, b_cx, d = f.source, f.target, f.degree
-    top = max(a_cx.top_degree, b_cx.top_degree - d + 1, -1)
-    ranks = tuple(
-        a_cx.rank_at(n) + b_cx.rank_at(n + d - 1) for n in range(top + 1)
+    """The cone complex of a degree-0 map with its inclusion and projection;
+    a map of any other degree raises ``PreconditionError``."""
+    if f.degree != 0:
+        raise PreconditionError(f"mapping cones take degree-0 maps, not degree {f.degree}")
+    a_cx, b_cx = f.source, f.target
+    top = max(a_cx.top_degree, b_cx.top_degree + 1)
+    ranks = tuple(a_cx.rank_at(n) + b_cx.rank_at(n - 1) for n in range(top + 1))
+    deltas = tuple(
+        IntMatrix.from_blocks([
+            [a_cx.delta_at(n).scale(-1), IntMatrix.zeros(a_cx.rank_at(n + 1), b_cx.rank_at(n - 1))],
+            [f.mat_at(n), b_cx.delta_at(n - 1)],
+        ])
+        for n in range(top)
     )
-    deltas = []
-    for n in range(top):
-        blocks = [
-            [a_cx.delta_at(n).scale(-1),
-             IntMatrix.zeros(a_cx.rank_at(n + 1), b_cx.rank_at(n + d - 1))],
-            [f.mat_at(n), b_cx.delta_at(n + d - 1)],
-        ]
-        deltas.append(IntMatrix.from_blocks(blocks))
-    cone = GradedComplex(ranks, tuple(deltas))
+    cone = GradedComplex(ranks, deltas)
 
-    # B^m sits below A^n in Cone^n, n = m + 1 - d
-    inclusion = CochainMap(b_cx, cone, 1 - d, tuple(
-        IntMatrix.eye(cone.rank_at(m + 1 - d), b_cx.rank_at(m), -a_cx.rank_at(m + 1 - d))
+    # B^m sits below A^{m+1} in Cone^{m+1}
+    inclusion = CochainMap(b_cx, cone, 1, tuple(
+        IntMatrix.eye(cone.rank_at(m + 1), b_cx.rank_at(m), -a_cx.rank_at(m + 1))
         for m in range(len(b_cx.ranks))
     ))
     projection = CochainMap(cone, a_cx, 0, tuple(
         IntMatrix.eye(a_cx.rank_at(n), cone.rank_at(n), 0).scale((-1) ** n)
         for n in range(len(cone.ranks))
     ))
-
     return MappingCone(cone, inclusion, projection, f)
 
 

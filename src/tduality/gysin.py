@@ -127,22 +127,16 @@ def realize_euler_class(
         )
     if all(c == 0 for c in coords):
         return zero_euler_model(base, cup, provenance)
-    if cup is None or not cup.labels:
+    declared = cup is not None and bool(cup.labels)
+    combo = express_in_basis(group, coords, cup.reps) if declared else None
+    if combo is None:
         if cup is not None and cup.simplicial is not None:
             rep = group.rep_from_coords(coords)
             mu = cup_operator(Cochain(cup.simplicial, 2, rep))
             return EulerModel(base, rep, mu, PROVENANCE_AW, cup)
         raise PreconditionError(
-            "base carries no cup structure; only the zero Euler class is realizable"
-        )
-    combo = express_in_basis(group, coords, cup.reps)
-    if combo is None:
-        if cup.simplicial is not None:
-            rep = group.rep_from_coords(coords)
-            mu = cup_operator(Cochain(cup.simplicial, 2, rep))
-            return EulerModel(base, rep, mu, PROVENANCE_AW, cup)
-        raise PreconditionError(
-            "class is not an integer combination of the declared degree-2 basis"
+            "class is not an integer combination of the declared degree-2 basis" if declared
+            else "base carries no cup structure; only the zero Euler class is realizable"
         )
     rep = [0] * base.rank_at(2)
     for c, basis_rep in zip(combo, cup.reps):
@@ -369,14 +363,8 @@ def gysin_sequence(model: EulerModel, lo: int, hi: int) -> SequenceReport:
 
 
 def cone_exactness(cone: MappingCone, lo: int, hi: int) -> SequenceReport:
-    """Exactness of the long exact sequence of a degree-0 mapping cone,
-    ``-> H^{n-1}(B) -> H^n(Cone) -> H^n(A) -> H^n(B) ->``.
-
-    Only degree 0 is accepted because ``mapping_cone`` truncates the target
-    degrees of other maps.
-    """
-    if cone.f.degree != 0:
-        raise PreconditionError("cone exactness is implemented for degree-0 maps")
+    """Exactness of the long exact sequence of a mapping cone,
+    ``-> H^{n-1}(B) -> H^n(Cone) -> H^n(A) -> H^n(B) ->``."""
     return triangle_exactness(
         cone.projection, cone.f, cone.inclusion,
         ("H^{}(Cone)", "H^{}(A)", "H^{}(B)"), lo, hi,

@@ -87,12 +87,6 @@ def push_flux(t: TDualityTriple) -> Vector:
 
 
 @dataclass(frozen=True)
-class SolveCertificate:
-    solved: bool
-    obstruction: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class TDualResult:
     triple: TDualityTriple
     dual_euler: Vector              # coordinates in H^2(base)
@@ -101,7 +95,6 @@ class TDualResult:
     ambiguity: tuple[Vector, ...]   # pullback generators, coordinates in H^3(dual total)
     ambiguity_lattice: tuple[Vector, ...]  # HNF of the ambiguity plus H^3 torsion relations
     ambiguity_rank: int
-    certificate: SolveCertificate
 
     def dual_flux_coords(self) -> Vector:
         dual_total = total_space(self.dual_model).total
@@ -160,7 +153,6 @@ def dualize(t: TDualityTriple) -> TDualResult:
         ambiguity=amb,
         ambiguity_lattice=full,
         ambiguity_rank=ambiguity_rank,
-        certificate=SolveCertificate(True),
     )
 
 

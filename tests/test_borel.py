@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -15,7 +16,7 @@ from tduality.borel import (
     truncated_borel,
 )
 from tduality.catalog import catalog_build, cp_restriction
-from tduality.complexes import CochainMap, GradedComplex, cohomology
+from tduality.complexes import CochainMap, GradedComplex, MappingCone, cohomology, mapping_cone
 from tduality.errors import PreconditionError
 from tduality.gysin import cone_exactness, total_space
 from tduality.matrices import IntMatrix
@@ -125,7 +126,8 @@ def test_monopole_flux_input_dualizes():
     # at N=1 the total model has H^3 = Z, so flux coordinates are meaningful
     space = SemiFreeSpace("monopole", charges=(2,), flux=(1,))
     result = mathai_wu_dual(space, 1)
-    assert result.certificate.solved
+    dual_total = total_space(result.dual_model).total
+    assert not any(dual_total.delta_at(3).apply(result.dual_flux))
     with pytest.raises(PreconditionError):
         mathai_wu_dual(SemiFreeSpace("monopole", charges=(2,), flux=(1,)), 2)
 
@@ -141,7 +143,17 @@ def test_glue_two_disks_into_sphere():
     assert shapes_of(glue.complex) == [((), 1), ((), 0), ((), 1)]
     sphere = catalog_build("sphere2").complex
     assert shapes_of(glue.complex) == shapes_of(sphere)
-    assert cone_exactness(glue.cone, 0, 3).exact
+    assert cone_exactness(glue, 0, 3).exact
+
+
+def test_glue_is_the_cone_of_the_restriction_difference():
+    pt = GradedComplex.with_zero_deltas((1,))
+    circle = GradedComplex.with_zero_deltas((1, 1))
+    restriction = CochainMap(pt, circle, 0, (IntMatrix.from_rows([[1]]),))
+    glue = mayer_vietoris_glue(pt, pt, circle, restriction, restriction)
+    assert isinstance(glue, MappingCone)
+    assert glue.f.mat_at(0) == IntMatrix.from_rows([[1, -1]])
+    assert glue == mapping_cone(glue.f)
 
 
 def test_glue_disjoint_union_over_empty_overlap():
@@ -161,7 +173,7 @@ def test_glue_two_cones_over_boundary_model():
     assert shapes_of(glue.complex) == [
         ((), 1), ((), 0), ((), 1), ((), 0), ((), 2),
     ]
-    assert cone_exactness(glue.cone, 0, 6).exact
+    assert cone_exactness(glue, 0, 6).exact
 
 
 def test_glue_rejects_wrong_degree_or_targets():
@@ -201,6 +213,14 @@ def test_multi_monopole_base_is_valid_and_exact():
         bundle.euler_s1, 0, total_space(bundle.euler_s1).total.top_degree
     )
     assert report.exact
+
+
+def test_multi_monopole_model_is_built_once_per_level():
+    space = SemiFreeSpace("multi_monopole", charges=(5, 2, 3))
+    first = truncated_borel(space, 2)
+    assert truncated_borel(space, 2) is first
+    assert truncated_borel(SemiFreeSpace("multi_monopole", charges=(5, 2, 3)), 2) is first
+    assert truncated_borel(space, 3) is not first
 
 
 def test_multi_monopole_rejects_unglueable_charges():
@@ -320,3 +340,35 @@ def test_stability_monopole_example():
 def test_stability_rejects_window_beyond_certified_range():
     with pytest.raises(PreconditionError):
         stability_check(SemiFreeSpace("point_fixed"), 1, 2)
+
+
+def test_stability_compares_only_degrees_the_models_reach():
+    # the free Hopf model does not depend on N, so a high level compares
+    # the four degrees of its total and stops
+    report = stability_check(SemiFreeSpace("free_hopf"), 1000, 1999)
+    assert report.stable
+    assert [e.degree for e in report.total_entries] == [0, 1, 2, 3]
+
+
+def test_stability_witness_names_the_first_unstable_degree():
+    report = stability_check(SemiFreeSpace("monopole", charges=(5,)), 2, 3)
+    assert report.witness == ""
+    broken = dataclasses.replace(report, total_entries=report.total_entries[:2] + (
+        borel.StabilityEntry(2, False, ((5,), 0), ((), 1)),
+    ) + report.total_entries[3:])
+    assert not broken.stable
+    assert broken.witness == "total H^2 differs: ((5,), 0) at N=2, ((), 1) at N=3"
+    broken = dataclasses.replace(broken, base_entries=report.base_entries[:2] + (
+        borel.StabilityEntry(2, False, ((), 1), ((), 2)),
+    ) + report.base_entries[3:])
+    assert broken.witness == "base H^2 differs: ((), 1) at N=2, ((), 2) at N=3"
+
+
+def test_route_disagreement_names_the_field():
+    three = mathai_wu_dual(SemiFreeSpace("monopole", charges=(3,)), 1)
+    five = mathai_wu_dual(SemiFreeSpace("monopole", charges=(5,)), 1)
+    fluxed = mathai_wu_dual(SemiFreeSpace("monopole", charges=(3,), flux=(1,)), 1)
+    same = bunke_route_dual(SemiFreeSpace("monopole", charges=(3,)), 1)
+    assert borel.route_disagreement(three, same) == ""
+    assert borel.route_disagreement(three, five) == "canonical_flux_coords differs: [3] against [5]"
+    assert borel.route_disagreement(three, fluxed) == "dual_euler differs: [0] against [1]"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -196,6 +197,18 @@ def test_golden_multi_monopole_report(capsys, tmp_path):
     assert json.loads(out)["routes"]["mathai_wu"]["dual_flux_coords"] == [-2, -3]
 
 
+def test_golden_verify_all_report(capsys):
+    code, out, _ = run(capsys, "--json", "verify", "--all", str(SAMPLE))
+    assert code == EXIT_OK
+    assert out == (DATA / "golden_verify_all.txt").read_text(encoding="utf-8")
+
+
+def test_golden_monopole_both_routes_report(capsys):
+    code, out, _ = run(capsys, "--json", "borel", "--action", "m", "--route", "both", str(SAMPLE))
+    assert code == EXIT_OK
+    assert out == (DATA / "golden_borel_monopole_both.txt").read_text(encoding="utf-8")
+
+
 def test_execute_ignores_the_output_flag():
     spec = parse_spec(SAMPLE.read_text(encoding="utf-8"))
     for argv in (["--json", "dualize", "--bundle", "b", str(SAMPLE)],
@@ -212,12 +225,20 @@ def test_stdin_input(capsys, monkeypatch):
 
 
 def _run_module(*argv):
+    """``python -m tduality`` with the child's address space capped at
+    1.5 GB, so that an unbounded allocation fails instead of exhausting the
+    machine."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
         [sys.executable, "-m", "tduality", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap,
     )
 
 
@@ -250,3 +271,79 @@ def test_failed_gysin_check_names_its_nodes(capsys, monkeypatch):
     check = checks["bundle b: Gysin sequence exact at all nodes"]
     assert not check["ok"]
     assert check["detail"] == "not exact at H^2(E)"
+
+
+def test_failed_stability_check_names_its_degree(capsys, monkeypatch):
+    from tduality import borel
+
+    real = borel.stability_check
+
+    def broken(space, n, max_degree):
+        report = real(space, n, max_degree)
+        entry = borel.StabilityEntry(2, False, ((3,), 0), ((), 1))
+        return dataclasses.replace(report, total_entries=(entry,))
+
+    monkeypatch.setattr("tduality.borel.stability_check", broken)
+    code, out, _ = run(capsys, "--json", "verify", str(SAMPLE))
+    assert code == EXIT_INTERNAL
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    check = checks["action m: stable under N -> N+1"]
+    assert not check["ok"]
+    assert check["detail"] == "total H^2 differs: ((3,), 0) at N=2, ((), 1) at N=3"
+
+
+def test_failed_route_check_names_its_field(capsys, monkeypatch):
+    from tduality import borel
+
+    def other_charge(space, n):
+        return borel.mathai_wu_dual(borel.SemiFreeSpace("monopole", charges=(5,)), n)
+
+    monkeypatch.setattr("tduality.borel.bunke_route_dual", other_charge)
+    code, out, _ = run(capsys, "--json", "verify", str(SAMPLE))
+    assert code == EXIT_INTERNAL
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    check = checks["action m: dualization routes agree"]
+    assert not check["ok"]
+    assert check["detail"] == "canonical_flux_coords differs: [3] against [5]"
+    assert "detail" not in checks["action m: stable under N -> N+1"]
+
+    code, _, err = run(capsys, "borel", "--action", "m", "--route", "both", str(SAMPLE))
+    assert code == EXIT_INTERNAL
+    assert "disagree on m: canonical_flux_coords differs: [3] against [5]" in err
+
+
+HUGE_LEVEL = 100_000_000
+
+
+def test_huge_truncation_levels_are_rejected_before_allocation(tmp_path):
+    model = tmp_path / "huge.tdsl"
+    model.write_text(
+        f"[complex c]\nkind = catalog\nname = cp\nparams = {HUGE_LEVEL}\n"
+        "[bundle b]\nbase = c\neuler = u\n"
+        f"[action m]\ntype = monopole\ncharges = 3\ntruncation = {HUGE_LEVEL}\n",
+        encoding="utf-8",
+    )
+    # the cp section fails while the file resolves, before any command runs
+    proc = _run_module("dualize", "--bundle", "b", str(model))
+    assert proc.returncode == EXIT_PARSE
+    assert "Traceback" not in proc.stderr
+    assert "line 4, column 1" in proc.stderr and "catalog.MAX_LEVEL" in proc.stderr
+
+    model.write_text(
+        f"[action m]\ntype = monopole\ncharges = 3\ntruncation = {HUGE_LEVEL}\n",
+        encoding="utf-8",
+    )
+    for argv in (("borel", "--action", "m", str(model)), ("verify", str(model))):
+        proc = _run_module(*argv)
+        assert proc.returncode == EXIT_PRECONDITION, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_free_action_at_a_huge_level_verifies_quickly(tmp_path):
+    # the free Hopf model does not depend on N, so nothing is rejected and
+    # the stability check stops at the top degree of the compared models
+    model = tmp_path / "hopf.tdsl"
+    model.write_text(f"[action h]\ntype = free_hopf\ntruncation = {HUGE_LEVEL}\n", encoding="utf-8")
+    proc = _run_module("verify", str(model))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr

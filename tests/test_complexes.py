@@ -357,6 +357,16 @@ def test_cone_structural_maps_commute():
     assert cone.projection.degree == 0
 
 
+def test_cone_rejects_maps_of_nonzero_degree():
+    point = GradedComplex.with_zero_deltas((1,))
+    b = GradedComplex((1, 1), (IntMatrix.from_rows([[1]]),))
+    with pytest.raises(PreconditionError, match="degree 2"):
+        mapping_cone(CochainMap.zero(point, b, 2))
+    for degree in (-1, 1):
+        with pytest.raises(PreconditionError, match=f"degree {degree}"):
+            mapping_cone(CochainMap.zero(b, b, degree))
+
+
 # --- tensor products -----------------------------------------------------
 
 
