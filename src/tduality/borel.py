@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Optional
 
-from .catalog import catalog_build, cp_restriction, euler_model_from_label_coeffs
+from .catalog import MAX_LEVEL, catalog_build, cp_restriction, euler_model_from_label_coeffs
 from .complexes import (
     CochainMap,
     GradedComplex,
@@ -236,10 +236,30 @@ def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
     return BorelBundle(n, EulerModel(glued, free_coeffs + charges, mu, PROVENANCE_ALGEBRAIC, cup))
 
 
-def truncated_borel(space: SemiFreeSpace, n: int) -> BorelBundle:
-    """Catalog closed form of the truncated homotopy quotient at level N."""
+# Largest truncation N of an action whose model is built at level N: the
+# stability check also builds level N + 1, which catalog.MAX_LEVEL bounds.
+MAX_TRUNCATION = MAX_LEVEL - 1
+
+
+def _check_truncation(space: SemiFreeSpace, n: int) -> None:
+    """Reject an action's truncation before anything is built, so that every
+    command reading the action fails at the same levels."""
     if n < 1:
         raise PreconditionError("truncation level must be at least 1")
+    if n > MAX_TRUNCATION and space.kind not in ("free_hopf", "free_bundle"):
+        raise PreconditionError(
+            f"truncation N = {n} exceeds borel.MAX_TRUNCATION = catalog.MAX_LEVEL - 1 "
+            f"= {MAX_TRUNCATION} (the stability check builds level N + 1)"
+        )
+
+
+def truncated_borel(space: SemiFreeSpace, n: int) -> BorelBundle:
+    """Catalog closed form of the truncated homotopy quotient at level N."""
+    _check_truncation(space, n)
+    return _borel_bundle(space, n)
+
+
+def _borel_bundle(space: SemiFreeSpace, n: int) -> BorelBundle:
     if space.kind == "free_hopf":
         model = catalog_build("sphere2")
         return BorelBundle(n, euler_model_from_label_coeffs(model, {"vol": 1}))
@@ -285,8 +305,7 @@ def bunke_route_dual(space: SemiFreeSpace, n: int) -> TDualResult:
     kind and the twisted total is certified degreewise against the explicit
     independent model of the same space before the transform runs.
     """
-    if n < 1:
-        raise PreconditionError("truncation level must be at least 1")
+    _check_truncation(space, n)
     if space.kind not in _SIMPLICIAL_ROUTE:
         raise PreconditionError(
             f"kind {space.kind!r} has no declared simplicial-space route"
@@ -365,14 +384,13 @@ def stability_check(space: SemiFreeSpace, n: int, max_degree: int) -> StabilityR
     the window; this certifies the finite approximation level.  Degrees above
     every compared complex are zero on both sides and are not listed.
     """
-    if n < 1:
-        raise PreconditionError("truncation level must be at least 1")
+    _check_truncation(space, n)
     if max_degree > 2 * n - 1:
         raise PreconditionError(
             f"degree window {max_degree} exceeds the certified range {2 * n - 1}"
         )
-    lo_bundle = truncated_borel(space, n)
-    hi_bundle = truncated_borel(space, n + 1)
+    lo_bundle = _borel_bundle(space, n)
+    hi_bundle = _borel_bundle(space, n + 1)
     lo_total = total_space(lo_bundle.euler_s1).total
     hi_total = total_space(hi_bundle.euler_s1).total
 

@@ -18,9 +18,10 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .matrices import IntMatrix, Vector, smith_normal_form
+from .matrices import IntMatrix, Vector, hash_once, smith_normal_form
 
 
+@hash_once
 @dataclass(frozen=True)
 class GradedComplex:
     """Integer cochain complex, truncated at degree ``len(ranks) - 1``.
@@ -241,6 +242,7 @@ def class_coordinates(c: GradedComplex, n: int, z: Sequence[int]) -> Vector:
     return cohomology(c, n).coordinates(z)
 
 
+@hash_once
 @dataclass(frozen=True)
 class CochainMap:
     """Degree-``degree`` map of graded complexes, one matrix per source degree.

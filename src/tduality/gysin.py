@@ -42,7 +42,7 @@ from .complexes import (
     validate_complex,
 )
 from .errors import InternalCheckError, PreconditionError
-from .matrices import IntMatrix, Vector, hermite_normal_form
+from .matrices import IntMatrix, Vector, hash_once, hermite_normal_form
 from .simplicial import Cochain, SimplicialComplex, cup_operator
 
 PROVENANCE_AW = "simplicial-AW"
@@ -74,6 +74,7 @@ class CupStructure:
             raise ValueError("cup structure arity mismatch")
 
 
+@hash_once
 @dataclass(frozen=True)
 class EulerModel:
     """Base complex plus a 2-cocycle and the cup operator it induces."""

@@ -26,6 +26,13 @@ Conventions:
   constructors: ``IntMatrix.eye(rows, cols, offset)``, ones at
   ``(i, i + offset)``, and ``IntMatrix.block_diag(blocks)``, the blocks along
   the diagonal.
+* Products skip zeros: ``a @ b`` adds ``a[i][k] * (row k of b)`` only where
+  ``a[i][k] != 0``, and only at that row's nonzero columns, so a structural
+  map or a coboundary costs what its nonzeros cost.  The arithmetic is exact,
+  so the result equals the dense sum of products.
+* Cache keys hash once: ``IntMatrix``, and through ``hash_once`` the complexes,
+  cochain maps and Euler models that key the ``lru_cache`` lookups, keep the
+  dataclass default hash after its first computation.
 * Lattices are handled through a unique row-style Hermite normal form:
   positive pivots, entries in the pivot column of earlier rows reduced into
   ``[0, pivot)``, rows ordered by pivot column.
@@ -41,6 +48,33 @@ from .errors import PreconditionError
 Vector = tuple[int, ...]
 
 
+def hash_once(cls):
+    """Class decorator for a frozen dataclass that keys a cache.
+
+    The first ``hash`` computes the dataclass default, the hash of the tuple
+    of compared fields, and keeps it on the instance, so every later lookup
+    costs O(1).  Equality, ``repr`` and ``dataclasses.fields`` are untouched;
+    the kept value is not pickled, because string hashes differ between
+    processes.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", field_hash(self))
+            return self._hash
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix stored row-major."""
@@ -102,15 +136,20 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-            ot = other.transpose().entries
-            return IntMatrix(
-                self.rows,
-                other.cols,
-                tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                    for row in self.entries
-                ),
-            )
+            # Each nonzero a = row[k] adds a * (right row k), at that row's
+            # nonzero columns only, so the cost follows the nonzeros.
+            right = other.entries
+            support = [[j for j, b in enumerate(r) if b] for r in right]
+            out = []
+            for row in self.entries:
+                acc = [0] * other.cols
+                for k, a in enumerate(row):
+                    if a:
+                        r = right[k]
+                        for j in support[k]:
+                            acc[j] += a * r[j]
+                out.append(tuple(acc))
+            return IntMatrix(self.rows, other.cols, tuple(out))
         return self.apply(other)
 
     def apply(self, vec: Sequence[int]) -> Vector:

@@ -43,6 +43,15 @@ class SimplicialComplex:
         return 0
 
 
+# Bounds on a facet list from a model file, checked before its closure is
+# built: a facet of s vertices has 2^s - 1 faces.  They bound the closure, at
+# most MAX_FACETS * (2^MAX_FACET_SIZE - 1) faces, not the dense coboundaries
+# built from it.  Both lie above every complex the tests and the benchmark
+# build (at most 9 vertices in a facet, at most 200 facets).
+MAX_FACET_SIZE = 10
+MAX_FACETS = 500
+
+
 def from_facets(facets: Sequence[Sequence[int]]) -> SimplicialComplex:
     """Build the closure of a facet list.
 
@@ -51,8 +60,17 @@ def from_facets(facets: Sequence[Sequence[int]]) -> SimplicialComplex:
     """
     if not facets:
         raise PreconditionError("empty facet list")
+    if len(facets) > MAX_FACETS:
+        raise PreconditionError(
+            f"{len(facets)} facets exceed simplicial.MAX_FACETS = {MAX_FACETS}"
+        )
     norm: list[Simplex] = []
     for f in facets:
+        if len(f) > MAX_FACET_SIZE:
+            raise PreconditionError(
+                f"a facet of {len(f)} vertices exceeds simplicial.MAX_FACET_SIZE = "
+                f"{MAX_FACET_SIZE}"
+            )
         t = tuple(int(v) for v in f)
         if not t:
             raise PreconditionError("empty facet")

@@ -44,3 +44,21 @@ def test_gysin_report_fields_read_by_the_benchmark():
     assert report.exact is True
     assert len(report.nodes) == 12
     assert all(node.exact for node in report.nodes)
+
+
+def test_one_product_makes_exactly_one_intmatrix(monkeypatch):
+    # ``matrices.intmatrix_new`` counts ``IntMatrix.__init__`` calls, so a
+    # product must build its result through ``__init__``, once
+    calls = []
+    real = IntMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    a = IntMatrix.from_rows([[1, 0, 2], [0, 0, 0]])
+    b = IntMatrix.eye(3, 4, 1)
+    monkeypatch.setattr(IntMatrix, "__init__", counting)
+    prod = a @ b
+    assert len(calls) == 1
+    assert prod.entries == ((0, 1, 0, 2), (0, 0, 0, 0))

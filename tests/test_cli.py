@@ -347,3 +347,42 @@ def test_free_action_at_a_huge_level_verifies_quickly(tmp_path):
     proc = _run_module("verify", str(model))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_action_truncation_bound_is_the_same_for_borel_and_verify(tmp_path):
+    # verify also builds level N + 1, so an action stops one level below
+    # catalog.MAX_LEVEL for both commands alike
+    from tduality.borel import MAX_TRUNCATION
+    from tduality.catalog import MAX_LEVEL
+
+    assert MAX_TRUNCATION == MAX_LEVEL - 1 == 199
+    model = tmp_path / "edge.tdsl"
+    for truncation, code in ((199, EXIT_OK), (200, EXIT_PRECONDITION)):
+        model.write_text(
+            f"[action m]\ntype = monopole\ncharges = 3\ntruncation = {truncation}\n",
+            encoding="utf-8",
+        )
+        for argv in (("borel", "--action", "m", str(model)), ("verify", str(model))):
+            proc = _run_module(*argv)
+            assert proc.returncode == code, (truncation, argv, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            if code == EXIT_PRECONDITION:
+                assert "catalog.MAX_LEVEL" in proc.stderr + proc.stdout
+
+
+def test_facet_bounds_fail_at_parse_before_the_closure_is_built(tmp_path):
+    # a 26-vertex facet has 2^26 - 1 faces: without the bound the closure
+    # exhausts the 1.5 GB cap and the process dies without a report
+    from tduality.simplicial import MAX_FACETS
+
+    model = tmp_path / "facets.tdsl"
+    cases = (
+        (",".join(map(str, range(26))), "simplicial.MAX_FACET_SIZE"),
+        (";".join(f"{2 * i},{2 * i + 1}" for i in range(MAX_FACETS + 1)), "simplicial.MAX_FACETS"),
+    )
+    for facets, constant in cases:
+        model.write_text(f"[complex s]\nkind = simplicial\nfacets = {facets}\n", encoding="utf-8")
+        proc = _run_module("cohom", "--complex", "s", str(model))
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "line 3, column 1" in proc.stderr and constant in proc.stderr

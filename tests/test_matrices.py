@@ -143,6 +143,60 @@ def test_matmul_matches_triple_loop(rows, inner, cols, data):
     assert [list(row) for row in prod.entries] == mat_mul(a, b, cols)
 
 
+def _sparse_rows(rng, rows, cols, percent):
+    """Rows with each cell nonzero at the given percent, small of either sign
+    or of 300 bits, and sometimes a whole zero row and a whole zero column on
+    top."""
+    zero_row = rng.randrange(rows) if rows and rng.random() < 0.3 else None
+    zero_col = rng.randrange(cols) if cols and rng.random() < 0.3 else None
+    return [
+        [(rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.7
+          else rng.randint(-(2**300), 2**300))
+         if i != zero_row and j != zero_col and rng.random() * 100 < percent else 0
+         for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from((0, 10, 30, 60, 100)), st.randoms(use_true_random=True))
+def test_sparse_product_matches_triple_loop_at_every_density(rows, inner, cols, percent, rng):
+    # the product skips zero entries of both factors, so draw from all-zero
+    # to full, empty shapes included
+    a = _sparse_rows(rng, rows, inner, percent)
+    b = _sparse_rows(rng, inner, cols, percent)
+    prod = IntMatrix.from_rows(a, cols=inner) @ IntMatrix.from_rows(b, cols=cols)
+    assert prod.shape == (rows, cols)
+    assert [list(row) for row in prod.entries] == mat_mul(a, b, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_structural_maps_times_dense_factors_match_triple_loop(data):
+    size = st.integers(0, 4)
+    entry = st.one_of(st.integers(-5, 5), st.integers(-(2**300), 2**300))
+
+    def dense(rows, cols):
+        return [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    r, c, offset = data.draw(size), data.draw(size), data.draw(st.integers(-4, 4))
+    shapes = [(data.draw(size), data.draw(size)) for _ in range(data.draw(size))]
+    block_mats = [IntMatrix.from_rows(dense(br, bc), cols=bc) for br, bc in shapes]
+    structural = (
+        (IntMatrix.eye(r, c, offset), eye_rows(r, c, offset)),
+        (IntMatrix.block_diag(block_mats),
+         block_diag_rows([(m.entries, m.cols) for m in block_mats])),
+    )
+    for m, want in structural:
+        k = data.draw(size)
+        left, right = dense(k, m.rows), dense(m.cols, k)
+        assert [list(row) for row in (m @ IntMatrix.from_rows(right, cols=k)).entries] == \
+            mat_mul(want, right, k)
+        assert [list(row) for row in (IntMatrix.from_rows(left, cols=m.rows) @ m).entries] == \
+            mat_mul(left, want, m.cols)
+
+
 def test_unimodular_inverse():
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
     inv = unimodular_inverse(m)
@@ -318,3 +372,83 @@ def test_snf_exact_on_entries_beyond_machine_words():
     assert abs(bareiss_det(m.entries)) == abs(
         snf.d.entries[0][0] * snf.d.entries[1][1] * snf.d.entries[2][2]
     )
+
+
+# --- cache keys that hash once --------------------------------------------
+
+
+def _key_pairs():
+    """Per class that keeps its hash: two equal instances built by different
+    routes, and the names of its fields."""
+    from tduality.catalog import catalog_build, euler_model_from_label_coeffs
+    from tduality.complexes import CochainMap, GradedComplex
+    from tduality.gysin import PROVENANCE_ALGEBRAIC, EulerModel
+
+    cp2 = catalog_build("cp", (2,))
+    built = GradedComplex((1, 0, 1, 0, 1), tuple(
+        IntMatrix.from_rows([[0] * a] * b, cols=a) for a, b in ((1, 0), (0, 1), (1, 0), (0, 1))
+    ))
+    mu = CochainMap(built, built, 2, tuple(
+        IntMatrix.eye(built.rank_at(d + 2), built.rank_at(d), 0).scale(3) for d in range(5)
+    ))
+    return (
+        (IntMatrix.eye(2, 3, 1), IntMatrix.from_rows([[0, 1, 0], [0, 0, 1]]),
+         ("rows", "cols", "entries")),
+        (cp2.complex, built, ("ranks", "deltas")),
+        (euler_model_from_label_coeffs(cp2, {"u": 3}).mu, mu,
+         ("source", "target", "degree", "mats")),
+        (euler_model_from_label_coeffs(cp2, {"u": 3}),
+         EulerModel(built, (3,), mu, PROVENANCE_ALGEBRAIC, cp2.cup),
+         ("base", "euler_rep", "mu", "provenance", "cup")),
+    )
+
+
+def test_kept_hash_is_the_dataclass_default_and_leaves_the_class_unchanged():
+    import dataclasses
+    import pickle
+
+    for first, second, names in _key_pairs():
+        assert first is not second and first == second
+        cls = type(first)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        before = repr(second)
+        for obj in (first, second):
+            compared = tuple(getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare)
+            assert hash(obj) == hash(obj) == hash(compared)
+        assert repr(second) == before == cls.__name__ + "(" + ", ".join(
+            f"{name}={getattr(second, name)!r}" for name in names) + ")"
+        # the kept value is left behind on pickling: string hashes differ
+        # between processes
+        copy = pickle.loads(pickle.dumps(first))
+        assert "_hash" not in vars(copy) and copy == first and hash(copy) == hash(first)
+
+
+def test_second_hash_does_not_rehash_the_rows():
+    calls = []
+
+    class CountingRow(tuple):
+        def __hash__(self):
+            calls.append(self)
+            return super().__hash__()
+
+    m = IntMatrix(2, 2, (CountingRow((1, 2)), CountingRow((3, 4))))
+    assert hash(m) == hash((2, 2, ((1, 2), (3, 4))))
+    assert len(calls) == 2
+    hash(m)
+    assert len(calls) == 2
+
+
+def test_equal_but_distinct_complex_is_a_cohomology_cache_hit():
+    from tduality.catalog import catalog_build
+    from tduality.complexes import GradedComplex, cohomology
+
+    cx = catalog_build("cp", (3,)).complex
+    cohomology(cx, 2)
+    twin = GradedComplex(cx.ranks, tuple(
+        IntMatrix.from_rows(d.entries, cols=d.cols) for d in cx.deltas
+    ))
+    assert twin is not cx and twin == cx
+    hits = cohomology.cache_info().hits
+    group = cohomology(twin, 2)
+    assert cohomology.cache_info().hits == hits + 1
+    assert group is cohomology(cx, 2)

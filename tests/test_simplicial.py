@@ -40,6 +40,19 @@ def test_from_facets_rejects_descending_and_duplicates():
         from_facets([])
 
 
+def test_from_facets_bounds_facet_size_and_count():
+    from tduality.simplicial import MAX_FACET_SIZE, MAX_FACETS
+
+    # at the bounds the closure is built: 2^s - 1 faces per disjoint facet
+    k = from_facets([tuple(range(MAX_FACET_SIZE))])
+    assert sum(map(len, k.faces)) == 2**MAX_FACET_SIZE - 1
+    assert len(from_facets([(2 * i, 2 * i + 1) for i in range(MAX_FACETS)]).facets) == MAX_FACETS
+    with pytest.raises(PreconditionError, match="simplicial.MAX_FACET_SIZE"):
+        from_facets([(0, 1), tuple(range(MAX_FACET_SIZE + 1))])
+    with pytest.raises(PreconditionError, match="simplicial.MAX_FACETS"):
+        from_facets([(2 * i, 2 * i + 1) for i in range(MAX_FACETS + 1)])
+
+
 def test_boundary_tetrahedron_is_sphere():
     k = from_facets(SPHERE2_FACETS)
     cx = cochain_complex_of(k)
