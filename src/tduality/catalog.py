@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .complexes import CochainMap, GradedComplex, cohomology
+from .complexes import CochainMap, GradedComplex, class_coordinates, cohomology
 from .errors import PreconditionError
 from .gysin import (
     PROVENANCE_ALGEBRAIC,
@@ -78,7 +78,15 @@ class CatalogModel:
     params: tuple[int, ...]
     complex: GradedComplex
     cup: CupStructure
-    simplicial: Optional[SimplicialComplex] = None
+
+    @property
+    def simplicial(self) -> Optional[SimplicialComplex]:
+        return self.cup.simplicial
+
+    @property
+    def provenance(self) -> str:
+        """Alexander-Whitney exactly when the model is simplicial."""
+        return PROVENANCE_AW if self.simplicial is not None else PROVENANCE_ALGEBRAIC
 
     @property
     def display_name(self) -> str:
@@ -116,12 +124,26 @@ def _simplicial_model(name: str, facets) -> CatalogModel:
     else:
         rep = h2.generators[0]
         cup = CupStructure((label,), (rep,), (cup_operator(Cochain(k, 2, rep)),), simplicial=k)
-    return CatalogModel(name, (), cx, cup, simplicial=k)
+    return CatalogModel(name, (), cx, cup)
 
 
 def _check_level(n: int) -> None:
     if n > MAX_LEVEL:
         raise PreconditionError(f"level N = {n} exceeds catalog.MAX_LEVEL = {MAX_LEVEL}")
+
+
+# The models without parameters.
+_FIXED_MODELS = {
+    "circle": lambda: CatalogModel(
+        "circle", (), GradedComplex.with_zero_deltas((1, 1)), CupStructure((), (), ())
+    ),
+    "point": lambda: CatalogModel(
+        "point", (), GradedComplex.with_zero_deltas((1,)), CupStructure((), (), ())
+    ),
+    "sphere2": lambda: _simplicial_model("sphere2", SPHERE2_FACETS),
+    "torus2": lambda: _simplicial_model("torus2", TORUS7_FACETS),
+    "rp2": lambda: _simplicial_model("rp2", RP2_FACETS),
+}
 
 
 @lru_cache(maxsize=None)
@@ -142,27 +164,10 @@ def catalog_build(name: str, params: tuple[int, ...] = ()) -> CatalogModel:
         k, n = params
         _check_level(n)
         return CatalogModel(name, params, _lens_complex(k, n), CupStructure((), (), ()))
-    if name == "circle":
+    if name in _FIXED_MODELS:
         if params:
-            raise PreconditionError("circle takes no parameters")
-        cx = GradedComplex.with_zero_deltas((1, 1))
-        return CatalogModel(name, (), cx, CupStructure((), (), ()))
-    if name == "point":
-        if params:
-            raise PreconditionError("point takes no parameters")
-        return CatalogModel(name, (), GradedComplex.with_zero_deltas((1,)), CupStructure((), (), ()))
-    if name == "sphere2":
-        if params:
-            raise PreconditionError("sphere2 takes no parameters")
-        return _simplicial_model("sphere2", SPHERE2_FACETS)
-    if name == "torus2":
-        if params:
-            raise PreconditionError("torus2 takes no parameters")
-        return _simplicial_model("torus2", TORUS7_FACETS)
-    if name == "rp2":
-        if params:
-            raise PreconditionError("rp2 takes no parameters")
-        return _simplicial_model("rp2", RP2_FACETS)
+            raise PreconditionError(f"{name} takes no parameters")
+        return _FIXED_MODELS[name]()
     raise PreconditionError(f"unknown catalog model {name!r}")
 
 
@@ -181,8 +186,7 @@ def euler_model_from_label_coeffs(
         for k, x in enumerate(model.cup.reps[model.cup.labels.index(label)]):
             rep[k] += c * x
     coords = cohomology(model.complex, 2).coordinates(rep)
-    provenance = PROVENANCE_AW if model.simplicial is not None else PROVENANCE_ALGEBRAIC
-    return realize_euler_class(model.complex, model.cup, coords, provenance)
+    return realize_euler_class(model.complex, model.cup, coords, model.provenance)
 
 
 def euler_model_from_cocycle(model: CatalogModel, rep: Vector) -> EulerModel:
@@ -193,11 +197,9 @@ def euler_model_from_cocycle(model: CatalogModel, rep: Vector) -> EulerModel:
     """
     if model.simplicial is not None:
         mu = cup_operator(Cochain(model.simplicial, 2, tuple(rep)))
-        return EulerModel(model.complex, tuple(rep), mu, PROVENANCE_AW, model.cup)
-    from .complexes import class_coordinates
-
+        return EulerModel(model.complex, tuple(rep), mu, model.provenance, model.cup)
     coords = class_coordinates(model.complex, 2, rep)
-    return realize_euler_class(model.complex, model.cup, coords, PROVENANCE_ALGEBRAIC)
+    return realize_euler_class(model.complex, model.cup, coords, model.provenance)
 
 
 def cp_restriction(n_from: int, n_to: int) -> CochainMap:

@@ -173,7 +173,7 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
     a = c.delta_at(n)        # C^n -> C^{n+1}
     b = c.delta_at(n - 1)    # C^{n-1} -> C^n
 
-    snf_a = smith_normal_form(a, inverses=True)
+    snf_a = smith_normal_form(a)
     r_a = snf_a.rank
     k = rank_n - r_a
     # kernel basis = last k columns of V; kernel coordinates = last k rows of V^-1
@@ -181,7 +181,7 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
 
     # image of b in kernel coordinates (top coordinates vanish since a @ b == 0)
     p = reduce_rows @ b
-    snf_p = smith_normal_form(p, inverses=True)
+    snf_p = smith_normal_form(p)
     kernel_cols = IntMatrix.from_rows(
         [row[r_a:] for row in snf_a.v.entries], cols=k
     )
@@ -222,6 +222,12 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
         _selection=tuple(selection),
         _delta=a,
     )
+
+
+def cohomology_shapes(c: GradedComplex, top: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``cohomology(c, d).shape`` for ``d`` in ``0..top``, one comparison
+    entry per degree; degrees above the complex give ``((), 0)``."""
+    return tuple(cohomology(c, d).shape for d in range(top + 1))
 
 
 def class_coordinates(c: GradedComplex, n: int, z: Sequence[int]) -> Vector:

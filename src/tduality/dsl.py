@@ -43,7 +43,10 @@ from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .catalog import CATALOG_NAMES, CatalogModel, catalog_build
+from .catalog import (
+    CATALOG_NAMES, CatalogModel, catalog_build, euler_model_from_cocycle,
+    euler_model_from_label_coeffs,
+)
 from .complexes import GradedComplex
 from .errors import ParseError, PreconditionError
 from .gysin import CupStructure, EulerModel, zero_euler_model
@@ -289,10 +292,8 @@ def _resolve_complex(section: Section) -> CatalogModel:
             k = from_facets(facets)
         except PreconditionError as exc:
             raise ParseError(str(exc), *section.position("facets"))
-        return CatalogModel(
-            f"user:{section.name}", (), cochain_complex_of(k),
-            CupStructure((), (), (), simplicial=k), simplicial=k,
-        )
+        cup = CupStructure((), (), (), simplicial=k)
+        return CatalogModel(f"user:{section.name}", (), cochain_complex_of(k), cup)
     if kind == "algebraic":
         ranks = _parse_int_list(_require(section, "ranks"), section, "ranks")
         if any(r < 0 for r in ranks):
@@ -318,14 +319,11 @@ def _resolve_complex(section: Section) -> CatalogModel:
 
 
 def build_euler_model(entry: CatalogModel, spec: EulerSpec) -> EulerModel:
-    from .catalog import euler_model_from_cocycle, euler_model_from_label_coeffs
-
     if spec.cocycle is not None:
         return euler_model_from_cocycle(entry, spec.cocycle)
     assert spec.coeffs is not None
     if not spec.coeffs:
-        provenance = "simplicial-AW" if entry.simplicial is not None else "catalog-algebraic"
-        return zero_euler_model(entry.complex, entry.cup, provenance)
+        return zero_euler_model(entry.complex, entry.cup, entry.provenance)
     return euler_model_from_label_coeffs(entry, spec.coeffs)
 
 

@@ -42,7 +42,9 @@ from .complexes import (
     validate_complex,
 )
 from .errors import InternalCheckError, PreconditionError
-from .matrices import IntMatrix, Vector, hash_once, hermite_normal_form
+from .matrices import (
+    IntMatrix, Vector, hash_once, hermite_normal_form, kernel_basis, solve_integer_system,
+)
 from .simplicial import Cochain, SimplicialComplex, cup_operator
 
 PROVENANCE_AW = "simplicial-AW"
@@ -155,8 +157,6 @@ def express_in_basis(
     Solves ``T x = target`` in the coordinate group (torsion relations
     included); returns None when no combination exists.
     """
-    from .matrices import solve_integer_system
-
     # columns: the basis classes, then the torsion relations
     rows = [group.coordinates(rep) for rep in basis_reps] + list(group.relation_rows())
     sol = solve_integer_system(IntMatrix.from_rows(rows, cols=group.coord_dim).transpose(), target)
@@ -273,8 +273,6 @@ def exact_at(
     nxt: CohomologyGroup,
 ) -> bool:
     """Check ``im(incoming) == ker(outgoing)`` inside ``node``."""
-    from .matrices import kernel_basis
-
     dim = node.coord_dim
     relations = list(node.relation_rows())
 

@@ -15,13 +15,13 @@ Conventions:
   so decompositions are deterministic.  The pivot search stops at the first
   entry of absolute value 1 in row-major order, which is the entry the rule
   picks, so the early exit leaves the decomposition unchanged.
-* ``smith_normal_form(m, inverses=True)`` also returns ``U^-1`` and ``V^-1``
-  from the same elimination: every step on ``U`` or ``V`` is mirrored by its
-  inverse step (``row_i -= q row_j`` on ``U`` is ``col_j += q col_i`` on
-  ``U^-1``; ``col_i -= q col_j`` on ``V`` is ``row_j += q row_i`` on
-  ``V^-1``; swaps and negations mirror themselves).  A unimodular inverse is
-  unique, so these equal what ``unimodular_inverse`` computes with a second
-  Smith form.
+* ``smith_normal_form`` eliminates on a copy of ``M`` only and logs each
+  step as ``(i, j, q)``: ``row_i -= q row_j``, a swap when ``q == 0``, a
+  negation when ``i == j``; column steps act on columns.  A transform is
+  replayed on the identity when first read (Kannan-Bachem: it is the product
+  of the steps).  Forward replay gives ``U`` and the columns of ``V``;
+  mirrored replay, ``row_j += q row_i`` per step (swaps and negations are
+  their own inverses), gives the columns of ``U^-1`` and the rows of ``V^-1``.
 * Structural maps of cones, totals and gluings are built from two
   constructors: ``IntMatrix.eye(rows, cols, offset)``, ones at
   ``(i, i + offset)``, and ``IntMatrix.block_diag(blocks)``, the blocks along
@@ -41,6 +41,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
@@ -219,21 +220,61 @@ class IntMatrix:
         return IntMatrix.from_rows(rows, cols=width)
 
 
+def _apply_step(rows: list[list[int]], i: int, j: int, q: int) -> None:
+    """``row_i -= q row_j`` in place; a swap when ``q == 0``, a negation
+    when ``i == j``."""
+    if i == j:
+        rows[i] = [-x for x in rows[i]]
+    elif q == 0:
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        ri, rj = rows[i], rows[j]
+        for k in range(len(ri)):
+            ri[k] -= q * rj[k]
+
+
+def _replay(
+    n: int, steps: Sequence[tuple[int, int, int]], mirrored: bool, transposed: bool
+) -> IntMatrix:
+    """The logged steps applied to the ``n x n`` identity, each as
+    ``row_j += q row_i`` when ``mirrored``; ``transposed`` returns the
+    columns."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, q in steps:
+        if mirrored:
+            i, j, q = j, i, -q
+        _apply_step(rows, i, j, q)
+    return IntMatrix.from_rows(zip(*rows) if transposed else rows, cols=n)
+
+
 @dataclass(frozen=True)
 class SNFDecomposition:
     """``U @ M @ V == D`` from ``smith_normal_form``.
 
-    ``u_inv`` and ``v_inv`` are ``U^-1`` and ``V^-1`` when the form was asked
-    for with ``inverses=True`` and ``None`` otherwise.  They are tracked by
-    mirroring each elimination step (see the module docstring), so asking
-    for them leaves ``u``, ``d`` and ``v`` unchanged.
+    Holds ``d`` and the logs of the row and column steps; ``u``, ``v``,
+    ``u_inv`` (``U^-1``) and ``v_inv`` (``V^-1``) are each replayed from
+    their log the first time they are read (see the module docstring).
     """
 
-    u: IntMatrix
     d: IntMatrix
-    v: IntMatrix
-    u_inv: Optional[IntMatrix] = None
-    v_inv: Optional[IntMatrix] = None
+    row_steps: tuple[tuple[int, int, int], ...]
+    col_steps: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        return _replay(self.d.rows, self.row_steps, mirrored=False, transposed=False)
+
+    @cached_property
+    def u_inv(self) -> IntMatrix:
+        return _replay(self.d.rows, self.row_steps, mirrored=True, transposed=True)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        return _replay(self.d.cols, self.col_steps, mirrored=False, transposed=True)
+
+    @cached_property
+    def v_inv(self) -> IntMatrix:
+        return _replay(self.d.cols, self.col_steps, mirrored=True, transposed=False)
 
     @property
     def rank(self) -> int:
@@ -249,65 +290,32 @@ class SNFDecomposition:
         )
 
 
-def smith_normal_form(m: IntMatrix, *, inverses: bool = False) -> SNFDecomposition:
+def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     """Smith normal form ``U @ M @ V == D`` with unimodular transforms.
 
     Deterministic: the pivot is always the submatrix entry of smallest nonzero
     absolute value, ties broken by lowest row index then lowest column index.
-    With ``inverses=True`` the result also carries ``U^-1`` and ``V^-1``.
+    Only ``M`` is eliminated; the transforms are replayed from the step logs
+    when read.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    # Row k of ``ui_t`` is column k of U^-1, so the column steps that mirror
-    # row steps on U are row steps here; ``vi`` holds the rows of V^-1.
-    ui_t = [[int(i == j) for j in range(nr)] for i in range(nr)] if inverses else None
-    vi = [[int(i == j) for j in range(nc)] for i in range(nc)] if inverses else None
+    row_steps: list[tuple[int, int, int]] = []
+    col_steps: list[tuple[int, int, int]] = []
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        if inverses:
-            ui_t[i], ui_t[j] = ui_t[j], ui_t[i]
+    def row_step(i, j, q):
+        row_steps.append((i, j, q))
+        _apply_step(a, i, j, q)
 
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        if inverses:
-            vi[i], vi[j] = vi[j], vi[i]
-
-    def row_sub(i, j, q):
-        # row_i -= q * row_j; on U^-1, col_j += q * col_i
-        ai, aj = a[i], a[j]
-        for k in range(nc):
-            ai[k] -= q * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(nr):
-            ui[k] -= q * uj[k]
-        if inverses:
-            ti, tj = ui_t[i], ui_t[j]
-            for k in range(nr):
-                tj[k] += q * ti[k]
-
-    def col_sub(i, j, q):
-        # col_i -= q * col_j; on V^-1, row_j += q * row_i
-        for r in a:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-        if inverses:
-            vi_i, vi_j = vi[i], vi[j]
-            for k in range(nc):
-                vi_j[k] += q * vi_i[k]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        if inverses:
-            ui_t[i] = [-x for x in ui_t[i]]
+    def col_step(i, j, q):
+        # col_i -= q * col_j, a swap when q == 0; columns are never negated
+        col_steps.append((i, j, q))
+        if q == 0:
+            for r in a:
+                r[i], r[j] = r[j], r[i]
+        else:
+            for r in a:
+                r[i] -= q * r[j]
 
     def pivot(t):
         # Row-major scan: the first unit entry is the one the rule picks.
@@ -332,20 +340,20 @@ def smith_normal_form(m: IntMatrix, *, inverses: bool = False) -> SNFDecompositi
         while True:
             _, pi, pj = best
             if pi != t:
-                row_swap(t, pi)
+                row_step(t, pi, 0)
             if pj != t:
-                col_swap(t, pj)
+                col_step(t, pj, 0)
             if a[t][t] < 0:
-                row_neg(t)
+                row_step(t, t, 2)  # negate: row_t -= 2 row_t
             p = a[t][t]
             for i in range(t + 1, nr):
                 q = a[i][t] // p
                 if q:
-                    row_sub(i, t, q)
+                    row_step(i, t, q)
             for j in range(t + 1, nc):
                 q = a[t][j] // p
                 if q:
-                    col_sub(j, t, q)
+                    col_step(j, t, q)
             if any(a[i][t] for i in range(t + 1, nr)) or any(
                 a[t][j] for j in range(t + 1, nc)
             ):
@@ -360,21 +368,11 @@ def smith_normal_form(m: IntMatrix, *, inverses: bool = False) -> SNFDecompositi
                     break
             if bad_row is None:
                 break
-            row_sub(t, bad_row, -1)  # drag a non-divisible entry into row t
+            row_step(t, bad_row, -1)  # drag a non-divisible entry into row t
             best = pivot(t)
         t += 1
 
-    u_inv = v_inv = None
-    if inverses:
-        u_inv = IntMatrix.from_rows(zip(*ui_t), cols=nr)
-        v_inv = IntMatrix.from_rows(vi, cols=nc)
-    return SNFDecomposition(
-        IntMatrix.from_rows(u, cols=nr),
-        IntMatrix.from_rows(a, cols=nc),
-        IntMatrix.from_rows(v, cols=nc),
-        u_inv,
-        v_inv,
-    )
+    return SNFDecomposition(IntMatrix.from_rows(a, cols=nc), tuple(row_steps), tuple(col_steps))
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -45,11 +45,15 @@ class SimplicialComplex:
 
 # Bounds on a facet list from a model file, checked before its closure is
 # built: a facet of s vertices has 2^s - 1 faces.  They bound the closure, at
-# most MAX_FACETS * (2^MAX_FACET_SIZE - 1) faces, not the dense coboundaries
-# built from it.  Both lie above every complex the tests and the benchmark
-# build (at most 9 vertices in a facet, at most 200 facets).
+# most MAX_FACETS * (2^MAX_FACET_SIZE - 1) faces.  Both lie above every
+# complex the tests and the benchmark build (at most 9 vertices in a facet,
+# at most 200 facets).
 MAX_FACET_SIZE = 10
 MAX_FACETS = 500
+# Bound on the entries of each dense coboundary, len(faces[d]) *
+# len(faces[d + 1]), checked once the closure is built.  It admits 500
+# disjoint edges, the largest 1-dimensional list the facet bounds admit.
+MAX_COBOUNDARY_ENTRIES = 500_000
 
 
 def from_facets(facets: Sequence[Sequence[int]]) -> SimplicialComplex:
@@ -87,6 +91,14 @@ def from_facets(facets: Sequence[Sequence[int]]) -> SimplicialComplex:
         for d in range(len(f)):
             for face in combinations(f, d + 1):
                 levels[d].add(face)
+    for d in range(dim):
+        entries = len(levels[d]) * len(levels[d + 1])
+        if entries > MAX_COBOUNDARY_ENTRIES:
+            raise PreconditionError(
+                f"the coboundary from degree {d} has {len(levels[d + 1])} x {len(levels[d])} "
+                f"= {entries} entries, above simplicial.MAX_COBOUNDARY_ENTRIES = "
+                f"{MAX_COBOUNDARY_ENTRIES}"
+            )
     faces = tuple(tuple(sorted(level)) for level in levels)
     vertex_count = max(v for f in norm for v in f) + 1
     return SimplicialComplex(vertex_count, tuple(sorted(set(norm))), faces)
@@ -98,16 +110,11 @@ def _face_index(k: SimplicialComplex, d: int) -> dict[Simplex, int]:
 
 
 @lru_cache(maxsize=None)
-def cochain_complex_of(k: SimplicialComplex, max_degree: int = -1) -> GradedComplex:
-    """Simplicial cochain complex with standard alternating signs.
-
-    ``max_degree`` below 0 means the full dimension of the complex; higher
-    requests are clamped to it (no simplices exist above).
-    """
-    top = k.dim if max_degree < 0 else min(max_degree, k.dim)
-    ranks = tuple(k.n_faces(d) for d in range(top + 1))
+def cochain_complex_of(k: SimplicialComplex) -> GradedComplex:
+    """Simplicial cochain complex with standard alternating signs."""
+    ranks = tuple(len(level) for level in k.faces)
     deltas = []
-    for n in range(top):
+    for n in range(k.dim):
         rows = [[0] * ranks[n] for _ in range(ranks[n + 1])]
         idx = _face_index(k, n)
         for r, sigma in enumerate(k.faces[n + 1]):

@@ -386,3 +386,17 @@ def test_facet_bounds_fail_at_parse_before_the_closure_is_built(tmp_path):
         assert proc.returncode == EXIT_PARSE, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "line 3, column 1" in proc.stderr and constant in proc.stderr
+
+
+def test_dense_coboundary_bound_fails_at_parse(tmp_path):
+    # 500 disjoint 10-vertex facets pass the facet bounds, but their closure
+    # has up to 126,000 simplices in one degree: without the bound the dense
+    # coboundaries of cochain_complex_of exhaust the 1.5 GB cap
+    model = tmp_path / "dense.tdsl"
+    facets = ";".join(",".join(str(10 * i + v) for v in range(10)) for i in range(500))
+    model.write_text(f"[complex s]\nkind = simplicial\nfacets = {facets}\n", encoding="utf-8")
+    proc = _run_module("cohom", "--complex", "s", str(model))
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "line 3, column 1" in proc.stderr
+    assert "simplicial.MAX_COBOUNDARY_ENTRIES" in proc.stderr

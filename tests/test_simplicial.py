@@ -53,6 +53,18 @@ def test_from_facets_bounds_facet_size_and_count():
         from_facets([(2 * i, 2 * i + 1) for i in range(MAX_FACETS + 1)])
 
 
+def test_from_facets_bounds_dense_coboundaries():
+    from tduality.simplicial import MAX_COBOUNDARY_ENTRIES, MAX_FACETS
+
+    # 500 disjoint edges: a 500 x 1000 coboundary, exactly at the bound
+    edges = [(2 * i, 2 * i + 1) for i in range(MAX_FACETS)]
+    k = from_facets(edges)
+    assert len(k.faces[0]) * len(k.faces[1]) == MAX_COBOUNDARY_ENTRIES
+    # widening one edge to a triangle adds a vertex and two edges
+    with pytest.raises(PreconditionError, match="simplicial.MAX_COBOUNDARY_ENTRIES"):
+        from_facets([(0, 1, 2 * MAX_FACETS)] + edges[1:])
+
+
 def test_boundary_tetrahedron_is_sphere():
     k = from_facets(SPHERE2_FACETS)
     cx = cochain_complex_of(k)
@@ -91,12 +103,6 @@ def test_circle_as_triangle_boundary():
     cx = cochain_complex_of(k)
     assert cx.ranks == (3, 3)
     assert shapes_of(cx) == [((), 1), ((), 1)]
-
-
-def test_max_degree_clamps():
-    k = from_facets(SPHERE2_FACETS)
-    assert cochain_complex_of(k, 1).ranks == (4, 6)
-    assert cochain_complex_of(k, 9).ranks == (4, 6, 4)
 
 
 # --- cup products --------------------------------------------------------
