@@ -56,6 +56,10 @@ from .tdual import TDualResult, TDualityTriple, canonical_flux_rep, dualize, tri
 
 KINDS = ("point_fixed", "monopole", "free_hopf", "multi_monopole", "free_bundle")
 
+# Most charges of a multi-monopole: the glued model grows with their number,
+# and ``verify --all`` on 20 charges at MAX_TRUNCATION takes about 13 s.
+MAX_CHARGES = 20
+
 
 @dataclass(frozen=True)
 class SemiFreeSpace:
@@ -81,6 +85,10 @@ class SemiFreeSpace:
         elif self.kind == "multi_monopole":
             if len(self.charges) < 1:
                 raise PreconditionError("multi_monopole needs at least one charge")
+            if len(self.charges) > MAX_CHARGES:
+                raise PreconditionError(
+                    f"{len(self.charges)} charges exceed borel.MAX_CHARGES = {MAX_CHARGES}"
+                )
         elif self.charges:
             raise PreconditionError(f"{self.kind} takes no charges")
         if any(k <= 0 for k in self.charges):

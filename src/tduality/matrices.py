@@ -30,9 +30,16 @@ Conventions:
   ``a[i][k] != 0``, and only at that row's nonzero columns, so a structural
   map or a coboundary costs what its nonzeros cost.  The arithmetic is exact,
   so the result equals the dense sum of products.
+* Matrix-vector products follow the vector's nonzeros: the first ``m @ v``
+  keeps a column layout on ``m``, for each column the rows where it is
+  nonzero, and every product adds ``m[i][k] * v[k]`` only at those rows of
+  the columns where ``v[k] != 0``.  The layout is not a field, so equality,
+  ``repr`` and pickling ignore it; it costs one index per nonzero entry.
 * Cache keys hash once: ``IntMatrix``, and through ``hash_once`` the complexes,
   cochain maps and Euler models that key the ``lru_cache`` lookups, keep the
   dataclass default hash after its first computation.
+* Entry types are checked where outside input enters, in
+  ``IntMatrix.from_rows``; the other constructors build from integers.
 * Lattices are handled through a unique row-style Hermite normal form:
   positive pivots, entries in the pivot column of earlier rows reduced into
   ``[0, pivot)``, rows ordered by pivot column.
@@ -40,8 +47,9 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
@@ -55,8 +63,8 @@ def hash_once(cls):
     The first ``hash`` computes the dataclass default, the hash of the tuple
     of compared fields, and keeps it on the instance, so every later lookup
     costs O(1).  Equality, ``repr`` and ``dataclasses.fields`` are untouched;
-    the kept value is not pickled, because string hashes differ between
-    processes.
+    only the fields are pickled, because string hashes differ between
+    processes and anything else kept on the instance is rebuilt on demand.
     """
     field_hash = cls.__hash__
 
@@ -68,7 +76,7 @@ def hash_once(cls):
             return self._hash
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
@@ -92,13 +100,14 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError(f"expected {self.cols} columns, got {len(row)}")
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError(f"matrix entries must be integers, got {type(x).__name__}")
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
         data = tuple(tuple(row) for row in rows)
+        for row in data:
+            for x in row:
+                if not isinstance(x, int):
+                    raise TypeError(f"matrix entries must be integers, got {type(x).__name__}")
         if data:
             width = len(data[0])
         elif cols is not None:
@@ -156,7 +165,22 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} against {self.shape} matrix")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        entries = self.entries
+        if not entries:
+            return ()
+        try:
+            layout = self._col_rows
+        except AttributeError:
+            # per column, the rows holding a nonzero entry; kept like _hash
+            rows = range(self.rows)
+            layout = tuple(tuple(compress(rows, col)) for col in zip(*entries))
+            object.__setattr__(self, "_col_rows", layout)
+        acc = [0] * self.rows
+        for k, x in enumerate(vec):
+            if x:
+                for i in layout[k]:
+                    acc[i] += entries[i][k] * x
+        return tuple(acc)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:

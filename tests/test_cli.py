@@ -370,6 +370,26 @@ def test_action_truncation_bound_is_the_same_for_borel_and_verify(tmp_path):
                 assert "catalog.MAX_LEVEL" in proc.stderr + proc.stdout
 
 
+def test_charge_count_bound_fails_before_the_model_is_built(tmp_path):
+    # the glued multi-monopole model grows with the number of charges: 60
+    # unit charges at truncation 30 take about 10 s to verify without the bound
+    from tduality.borel import MAX_CHARGES
+
+    model = tmp_path / "charges.tdsl"
+    for count, code in ((MAX_CHARGES, EXIT_OK), (MAX_CHARGES + 2, EXIT_PRECONDITION),
+                        (10_000, EXIT_PRECONDITION)):
+        charges = ",".join(["1"] * count)
+        model.write_text(
+            f"[action a]\ntype = multi_monopole\ncharges = {charges}\ntruncation = 1\n",
+            encoding="utf-8",
+        )
+        for argv in (("borel", "--action", "a", str(model)), ("verify", str(model))):
+            proc = _run_module(*argv)
+            assert proc.returncode == code, (count, argv, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            assert ("borel.MAX_CHARGES" in proc.stderr + proc.stdout) == (code != EXIT_OK)
+
+
 def test_facet_bounds_fail_at_parse_before_the_closure_is_built(tmp_path):
     # a 26-vertex facet has 2^26 - 1 faces: without the bound the closure
     # exhausts the 1.5 GB cap and the process dies without a report

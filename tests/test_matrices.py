@@ -201,6 +201,51 @@ def test_sparse_product_matches_triple_loop_at_every_density(rows, inner, cols, 
     assert [list(row) for row in prod.entries] == mat_mul(a, b, cols)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.sampled_from((0, 10, 30, 60, 100)),
+       st.randoms(use_true_random=True))
+def test_apply_matches_dense_sum_at_every_density(rows, cols, percent, rng):
+    # apply visits only the vector's nonzero columns through a layout kept
+    # after the first call: the zero vector builds it, the others reuse it
+    m = _sparse_rows(rng, rows, cols, percent)
+    mat = IntMatrix.from_rows(m, cols=cols)
+    for vec in ([0] * cols, *_sparse_rows(rng, 3, cols, percent)):
+        want = tuple(sum(row[k] * vec[k] for k in range(cols)) for row in m)
+        got = mat.apply(vec)
+        assert got == want and all(type(x) is int for x in got)
+        assert mat @ tuple(vec) == want
+
+
+def test_apply_rejects_a_wrong_length_vector():
+    m = IntMatrix.from_rows([[1, 0], [0, 1]])
+    for _ in range(2):  # before and after the layout is kept
+        for vec in ((), (1,), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                m.apply(vec)
+        assert m.apply((3, 4)) == (3, 4)
+    with pytest.raises(ValueError):
+        IntMatrix.zeros(0, 3).apply(())
+    assert IntMatrix.zeros(3, 0).apply(()) == (0, 0, 0)
+
+
+def test_column_layout_is_not_part_of_the_matrix():
+    import dataclasses
+    import pickle
+
+    m, twin = (IntMatrix.from_rows([[0, 2, 0], [1, 0, 0]]) for _ in range(2))
+    before = repr(m)
+    assert m.apply((1, 1, 1)) == (2, 1)
+    layout = vars(m)["_col_rows"]
+    assert layout == ((1,), (0,), ())
+    assert m.apply((0, 5, 7)) == (10, 0) and vars(m)["_col_rows"] is layout
+    assert "_col_rows" not in vars(twin)
+    assert tuple(f.name for f in dataclasses.fields(m)) == ("rows", "cols", "entries")
+    assert m == twin and hash(m) == hash(twin) and repr(m) == before == repr(twin)
+    copy = pickle.loads(pickle.dumps(m))
+    assert set(vars(copy)) == {"rows", "cols", "entries"} and copy == m
+    assert copy.apply((1, 1, 1)) == (2, 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_structural_maps_times_dense_factors_match_triple_loop(data):
