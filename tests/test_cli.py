@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tduality.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -207,6 +209,30 @@ def test_golden_monopole_both_routes_report(capsys):
     code, out, _ = run(capsys, "--json", "borel", "--action", "m", "--route", "both", str(SAMPLE))
     assert code == EXIT_OK
     assert out == (DATA / "golden_borel_monopole_both.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", ["cp2", "circle", "torus"])
+def test_golden_cohom_report(capsys, name, fmt):
+    flags = ["--json"] if fmt == "json" else []
+    code, out, _ = run(capsys, *flags, "cohom", "--complex", name, str(SAMPLE))
+    assert code == EXIT_OK
+    assert out == (DATA / f"golden_cohom_{name}.{fmt}").read_text(encoding="utf-8")
+
+
+TORSION_MODEL = "[action tri]\ntype = multi_monopole\ncharges = 4,2,2\ntruncation = 3\n"
+
+
+def test_golden_multi_monopole_torsion_report(capsys, tmp_path):
+    # the table covers degrees 0..5, with Z/2 torsion in degrees 2 and 4
+    model = tmp_path / "torsion.tdsl"
+    model.write_text(TORSION_MODEL, encoding="utf-8")
+    code, out, _ = run(capsys, "borel", "--action", "tri", "--json", str(model))
+    assert code == EXIT_OK
+    assert out == (DATA / "golden_borel_multi_torsion.txt").read_text(encoding="utf-8")
+    table = json.loads(out)["total_cohomology"]
+    assert sorted(table, key=int) == [str(d) for d in range(6)]
+    assert table["4"]["torsion"] == [2, 2]
 
 
 def test_execute_ignores_the_output_flag():
