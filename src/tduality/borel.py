@@ -49,6 +49,7 @@ from .gysin import (
     PROVENANCE_ALGEBRAIC,
     CupStructure,
     EulerModel,
+    OnFirstRead,
     total_space,
 )
 from .matrices import IntMatrix, Vector
@@ -180,7 +181,8 @@ def _sign_pattern(charges: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(signs))
 
 
-@lru_cache(maxsize=None)
+# A command reads levels N and N + 1 of one charge set.
+@lru_cache(maxsize=32)
 def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
     m = len(charges)
     signs = _sign_pattern(charges)
@@ -233,13 +235,15 @@ def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
     mu = glued_mu(free_coeffs, charges)
 
     # declared degree-2 basis of the glued base: every generator is a
-    # (free part, pieces) cocycle, so the same formula yields its operator
+    # (free part, pieces) cocycle, so the same formula yields its operator,
+    # built when an Euler class first reads it
     split = free_part.rank_at(2)
     gens = cohomology(glued, 2).generators
     cup = CupStructure(
         tuple(f"g{idx}" for idx in range(len(gens))),
         gens,
-        tuple(glued_mu(gen[:split], gen[split:]) for gen in gens),
+        OnFirstRead(("multi_monopole", charges, n), len(gens),
+                    lambda i: glued_mu(gens[i][:split], gens[i][split:])),
     )
 
     return BorelBundle(n, EulerModel(glued, free_coeffs + charges, mu, PROVENANCE_ALGEBRAIC, cup))

@@ -36,6 +36,7 @@ from .gysin import (
     PROVENANCE_AW,
     CupStructure,
     EulerModel,
+    OnFirstRead,
     realize_euler_class,
 )
 from .matrices import IntMatrix, Vector
@@ -123,7 +124,8 @@ def _simplicial_model(name: str, facets) -> CatalogModel:
         cup = CupStructure((), (), (), simplicial=k)
     else:
         rep = h2.generators[0]
-        cup = CupStructure((label,), (rep,), (cup_operator(Cochain(k, 2, rep)),), simplicial=k)
+        mus = OnFirstRead(("catalog", name), 1, lambda i: cup_operator(Cochain(k, 2, rep)))
+        cup = CupStructure((label,), (rep,), mus, simplicial=k)
     return CatalogModel(name, (), cx, cup)
 
 
@@ -146,7 +148,8 @@ _FIXED_MODELS = {
 }
 
 
-@lru_cache(maxsize=None)
+# ``verify --all`` builds 25 models.
+@lru_cache(maxsize=128)
 def catalog_build(name: str, params: tuple[int, ...] = ()) -> CatalogModel:
     """Build a shipped model by name; deterministic for fixed arguments."""
     params = tuple(int(p) for p in params)
@@ -156,7 +159,8 @@ def catalog_build(name: str, params: tuple[int, ...] = ()) -> CatalogModel:
         (n,) = params
         _check_level(n)
         cx = _cp_complex(n)
-        cup = CupStructure(("u",), ((1,),), (_cp_mu(cx),))
+        mus = OnFirstRead(("catalog", "cp", n), 1, lambda i: _cp_mu(cx))
+        cup = CupStructure(("u",), ((1,),), mus)
         return CatalogModel(name, params, cx, cup)
     if name == "lens":
         if len(params) != 2 or params[0] < 1 or params[1] < 1:

@@ -29,7 +29,7 @@ from . import tdual as tdual_mod
 from .catalog import (
     CATALOG_NAMES, SHIPPED_LENS_PARAMETERS, catalog_build, euler_model_from_label_coeffs,
 )
-from .complexes import cohomology, cohomology_shapes, validate_complex
+from .complexes import cohomology, cohomology_shapes, describe_shape, validate_complex
 from .dsl import (
     ActionSpec, EulerSpec, ResolvedSpec, SpecFile, build_euler_model, parse_spec, resolve,
 )
@@ -74,12 +74,9 @@ class Report:
         return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
 
 
-def _group_entry(group) -> dict:
-    return {
-        "torsion": list(group.torsion),
-        "free_rank": group.free_rank,
-        "pretty": group.describe(),
-    }
+def _group_entry(shape) -> dict:
+    torsion, free_rank = shape
+    return {"torsion": list(torsion), "free_rank": free_rank, "pretty": describe_shape(shape)}
 
 
 def _coords(vec: Vector) -> list[int]:
@@ -98,7 +95,7 @@ def _cmd_cohom(args, resolved: ResolvedSpec) -> Report:
     top = cx.top_degree
     if args.max_degree is not None:
         top = min(top, args.max_degree)
-    groups = {str(d): _group_entry(cohomology(cx, d)) for d in range(top + 1)}
+    groups = {str(d): _group_entry(shape) for d, shape in enumerate(cohomology_shapes(cx, top))}
     return Report(
         {
             "command": f"cohom --complex {name}"
@@ -121,7 +118,7 @@ def _dual_payload(result) -> dict:
         "ambiguity_rank": result.ambiguity_rank,
         "defining_equation": "ok",  # dualize re-checks it and raises otherwise
         "h3_dual_total": cohomology(dual_total, 3).describe(),
-        "h2_dual_total": cohomology(dual_total, 2).describe(),
+        "h2_dual_total": describe_shape(cohomology_shapes(dual_total, 2)[2]),
     }
 
 
@@ -144,7 +141,7 @@ def _cmd_dualize(args, resolved: ResolvedSpec) -> Report:
     payload = {
         "command": f"dualize --bundle {name}" + flux_part,
         "degree_window": f"0..{total.top_degree}",
-        "h2_total": cohomology(total, 2).describe(),
+        "h2_total": describe_shape(cohomology_shapes(total, 2)[2]),
         **_dual_payload(result),
         "sign_convention": SIGN_CONVENTION,
     }
@@ -171,17 +168,15 @@ def _cmd_borel(args, resolved: ResolvedSpec) -> Report:
     bundle = borel_mod.truncated_borel(space, n)
     total = total_space(bundle.euler_s1).total
     window = 2 * n - 1
-    table = {
-        str(d): _group_entry(cohomology(total, d))
-        for d in range(min(window, total.top_degree) + 1)
-    }
+    shapes = cohomology_shapes(total, min(window, total.top_degree))
+    table = {str(d): _group_entry(shape) for d, shape in enumerate(shapes)}
     payload = {
         "command": f"borel --action {name} --route {args.route}",
         "kind": spec.kind,
         "truncation": n,
         "valid_window": f"degrees <= {window}",
         "total_cohomology": table,
-        "h2_total": cohomology(total, 2).describe(),
+        "h2_total": describe_shape(cohomology_shapes(total, 2)[2]),
         "sign_convention": SIGN_CONVENTION,
     }
     routes = {}

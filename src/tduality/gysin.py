@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .complexes import (
     CochainMap,
@@ -57,18 +57,60 @@ SIGN_CONVENTION = (
 )
 
 
+class OnFirstRead(Sequence):
+    """Read-only sequence of ``count`` items whose item ``i`` is made by
+    ``build(i)`` the first time it is read, and kept.
+
+    Two such sequences are equal when their keys are, so a key must
+    determine every item; ``built`` counts the items made so far.
+    """
+
+    def __init__(self, key: Hashable, count: int, build: Callable[[int], object]):
+        self.key = key
+        self._build = build
+        self._items: list = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]
+        if self._items[i] is None:
+            self._items[i] = self._build(i)
+        return self._items[i]
+
+    @property
+    def built(self) -> int:
+        return sum(item is not None for item in self._items)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OnFirstRead) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __repr__(self) -> str:
+        return f"OnFirstRead({self.key!r}, {len(self)} items, {self.built} built)"
+
+    def __reduce__(self):
+        # a pickle carries the items, all built now, instead of the builder
+        items = tuple(self)
+        return OnFirstRead, (self.key, len(items), items.__getitem__)
+
+
 @dataclass(frozen=True)
 class CupStructure:
     """Declared degree-2 classes of a base together with their cup operators.
 
     Algebraic models only carry cup structure on these declared generators;
     simplicial models additionally allow arbitrary representatives through
-    the Alexander-Whitney product (``simplicial`` is then set).
+    the Alexander-Whitney product (``simplicial`` is then set).  ``mus`` is a
+    tuple or an ``OnFirstRead``, whose operators are built when first read.
     """
 
     labels: tuple[str, ...]
     reps: tuple[Vector, ...]
-    mus: tuple[CochainMap, ...]
+    mus: Sequence[CochainMap]
     simplicial: Optional[SimplicialComplex] = None
 
     def __post_init__(self):
@@ -119,9 +161,10 @@ def realize_euler_class(
 ) -> EulerModel:
     """Euler model for the class with the given coordinates in H^2(base).
 
-    Coordinates are first expressed in the declared cup basis; simplicial
-    bases fall back to the Alexander-Whitney operator on the reduced
-    representative.  Fails when the class admits no cup realization.
+    Coordinates are first expressed in the declared cup basis, and only the
+    operators of nonzero coefficients are read; simplicial bases fall back to
+    the Alexander-Whitney operator on the reduced representative.  Fails
+    when the class admits no cup realization.
     """
     group = cohomology(base, 2)
     if len(coords) != group.coord_dim:
@@ -145,7 +188,8 @@ def realize_euler_class(
     for c, basis_rep in zip(combo, cup.reps):
         for k in range(len(rep)):
             rep[k] += c * basis_rep[k]
-    mu = cochain_map_sum(list(zip(combo, cup.mus)))
+    terms = [(c, cup.mus[i]) for i, c in enumerate(combo) if c]
+    mu = cochain_map_sum(terms) if terms else CochainMap.zero(base, base, 2)
     return EulerModel(base, tuple(rep), mu, provenance, cup)
 
 
@@ -185,7 +229,8 @@ class TotalSpaceModel:
         return tuple(phi) + tuple(psi)
 
 
-@lru_cache(maxsize=None)
+# ``verify --all`` builds 23 totals.
+@lru_cache(maxsize=128)
 def total_space(model: EulerModel) -> TotalSpaceModel:
     """Build the twisted cone; the result satisfies ``validate_complex``."""
     base = model.base

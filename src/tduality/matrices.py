@@ -39,7 +39,10 @@ Conventions:
   cochain maps and Euler models that key the ``lru_cache`` lookups, keep the
   dataclass default hash after its first computation.
 * Entry types are checked where outside input enters, in
-  ``IntMatrix.from_rows``; the other constructors build from integers.
+  ``IntMatrix.from_rows``.  Results the engine computes itself (Smith's
+  ``D``, replayed transforms, ``from_blocks``, the matrices of a cohomology
+  presentation) go through the private ``IntMatrix._computed``, which keeps
+  the shape checks only; the other constructors build from integers.
 * Lattices are handled through a unique row-style Hermite normal form:
   positive pivots, entries in the pivot column of earlier rows reduced into
   ``[0, pivot)``, rows ordered by pivot column.
@@ -117,15 +120,24 @@ class IntMatrix:
         return IntMatrix(len(data), width, data)
 
     @staticmethod
+    def _computed(rows: Iterable[Iterable[int]], cols: int) -> "IntMatrix":
+        """``from_rows`` without the entry type scan, for rows of integers the
+        engine computed itself."""
+        data = tuple(map(tuple, rows))
+        return IntMatrix(len(data), cols, data)
+
+    @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
     def eye(rows: int, cols: int, offset: int) -> "IntMatrix":
         """Ones at ``(i, i + offset)`` where that lies inside, zeros elsewhere."""
-        return IntMatrix(
-            rows, cols, tuple(tuple(int(j == i + offset) for j in range(cols)) for i in range(rows))
-        )
+        zero = (0,) * cols
+        return IntMatrix(rows, cols, tuple(
+            zero[:j] + (1,) + zero[j + 1:] if 0 <= j < cols else zero
+            for j in range(offset, rows + offset)
+        ))
 
     @staticmethod
     def block_diag(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -241,7 +253,7 @@ class IntMatrix:
             for i in range(height):
                 rows.append(tuple(x for b in block_row for x in b.entries[i]))
         width = sum(b.cols for b in blocks[0]) if blocks else 0
-        return IntMatrix.from_rows(rows, cols=width)
+        return IntMatrix._computed(rows, width)
 
 
 def _apply_step(rows: list[list[int]], i: int, j: int, q: int) -> None:
@@ -268,7 +280,7 @@ def _replay(
         if mirrored:
             i, j, q = j, i, -q
         _apply_step(rows, i, j, q)
-    return IntMatrix.from_rows(zip(*rows) if transposed else rows, cols=n)
+    return IntMatrix._computed(zip(*rows) if transposed else rows, n)
 
 
 @dataclass(frozen=True)
@@ -396,7 +408,7 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
             best = pivot(t)
         t += 1
 
-    return SNFDecomposition(IntMatrix.from_rows(a, cols=nc), tuple(row_steps), tuple(col_steps))
+    return SNFDecomposition(IntMatrix._computed(a, nc), tuple(row_steps), tuple(col_steps))
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

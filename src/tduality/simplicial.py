@@ -104,12 +104,13 @@ def from_facets(facets: Sequence[Sequence[int]]) -> SimplicialComplex:
     return SimplicialComplex(vertex_count, tuple(sorted(set(norm))), faces)
 
 
-@lru_cache(maxsize=None)
+# A simplicial complex has at most MAX_FACET_SIZE levels.
+@lru_cache(maxsize=64)
 def _face_index(k: SimplicialComplex, d: int) -> dict[Simplex, int]:
     return {s: i for i, s in enumerate(k.faces[d])} if 0 <= d < len(k.faces) else {}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def cochain_complex_of(k: SimplicialComplex) -> GradedComplex:
     """Simplicial cochain complex with standard alternating signs."""
     ranks = tuple(len(level) for level in k.faces)

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,9 @@ from tduality.borel import (
 from tduality.catalog import catalog_build, cp_restriction
 from tduality.complexes import CochainMap, GradedComplex, MappingCone, cohomology, mapping_cone
 from tduality.errors import PreconditionError
-from tduality.gysin import cone_exactness, total_space
+from tduality.gysin import (
+    OnFirstRead, cone_exactness, express_in_basis, realize_euler_class, total_space,
+)
 from tduality.matrices import IntMatrix
 from tduality.tdual import canonical_flux_rep
 
@@ -372,3 +376,95 @@ def test_route_disagreement_names_the_field():
     assert borel.route_disagreement(three, same) == ""
     assert borel.route_disagreement(three, five) == "canonical_flux_coords differs: [3] against [5]"
     assert borel.route_disagreement(three, fluxed) == "dual_euler differs: [0] against [1]"
+
+
+# --- cup operators built on first read ---------------------------------------
+
+CUP_GOLDEN = Path(__file__).parent / "data" / "golden_cup_operators.json"
+GLUED_KEY = "multi_monopole(1, 2, 3, 4) at N = 2"
+
+
+def glued_model():
+    return truncated_borel(SemiFreeSpace("multi_monopole", charges=(1, 2, 3, 4)), 2).euler_s1
+
+
+def assert_operator(op, base, want):
+    assert op.source == op.target == base
+    assert op.degree == want["degree"]
+    assert [m.entries for m in op.mats] == [tuple(map(tuple, m)) for m in want["mats"]]
+
+
+def test_cup_operators_built_on_demand_equal_the_eager_ones():
+    # golden_cup_operators.json holds the operators as the eager
+    # construction built them
+    golden = json.loads(CUP_GOLDEN.read_text(encoding="utf-8"))
+    catalog_build.cache_clear()
+    borel._multi_monopole_bundle.cache_clear()
+    cases = [(catalog_build(name, params), None) for name, params in
+             (("cp", (3,)), ("torus2", ()), ("rp2", ()))]
+    cases.append((None, glued_model()))
+    for catalog_model, euler_model in cases:
+        if catalog_model is not None:
+            key, base, cup = catalog_model.display_name, catalog_model.complex, catalog_model.cup
+        else:
+            key, base, cup = GLUED_KEY, euler_model.base, euler_model.cup
+        want = golden[key]
+        assert list(base.ranks) == want["ranks"]
+        assert isinstance(cup.mus, OnFirstRead) and cup.mus.built == 0
+        assert len(cup.mus) == len(want["mus"])
+        for i in reversed(range(len(cup.mus))):
+            assert_operator(cup.mus[i], base, want["mus"][i])
+            assert cup.mus.built == len(cup.mus) - i
+        assert cup.mus[-1] is cup.mus[len(cup.mus) - 1]
+    assert_operator(glued_model().mu, glued_model().base, golden[GLUED_KEY]["euler_mu"])
+    assert list(glued_model().euler_rep) == golden[GLUED_KEY]["euler_rep"]
+
+
+def test_realized_class_on_a_glued_base_reads_only_its_nonzero_coefficients():
+    golden = json.loads(CUP_GOLDEN.read_text(encoding="utf-8"))[GLUED_KEY]["realized"]
+    borel._multi_monopole_bundle.cache_clear()
+    model = glued_model()
+    coords = tuple(golden["coords"])
+    combo = express_in_basis(cohomology(model.base, 2), coords, model.cup.reps)
+    assert model.cup.mus.built == 0
+    real = realize_euler_class(model.base, model.cup, coords, model.provenance)
+    assert list(real.euler_rep) == golden["euler_rep"]
+    assert_operator(real.mu, model.base, golden["mu"])
+    assert 0 in combo
+    assert model.cup.mus.built == sum(1 for c in combo if c) < len(combo)
+
+
+def test_flux_free_borel_on_sixteen_charges_builds_no_generator_operator(tmp_path, capsys):
+    from tduality.cli import main
+
+    charges = (1,) * 16
+    model = tmp_path / "sixteen.tdsl"
+    model.write_text("[action a]\ntype = multi_monopole\ncharges = "
+                     + ",".join(map(str, charges)) + "\ntruncation = 2\n", encoding="utf-8")
+    borel._multi_monopole_bundle.cache_clear()
+    assert main(["--json", "borel", "--action", "a", str(model)]) == 0
+    routes = json.loads(capsys.readouterr().out)["routes"]
+    assert routes["mathai_wu"]["dual_euler_coords"] == [0] * 15
+    euler = truncated_borel(SemiFreeSpace("multi_monopole", charges=charges), 2).euler_s1
+    assert len(euler.cup.mus) == 15 and euler.cup.mus.built == 0
+    assert isinstance(euler.mu, CochainMap)
+
+
+def test_on_first_read_sequences_compare_by_key_and_pickle_built():
+    import pickle
+
+    calls = []
+
+    def build(i):
+        calls.append(i)
+        return ("item", i)
+
+    seq = OnFirstRead(("k", 1), 3, build)
+    assert seq == OnFirstRead(("k", 1), 3, None) and hash(seq) == hash(("k", 1))
+    assert seq != OnFirstRead(("k", 2), 3, build) and seq != (("item", 0),)
+    assert seq[1] == ("item", 1) and seq[-2] is seq[1] and calls == [1]
+    with pytest.raises(IndexError):
+        seq[3]
+    copy = pickle.loads(pickle.dumps(seq))
+    assert copy == seq and calls == [1, 0, 2]
+    assert list(copy) == [("item", 0), ("item", 1), ("item", 2)] and calls == [1, 0, 2]

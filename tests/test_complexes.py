@@ -10,6 +10,8 @@ from tduality.complexes import (
     class_coordinates,
     cochain_map_sum,
     cohomology,
+    cohomology_shapes,
+    describe_shape,
     direct_sum,
     mapping_cone,
     tensor_product,
@@ -306,6 +308,92 @@ def test_cohomology_matches_two_pass_route_on_relabelled_grids():
             assert_matches_two_pass(cx, rng)
 
 
+# --- shapes from the Smith diagonals ---------------------------------------
+
+
+def klein_facets(m):
+    """The m x m grid with (m, y) glued to (0, m - y)."""
+    def vertex(x, y):
+        if x == m:
+            x, y = 0, m - y
+        return (x % m) * m + y % m
+
+    return grid_facets(m, vertex)
+
+
+def cross_polytope_facets(d):
+    """Boundary of the d-dimensional cross-polytope: one of the vertices
+    2i, 2i + 1 from each axis."""
+    facets = [()]
+    for i in range(d):
+        facets = [f + (v,) for f in facets for v in (2 * i, 2 * i + 1)]
+    return facets
+
+
+def shape_cases():
+    rng = random.Random(47)
+    for _ in range(30):
+        yield random_complex(rng)
+    valid = 0
+    while valid < 30:
+        cx = random_sparse_candidate(rng)
+        if validate_complex(cx).valid:
+            valid += 1
+            yield cx
+    for build, m in ((torus_facets, 3), (klein_facets, 3), (klein_facets, 4),
+                     (rp2_facets, 3), (cross_polytope_facets, 3), (cross_polytope_facets, 4)):
+        for _ in range(2):
+            yield cochain_complex_of(from_facets(relabelled(build(m), rng)))
+
+
+def test_cohomology_shapes_equal_the_presented_shapes():
+    for cx in shape_cases():
+        for top in (cx.top_degree, cx.top_degree + 2):
+            shapes = cohomology_shapes(cx, top)
+            assert shapes == tuple(cohomology(cx, d).shape for d in range(top + 1))
+            assert [describe_shape(s) for s in shapes] == [
+                cohomology(cx, d).describe() for d in range(top + 1)
+            ]
+
+
+def test_cohomology_shapes_of_relabelled_klein_bottle_and_cross_polytope():
+    rng = random.Random(53)
+    klein = cochain_complex_of(from_facets(relabelled(klein_facets(4), rng)))
+    assert cohomology_shapes(klein, 2) == (((), 1), ((), 1), ((2,), 0))
+    sphere = cochain_complex_of(from_facets(relabelled(cross_polytope_facets(4), rng)))
+    assert cohomology_shapes(sphere, 3) == (((), 1), ((), 0), ((), 0), ((), 1))
+
+
+def test_cohomology_shapes_reject_an_invalid_complex_as_cohomology_does():
+    bad = GradedComplex(
+        (1, 1, 1), (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]))
+    )
+    with pytest.raises(PreconditionError) as presented:
+        cohomology(bad, 1)
+    with pytest.raises(PreconditionError) as shaped:
+        cohomology_shapes(bad, 2)
+    assert str(shaped.value) == str(presented.value) == "invalid complex: delta[1] @ delta[0] != 0"
+
+
+def test_cohomology_shapes_read_no_transform_and_form_no_product(monkeypatch):
+    from tduality import matrices
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a transform or a product was built")
+
+    rng = random.Random(59)
+    fresh = [cochain_complex_of(from_facets(relabelled(rp2_facets(4), rng))),
+             random_complex(rng)]
+    for cx in fresh:
+        validate_complex(cx)  # checking the complex multiplies coboundaries
+    monkeypatch.setattr(matrices, "_replay", forbidden)
+    monkeypatch.setattr(matrices.IntMatrix, "__matmul__", forbidden)
+    assert cohomology_shapes(fresh[0], 2) == (((), 1), ((), 0), ((2,), 0))
+    cohomology_shapes(fresh[1], fresh[1].top_degree)
+    with pytest.raises(AssertionError, match="transform or a product"):
+        cohomology(fresh[0], 1)
+
+
 # --- mapping cones -------------------------------------------------------
 
 
@@ -427,3 +515,42 @@ def test_cochain_map_sum_requires_compatibility():
     g = CochainMap.zero(cx, cx, 1)
     with pytest.raises(PreconditionError):
         cochain_map_sum([(1, f), (1, g)])
+
+
+# --- bounded caches ----------------------------------------------------------
+
+
+def package_caches():
+    import sys
+
+    import tduality  # noqa: F401 - loads every module
+
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "tduality" or name.startswith("tduality."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_info", None)):
+                    found[value.__qualname__] = value
+    return found
+
+
+def test_every_cache_is_bounded():
+    caches = package_caches()
+    assert {"cohomology", "validate_complex", "_coboundary_factors", "total_space",
+            "catalog_build", "cochain_complex_of", "_face_index",
+            "_multi_monopole_bundle"} <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
+
+
+def test_caches_stay_within_their_bound_past_it():
+    from tduality.complexes import _coboundary_factors
+
+    bound = max(f.cache_info().maxsize for f in (cohomology, validate_complex, _coboundary_factors))
+    for k in range(bound + 10):
+        cx = GradedComplex((1, 1), (IntMatrix.from_rows([[k]]),))
+        cohomology(cx, 1)
+        cohomology_shapes(cx, 1)
+    for f in (cohomology, validate_complex, _coboundary_factors):
+        info = f.cache_info()
+        assert info.currsize == info.maxsize, f.__name__

@@ -1,0 +1,182 @@
+"""Fuzzing of the exit-code contract over model text and command lines.
+
+Every input must end in exit 0 (success), 1 (parse error) or 2 (bad user
+data), with no exception escaping ``cli.main``; exit 3 is reserved for engine
+bugs.  Model sizes stay small (truncation and levels at most 4, at most four
+charges), so each example runs well inside its deadline.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from datetime import timedelta
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tduality.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+
+small = st.integers(-1, 4)
+int_list = st.lists(small, min_size=0, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+garbage = st.sampled_from(("", "x", "1,,2", "3*", "=", "1;2", "-", "1e3", "99999999", " 2 "))
+
+
+def mostly(valid):
+    """``valid`` three times in four, malformed text otherwise."""
+    return st.one_of(valid, valid, valid, garbage)
+
+
+name = st.sampled_from(("a", "a", "b", "zz"))  # a reference, sometimes undeclared
+KINDS = ("complex", "bundle", "flux", "action")
+
+
+@st.composite
+def matrix_text(draw):
+    rows = draw(st.integers(0, 3))
+    cols = draw(st.integers(0, 3))
+    return ";".join(",".join(str(draw(small)) for _ in range(cols)) for _ in range(rows))
+
+
+@st.composite
+def euler_text(draw):
+    terms = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from(("u", "vol", "w", "g0", "q"))),
+        max_size=2,
+    ))
+    return draw(mostly(st.one_of(
+        st.just(" + ".join(f"{c}*{label}" for c, label in terms) or "0"),
+        int_list.map(lambda xs: "coeffs=" + xs),
+    )))
+
+
+@st.composite
+def complex_section(draw):
+    kind = draw(st.sampled_from(("catalog", "catalog", "algebraic", "simplicial", "other")))
+    lines = [f"kind = {kind}"]
+    if kind == "catalog":
+        lines.append("name = " + draw(st.sampled_from(
+            ("cp", "lens", "circle", "point", "sphere2", "torus2", "rp2", "nope"))))
+        lines.append("params = " + draw(mostly(st.integers(1, 4).map(str) | int_list)))
+    elif kind == "algebraic":
+        ranks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        lines.append("ranks = " + ",".join(map(str, ranks)))
+        for n in range(len(ranks) - 1):
+            if draw(st.booleans()):
+                lines.append(f"delta{n} = " + draw(mostly(matrix_text())))
+    elif kind == "simplicial":
+        facets = draw(st.lists(
+            st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True).map(sorted),
+            min_size=1, max_size=4,
+        ))
+        lines.append("facets = " + ";".join(",".join(map(str, f)) for f in facets))
+    return lines
+
+
+@st.composite
+def action_section(draw):
+    kind = draw(st.sampled_from(
+        ("point_fixed", "monopole", "multi_monopole", "free_hopf", "free_bundle", "spin")))
+    lines = [f"type = {kind}"]
+    if draw(st.booleans()):
+        charges = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+        lines.append("charges = " + ",".join(map(str, charges)))
+    lines.append("truncation = " + draw(mostly(st.integers(1, 4).map(str) | st.just("0"))))
+    if draw(st.booleans()):
+        lines.append("base = " + draw(name))
+    if draw(st.booleans()):
+        lines.append("euler = " + draw(euler_text()))
+    if draw(st.booleans()):
+        lines.append("h = " + draw(int_list))
+    return lines
+
+
+@st.composite
+def section(draw):
+    kind = draw(st.sampled_from(("complex", "complex", "bundle", "flux", "action", "action")))
+    label = draw(st.sampled_from(("a", "b", "c")))
+    if kind == "complex":
+        body = draw(complex_section())
+    elif kind == "bundle":
+        body = ["base = " + draw(name), "euler = " + draw(euler_text())]
+    elif kind == "flux":
+        body = ["h = " + draw(mostly(int_list))]
+    else:
+        body = draw(action_section())
+    if draw(st.booleans()):
+        body = draw(st.permutations(body))
+    extra = draw(st.sampled_from(
+        ("# note", "", "junk", "k = v", "[", "[bogus d]", "kind = catalog")))
+    return kind, label, [f"[{kind} {label}]", *body] + (
+        [extra] if draw(st.integers(0, 7)) == 5 else [])
+
+
+@st.composite
+def model_text(draw):
+    """Up to four sections, mostly declared before use and named once."""
+    sections = draw(st.lists(section(), max_size=4))
+    if draw(st.integers(0, 3)) != 2:
+        sections.sort(key=lambda s: KINDS.index(s[0]))
+    if draw(st.integers(0, 3)) != 2:
+        named = {}
+        for kind, label, lines in sections:
+            named.setdefault((kind, label), lines)
+        sections = [(kind, label, lines) for (kind, label), lines in named.items()]
+    return "\n".join(line for _, _, lines in sections for line in lines) + "\n"
+
+
+@st.composite
+def command_line(draw):
+    command = draw(st.sampled_from(("cohom", "dualize", "borel", "verify")))
+    argv = [command]
+    if command == "cohom":
+        argv += ["--complex", draw(name)]
+        if draw(st.booleans()):
+            argv += ["--max-degree", str(draw(st.integers(-2, 6)))]
+    elif command == "dualize":
+        argv += ["--bundle", draw(name)]
+        if draw(st.booleans()):
+            argv += ["--flux", draw(name)]
+    elif command == "borel":
+        argv += ["--action", draw(name)]
+        if draw(st.booleans()):
+            argv += ["--route", draw(st.sampled_from(("mw", "bunke", "both", "both", "other")))]
+    elif command == "verify" and draw(st.booleans()):
+        argv.append("--all")
+    argv.append("-")
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), "--json")
+    if draw(st.integers(0, 9)) == 5:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
+            ("--max-degree", "x", "--route", "--", "-h"))))
+    return argv
+
+
+def run_main(argv, text):
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        sys.stdin = stdin
+
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@FUZZ
+@given(argv=command_line(), text=model_text())
+def test_generated_models_and_commands_keep_the_exit_contract(argv, text):
+    assert run_main(argv, text) in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(argv=command_line(), text=st.text(max_size=200))
+def test_arbitrary_text_keeps_the_exit_contract(argv, text):
+    assert run_main(argv, text) in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)

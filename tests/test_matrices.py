@@ -526,3 +526,27 @@ def test_equal_but_distinct_complex_is_a_cohomology_cache_hit():
     group = cohomology(twin, 2)
     assert cohomology.cache_info().hits == hits + 1
     assert group is cohomology(cx, 2)
+
+
+def test_internal_results_skip_the_entry_type_scan(monkeypatch):
+    from tduality.complexes import GradedComplex, cohomology
+
+    rng = random.Random(61)
+    m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)])
+    blocks = [[m, IntMatrix.zeros(3, 2)], [IntMatrix.eye(1, 4, 1), IntMatrix.from_rows([[7, 8]])]]
+    want_blocks = IntMatrix.from_rows(
+        [row + (0, 0) for row in m.entries] + [(0, 1, 0, 0, 7, 8)])
+    cx = GradedComplex((1, 1, 1), (IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])))
+    cohomology.cache_clear()
+
+    def scanned(*args, **kwargs):
+        raise AssertionError("internal result went through from_rows")
+
+    monkeypatch.setattr(IntMatrix, "from_rows", staticmethod(scanned))
+    snf = smith_normal_form(m)
+    assert snf.u @ m @ snf.v == snf.d
+    assert snf.u @ snf.u_inv == IntMatrix.eye(3, 3, 0) == IntMatrix._computed(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    assert snf.v_inv @ snf.v == IntMatrix.eye(4, 4, 0)
+    assert IntMatrix.from_blocks(blocks) == want_blocks
+    assert cohomology(cx, 1).shape == ((), 0) and cohomology(cx, 2).shape == ((2,), 0)
