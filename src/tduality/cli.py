@@ -79,6 +79,10 @@ def _group_entry(shape) -> dict:
     return {"torsion": list(torsion), "free_rank": free_rank, "pretty": describe_shape(shape)}
 
 
+def _describe(cx, n: int) -> str:
+    return describe_shape(cohomology_shapes(cx, n)[n])
+
+
 def _coords(vec: Vector) -> list[int]:
     return [int(x) for x in vec]
 
@@ -118,7 +122,7 @@ def _dual_payload(result) -> dict:
         "ambiguity_rank": result.ambiguity_rank,
         "defining_equation": "ok",  # dualize re-checks it and raises otherwise
         "h3_dual_total": cohomology(dual_total, 3).describe(),
-        "h2_dual_total": describe_shape(cohomology_shapes(dual_total, 2)[2]),
+        "h2_dual_total": _describe(dual_total, 2),
     }
 
 
@@ -141,7 +145,7 @@ def _cmd_dualize(args, resolved: ResolvedSpec) -> Report:
     payload = {
         "command": f"dualize --bundle {name}" + flux_part,
         "degree_window": f"0..{total.top_degree}",
-        "h2_total": describe_shape(cohomology_shapes(total, 2)[2]),
+        "h2_total": _describe(total, 2),
         **_dual_payload(result),
         "sign_convention": SIGN_CONVENTION,
     }
@@ -176,7 +180,7 @@ def _cmd_borel(args, resolved: ResolvedSpec) -> Report:
         "truncation": n,
         "valid_window": f"degrees <= {window}",
         "total_cohomology": table,
-        "h2_total": describe_shape(cohomology_shapes(total, 2)[2]),
+        "h2_total": _describe(total, 2),
         "sign_convention": SIGN_CONVENTION,
     }
     routes = {}
