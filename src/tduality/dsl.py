@@ -6,7 +6,8 @@ references resolve to earlier sections):
     # comment
     [complex NAME]
     kind = algebraic | catalog | simplicial
-    ranks = 1,0,1              (algebraic; omitted coboundaries are zero)
+    ranks = 1,0,1              (algebraic; omitted coboundaries are zero; each
+                                rank r has r * r <= simplicial.MAX_COBOUNDARY_ENTRIES)
     delta0 = 1,2;3,4           (rows separated by ';', entries by ',')
     name = cp                  (catalog)
     params = 2
@@ -51,7 +52,7 @@ from .complexes import GradedComplex
 from .errors import ParseError, PreconditionError
 from .gysin import CupStructure, EulerModel, zero_euler_model
 from .matrices import IntMatrix, Vector
-from .simplicial import cochain_complex_of, from_facets
+from .simplicial import MAX_COBOUNDARY_ENTRIES, cochain_complex_of, from_facets
 
 SECTION_KINDS = ("complex", "bundle", "flux", "action")
 
@@ -300,6 +301,17 @@ def _resolve_complex(section: Section) -> CatalogModel:
             raise ParseError(
                 f"negative rank in [complex {section.name}]", *section.position("ranks")
             )
+        # A rank r gets r x r dense matrices (the Smith transforms of its
+        # coboundaries, a zero block of the twisted total), so r * r is held
+        # to the dense coboundary bound; every coboundary then is too.
+        for n, r in enumerate(ranks):
+            if r * r > MAX_COBOUNDARY_ENTRIES:
+                raise ParseError(
+                    f"rank {r} in degree {n} of [complex {section.name}] gives {r} x {r} "
+                    f"matrices, above simplicial.MAX_COBOUNDARY_ENTRIES = "
+                    f"{MAX_COBOUNDARY_ENTRIES} entries",
+                    *section.position("ranks"),
+                )
         _check_keys(section, ("kind", "ranks", *(f"delta{n}" for n in range(len(ranks) - 1))))
         deltas = []
         for n in range(max(len(ranks) - 1, 0)):

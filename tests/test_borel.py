@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracles import first_sign_pattern
-from tduality import borel
+from tduality import borel, gysin
 from tduality.borel import (
     SemiFreeSpace,
     bunke_route_dual,
@@ -423,6 +423,7 @@ def test_cup_operators_built_on_demand_equal_the_eager_ones():
 def test_realized_class_on_a_glued_base_reads_only_its_nonzero_coefficients():
     golden = json.loads(CUP_GOLDEN.read_text(encoding="utf-8"))[GLUED_KEY]["realized"]
     borel._multi_monopole_bundle.cache_clear()
+    gysin._realize_euler_class.cache_clear()
     model = glued_model()
     coords = tuple(golden["coords"])
     combo = express_in_basis(cohomology(model.base, 2), coords, model.cup.reps)

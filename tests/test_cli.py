@@ -446,3 +446,25 @@ def test_dense_coboundary_bound_fails_at_parse(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "line 3, column 1" in proc.stderr
     assert "simplicial.MAX_COBOUNDARY_ENTRIES" in proc.stderr
+
+
+def test_huge_algebraic_rank_fails_at_parse(tmp_path):
+    # without the rank bound dsl allocates a zero delta0 of 10^8 rows, and
+    # the MemoryError escapes as a traceback under the 1.5 GB cap
+    model = tmp_path / "ranks.tdsl"
+    model.write_text("[complex c]\nkind = algebraic\nranks = 1,100000000\n", encoding="utf-8")
+    proc = _run_module("cohom", "--complex", "c", str(model))
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "line 3, column 1" in proc.stderr
+    assert "simplicial.MAX_COBOUNDARY_ENTRIES" in proc.stderr
+
+
+def test_reports_match_the_committed_transcript_digest():
+    # tests/data/transcript.sha256 holds the digest of tests/transcript.py
+    # on its default model file; an engine change that alters any report
+    # byte changes it
+    from transcript import transcript
+
+    digest, _ = transcript(str(DATA / "transcript.tdsl"))
+    assert digest == (DATA / "transcript.sha256").read_text(encoding="utf-8").strip()

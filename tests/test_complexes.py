@@ -538,7 +538,7 @@ def test_every_cache_is_bounded():
     caches = package_caches()
     assert {"cohomology", "validate_complex", "_coboundary_factors", "total_space",
             "catalog_build", "cochain_complex_of", "_face_index",
-            "_multi_monopole_bundle"} <= set(caches)
+            "_multi_monopole_bundle", "_realize_euler_class", "induced_matrix"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
 

@@ -184,6 +184,20 @@ def test_value_errors_point_at_the_key_line():
 
 
 
+def test_algebraic_ranks_are_bounded_before_allocation():
+    # a rank r gets r x r dense matrices, so 707 (707 * 707 = 499,849) is the
+    # largest rank within simplicial.MAX_COBOUNDARY_ENTRIES = 500,000
+    resolved = resolve(parse_spec("[complex c]\nkind = algebraic\nranks = 707,1\n"))
+    assert resolved.complexes["c"].complex.ranks == (707, 1)
+    # 1,1,5000 has coboundaries of 1 and 5,000 entries, but the twisted
+    # total over it holds a 5000 x 5000 block
+    for ranks in ("708", "1,100000000", "1,1,5000", "0," + "9" * 40):
+        text = f"[complex c]\nkind = algebraic\nranks = {ranks}\n"
+        with pytest.raises(ParseError, match="simplicial.MAX_COBOUNDARY_ENTRIES") as err:
+            resolve(parse_spec(text))
+        assert (err.value.line, err.value.column) == (3, 1)
+
+
 def test_unknown_and_repeated_keys_are_parse_errors():
     text = (
         "[complex c]\nkind = algebraic\nranks = 1,1\nranks = 1,1,1\n"

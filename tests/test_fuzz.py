@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import sys
 from datetime import timedelta
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -180,3 +182,37 @@ def test_generated_models_and_commands_keep_the_exit_contract(argv, text):
 @given(argv=command_line(), text=st.text(max_size=200))
 def test_arbitrary_text_keeps_the_exit_contract(argv, text):
     assert run_main(argv, text) in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)
+
+
+@contextlib.contextmanager
+def address_space_headroom(extra=512 * 2**20):
+    """Cap this process's address space ``extra`` bytes above its present
+    size, so that an input which allocates its huge matrices fails with a
+    MemoryError instead of exhausting the machine."""
+    import resource
+
+    status = Path("/proc/self/status").read_text(encoding="ascii")
+    size = int(re.search(r"^VmSize:\s+(\d+) kB", status, re.M).group(1)) * 1024
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (size + extra, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=1))
+@given(
+    ranks=st.lists(st.integers(0, 3), max_size=3),
+    huge=st.integers(708, 10 ** 30),
+    at=st.integers(0, 3),
+    command=st.sampled_from((["cohom", "--complex", "a"], ["dualize", "--bundle", "b"])),
+)
+def test_huge_ranks_are_rejected_at_once(ranks, huge, at, command):
+    # 708 is the smallest rank whose square exceeds the dense bound; the
+    # deadline fails a draw that builds its matrices before rejecting it
+    ranks.insert(at, huge)
+    text = ("[complex a]\nkind = algebraic\nranks = " + ",".join(map(str, ranks))
+            + "\n[bundle b]\nbase = a\neuler = 0\n")
+    with address_space_headroom():
+        assert run_main([*command, "-"], text) == EXIT_PARSE

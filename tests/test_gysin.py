@@ -4,19 +4,27 @@ import pytest
 
 from generators import random_euler_model
 from oracles import canonical_shape, group_direct_sum
+from tduality import gysin
+from tduality.borel import SemiFreeSpace, truncated_borel
 from tduality.catalog import catalog_build, euler_model_from_cocycle, euler_model_from_label_coeffs
-from tduality.complexes import class_coordinates, cohomology, validate_complex
+from tduality.complexes import CochainMap, class_coordinates, cohomology, validate_complex
 from tduality.errors import PreconditionError
 from tduality.gysin import (
+    PROVENANCE_AW,
+    CupStructure,
     EulerModel,
+    _realize_euler_class,
     fiber_integration,
     gysin_sequence,
+    induced_matrix,
     pullback,
     realize_euler_class,
     total_space,
     zero_euler_model,
 )
+from tduality.matrices import IntMatrix
 from tduality.simplicial import Cochain, coboundary
+from tduality.tdual import double_dual_check, triple_from_flux_coords
 
 
 def cp_bundle(n, k):
@@ -165,9 +173,13 @@ def test_realize_euler_class_requires_cup_data():
     group = cohomology(base, 2)
     zero = realize_euler_class(base, None, (0,) * group.coord_dim, "catalog-algebraic")
     assert all(x == 0 for x in zero.euler_rep)
-    # lens H^2 = Z/k has a nonzero class but no cup table
-    with pytest.raises(PreconditionError):
-        realize_euler_class(base, None, (1,), "catalog-algebraic")
+    # lens H^2 = Z/k has a nonzero class but no cup table; the failure is
+    # not cached, so it is raised on every call
+    entries = _realize_euler_class.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            realize_euler_class(base, None, (1,), "catalog-algebraic")
+    assert _realize_euler_class.cache_info().currsize == entries
 
 
 def test_euler_model_validation():
@@ -285,3 +297,90 @@ def test_triangle_verifier_names_non_exact_nodes():
     circle = GradedComplex.with_zero_deltas((1, 1))
     with pytest.raises(PreconditionError, match="triangle"):
         triangle_exactness(zero, zero, CochainMap.zero(point, circle, 1), labels, 0, 0)
+
+
+# --- caches on the warm duality path and structural maps on first read -----
+
+
+def torus_aw():
+    """The torus with the Alexander-Whitney cup and no declared basis."""
+    torus = catalog_build("torus2", ())
+    return torus.complex, CupStructure((), (), (), simplicial=torus.simplicial), PROVENANCE_AW
+
+
+def cached_path_models():
+    """A nonzero Euler model on cp(1..3), the torus, RP^2 and a multi-monopole
+    base, with the arguments that realize it."""
+    cases = [(catalog_build("cp", (n,)), (n + 1,)) for n in (1, 2, 3)]
+    cases.append((catalog_build("rp2", ()), (1,)))
+    args = [(m.complex, m.cup, coords, m.provenance) for m, coords in cases]
+    args.append(torus_aw()[:2] + ((2,), PROVENANCE_AW))
+    glued = truncated_borel(SemiFreeSpace("multi_monopole", charges=(1, 2, 3, 4)), 2).euler_s1
+    coords = cohomology(glued.base, 2).coordinates(glued.euler_rep)
+    args.append((glued.base, glued.cup, coords, glued.provenance))
+    return [(a, realize_euler_class(*a)) for a in args]
+
+
+def test_cached_results_equal_the_uncached_ones():
+    for (base, cup, coords, provenance), model in cached_path_models():
+        assert model == _realize_euler_class.__wrapped__(base, cup, tuple(coords), provenance)
+        assert realize_euler_class(base, cup, list(coords), provenance) is model
+        tsm = total_space(model)
+        for f in (tsm.pullback_incl, tsm.fiber_proj, model.mu):
+            for n in range(len(f.source.ranks)):
+                assert induced_matrix(f, n) == induced_matrix.__wrapped__(f, n)
+                assert induced_matrix(f, n) is induced_matrix(f, n)
+
+
+def test_a_second_warm_duality_rebuilds_no_model_and_no_induced_matrix(monkeypatch):
+    base, cup, provenance = torus_aw()
+    model = realize_euler_class(base, cup, (2,), provenance)
+    top = total_space(model).total.top_degree
+
+    def warm():
+        report = double_dual_check(triple_from_flux_coords(model, (3,)))
+        return report, gysin_sequence(model, 0, top)
+
+    first = warm()
+    cup_calls = []
+    real_cup_operator = gysin.cup_operator
+
+    def counting(cochain):
+        cup_calls.append(cochain)
+        return real_cup_operator(cochain)
+
+    monkeypatch.setattr(gysin, "cup_operator", counting)
+    before = induced_matrix.cache_info()
+    second = warm()
+    after = induced_matrix.cache_info()
+    assert cup_calls == []
+    assert after.misses == before.misses and after.hits > before.hits
+    assert second == first and second[0].ok and second[1].exact
+
+
+def test_structural_maps_are_built_on_first_read(monkeypatch):
+    base, cup, provenance = torus_aw()
+    models = [cp_bundle(2, 3), realize_euler_class(base, cup, (2,), provenance)]
+    built = []
+    real_post_init = CochainMap.__post_init__
+
+    def counting(self):
+        built.append(self.degree)
+        real_post_init(self)
+
+    monkeypatch.setattr(CochainMap, "__post_init__", counting)
+    for model in models:
+        tsm = total_space.__wrapped__(model)
+        base, total = model.base, tsm.total
+        assert built == []
+        # each map is checked once when first read, then its eye-built copy here
+        assert tsm.pullback_incl == CochainMap(base, total, 0, tuple(
+            IntMatrix.eye(total.rank_at(n), base.rank_at(n), 0) for n in range(len(base.ranks))
+        ))
+        assert tsm.fiber_proj == CochainMap(total, base, -1, tuple(
+            IntMatrix.eye(base.rank_at(n - 1), total.rank_at(n), base.rank_at(n))
+            for n in range(len(total.ranks))
+        ))
+        assert tsm.pullback_incl is tsm.pullback_incl and tsm.fiber_proj is tsm.fiber_proj
+        assert built == [0, 0, -1, -1]
+        built.clear()
