@@ -235,14 +235,19 @@ def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
     mu = glued_mu(free_coeffs, charges)
 
     # declared degree-2 basis of the glued base: every generator is a
-    # (free part, pieces) cocycle, so the same formula yields its operator,
-    # built when an Euler class first reads it
+    # (free part, pieces) cocycle, so the same formula yields its operator.
+    # Its size is read from the shape of H^2; the generators and their
+    # operators are built when an Euler class first reads them, so a level
+    # that only compares shapes presents no H^2
     split = free_part.rank_at(2)
-    gens = cohomology(glued, 2).generators
+    torsion, free_rank = cohomology_shapes(glued, 2)[2]
+    count = len(torsion) + free_rank
+    gens = OnFirstRead(("multi_monopole reps", charges, n), count,
+                       lambda i: cohomology(glued, 2).generators[i])
     cup = CupStructure(
-        tuple(f"g{idx}" for idx in range(len(gens))),
+        tuple(f"g{idx}" for idx in range(count)),
         gens,
-        OnFirstRead(("multi_monopole", charges, n), len(gens),
+        OnFirstRead(("multi_monopole", charges, n), count,
                     lambda i: glued_mu(gens[i][:split], gens[i][split:])),
     )
 

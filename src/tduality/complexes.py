@@ -11,21 +11,26 @@ torsion generators first (ascending invariant factor, then pivot position),
 then free generators, so coordinates are canonical and reports diff cleanly.
 
 ``cohomology_shapes`` gives only the shape ``(torsion, free_rank)`` of each
-degree, from the Smith diagonals of the coboundaries: the torsion of ``H^n``
-is the invariant factors ``>= 2`` of ``delta[n-1]``, and the free rank is
-``rank C^n - rank delta[n] - rank delta[n-1]``.  It reads no transform and
-forms no product, so reports that print or compare shapes only use it.
-``describe_shape`` formats a shape as ``Z/k + Z^r``.
+degree, from the invariant factors of the coboundaries: the torsion of
+``H^n`` is the factors ``>= 2`` of ``delta[n-1]``, and the free rank is
+``rank C^n - rank delta[n] - rank delta[n-1]``.  The factors come from
+``matrices.invariant_factors``, which splits off unit pivots on sparse rows
+and runs the Smith routine only on the dense core left; invariant factors
+are unique, so the shapes equal those of the full elimination.  It reads no
+transform and forms no product, so reports that print or compare shapes only
+use it.  ``cohomology`` keeps the full ``smith_normal_form``, whose step logs
+fix the printed generators.  ``describe_shape`` formats a shape as
+``Z/k + Z^r``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .matrices import IntMatrix, Vector, hash_once, smith_normal_form
+from .matrices import IntMatrix, Vector, hash_once, invariant_factors, smith_normal_form
 
 
 @hash_once
@@ -252,14 +257,14 @@ def _coboundary_factors(c: GradedComplex, n: int) -> Vector:
     """Invariant factors of ``delta[n]``; empty outside the complex."""
     if not 0 <= n < len(c.deltas):
         return ()
-    return smith_normal_form(c.deltas[n]).invariant_factors()
+    return invariant_factors(c.deltas[n])
 
 
 def cohomology_shapes(c: GradedComplex, top: int) -> tuple[Shape, ...]:
     """``cohomology(c, d).shape`` for ``d`` in ``0..top``, one comparison
     entry per degree; degrees above the complex give ``((), 0)``.
 
-    Computed from the Smith diagonals of ``delta[-1..top]`` alone (see the
+    Computed from the invariant factors of ``delta[-1..top]`` alone (see the
     module docstring); an invalid complex raises as ``cohomology`` does.
     """
     _require_valid(c)
@@ -362,18 +367,35 @@ class MappingCone:
     Differential ``D(a, b) = (-delta a, f(a) + delta b)``; any consistent
     convention with the same long exact sequence would do, this one is fixed.
     ``inclusion`` is ``b -> (0, b)`` and ``projection`` is
-    ``(a, b) -> (-1)^n a``, signed per degree so it commutes strictly.
+    ``(a, b) -> (-1)^n a``, signed per degree so it commutes strictly.  Each
+    is built, and checked to commute, the first time it is read.
     """
 
     complex: GradedComplex
-    inclusion: CochainMap   # B -> Cone, degree 1
-    projection: CochainMap  # Cone -> A, degree 0, sign (-1)^n
     f: CochainMap
+
+    @cached_property
+    def inclusion(self) -> CochainMap:
+        """B -> Cone, degree 1: B^m sits below A^{m+1} in Cone^{m+1}."""
+        a_cx, b_cx, cone = self.f.source, self.f.target, self.complex
+        return CochainMap(b_cx, cone, 1, tuple(
+            IntMatrix.eye(cone.rank_at(m + 1), b_cx.rank_at(m), -a_cx.rank_at(m + 1))
+            for m in range(len(b_cx.ranks))
+        ))
+
+    @cached_property
+    def projection(self) -> CochainMap:
+        """Cone -> A, degree 0, sign (-1)^n."""
+        a_cx, cone = self.f.source, self.complex
+        return CochainMap(cone, a_cx, 0, tuple(
+            IntMatrix.eye(a_cx.rank_at(n), cone.rank_at(n), 0).scale((-1) ** n)
+            for n in range(len(cone.ranks))
+        ))
 
 
 def mapping_cone(f: CochainMap) -> MappingCone:
-    """The cone complex of a degree-0 map with its inclusion and projection;
-    a map of any other degree raises ``PreconditionError``."""
+    """The cone complex of a degree-0 map, its structural maps built on first
+    read; a map of any other degree raises ``PreconditionError``."""
     if f.degree != 0:
         raise PreconditionError(f"mapping cones take degree-0 maps, not degree {f.degree}")
     a_cx, b_cx = f.source, f.target
@@ -386,18 +408,7 @@ def mapping_cone(f: CochainMap) -> MappingCone:
         ])
         for n in range(top)
     )
-    cone = GradedComplex(ranks, deltas)
-
-    # B^m sits below A^{m+1} in Cone^{m+1}
-    inclusion = CochainMap(b_cx, cone, 1, tuple(
-        IntMatrix.eye(cone.rank_at(m + 1), b_cx.rank_at(m), -a_cx.rank_at(m + 1))
-        for m in range(len(b_cx.ranks))
-    ))
-    projection = CochainMap(cone, a_cx, 0, tuple(
-        IntMatrix.eye(a_cx.rank_at(n), cone.rank_at(n), 0).scale((-1) ** n)
-        for n in range(len(cone.ranks))
-    ))
-    return MappingCone(cone, inclusion, projection, f)
+    return MappingCone(GradedComplex(ranks, deltas), f)
 
 
 def direct_sum(*parts: GradedComplex) -> GradedComplex:

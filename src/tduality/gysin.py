@@ -113,12 +113,13 @@ class CupStructure:
 
     Algebraic models only carry cup structure on these declared generators;
     simplicial models additionally allow arbitrary representatives through
-    the Alexander-Whitney product (``simplicial`` is then set).  ``mus`` is a
-    tuple or an ``OnFirstRead``, whose operators are built when first read.
+    the Alexander-Whitney product (``simplicial`` is then set).  ``reps`` and
+    ``mus`` are tuples or ``OnFirstRead``s, whose items are built when first
+    read.
     """
 
     labels: tuple[str, ...]
-    reps: tuple[Vector, ...]
+    reps: Sequence[Vector]
     mus: Sequence[CochainMap]
     simplicial: Optional[SimplicialComplex] = None
 

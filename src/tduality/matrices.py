@@ -22,6 +22,14 @@ Conventions:
   of the steps).  Forward replay gives ``U`` and the columns of ``V``;
   mirrored replay, ``row_j += q row_i`` per step (swaps and negations are
   their own inverses), gives the columns of ``U^-1`` and the rows of ``V^-1``.
+* ``invariant_factors`` gives the nonzero Smith diagonal alone.  It splits
+  off unit pivots on dict rows of the nonzeros, choosing each to limit
+  fill-in (Kaczynski-Mrozek-Slusarek; Dumas-Saunders-Villard), and runs
+  ``smith_normal_form`` only on the dense core left.  It logs no step and
+  keeps no transform.  Invariant factors are unique, so the result is that of
+  the full elimination whatever the pivot order.  Only shapes use it: a
+  presentation's generators are read off the transforms, and another pivot
+  order would print other generators.
 * Structural maps of cones, totals and gluings are built from two
   constructors: ``IntMatrix.eye(rows, cols, offset)``, ones at
   ``(i, i + offset)``, and ``IntMatrix.block_diag(blocks)``, the blocks along
@@ -52,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
@@ -409,6 +418,70 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
         t += 1
 
     return SNFDecomposition(IntMatrix._computed(a, nc), tuple(row_steps), tuple(col_steps))
+
+
+def invariant_factors(m: IntMatrix) -> Vector:
+    """``smith_normal_form(m).invariant_factors()`` without transforms.
+
+    Unit pivots are eliminated on dict rows of the nonzeros first: a unit
+    splits off as a direct summand ``(1)``.  The pivot is the unit entry in
+    a shortest row whose column has fewest entries, which keeps fill-in
+    low.  The documented Smith routine then runs on the dense core that is
+    left.  Invariant factors are unique, so any correct elimination gives
+    the same result.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    indices = list(range(m.cols))
+    for i, row in enumerate(m.entries):
+        r = {j: row[j] for j in compress(indices, row)}
+        if r:
+            rows[i] = r
+            for j in r:
+                cols.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapify(heap)
+    units = 0
+    while heap:
+        length, i = heappop(heap)
+        r = rows.get(i)
+        if r is None or len(r) != length:
+            continue  # stale: the row was eliminated or changed since
+        unit_cols = [j for j, x in r.items() if x == 1 or x == -1]
+        if not unit_cols:
+            continue  # no unit now; the row is queued again if it changes
+        pj = min(unit_cols, key=lambda j: len(cols[j]))
+        del rows[i]
+        for j in r:
+            cols[j].discard(i)
+        # row_k -= (r_k[pj] / p) row_i clears column pj; then column steps
+        # against the pivot clear row i without touching anything else
+        p = r[pj]
+        for k in cols.pop(pj):
+            rk = rows[k]
+            q = rk[pj] * p
+            for j, x in r.items():
+                y = rk.get(j, 0) - q * x
+                if y:
+                    if j not in rk:
+                        cols[j].add(k)
+                    rk[j] = y
+                else:
+                    del rk[j]
+                    if j != pj:
+                        cols[j].discard(k)
+            if rk:
+                heappush(heap, (len(rk), k))
+            else:
+                del rows[k]
+        units += 1
+    core_cols = sorted({j for r in rows.values() for j in r})
+    if not core_cols:
+        return (1,) * units
+    core = IntMatrix._computed(
+        ([r.get(j, 0) for j in core_cols] for _, r in sorted(rows.items())), len(core_cols)
+    )
+    return (1,) * units + smith_normal_form(core).invariant_factors()
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -368,6 +368,27 @@ def test_stability_witness_names_the_first_unstable_degree():
     assert broken.witness == "base H^2 differs: ((), 1) at N=2, ((), 2) at N=3"
 
 
+def test_stability_presents_no_h2_of_the_glued_base_at_the_next_level(monkeypatch):
+    import sys
+
+    presented = []
+
+    def recording(c, n, _cohomology=cohomology):
+        presented.append(c)
+        return _cohomology(c, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tduality") and getattr(module, "cohomology", None) is cohomology:
+            monkeypatch.setattr(module, "cohomology", recording)
+    space = SemiFreeSpace("multi_monopole", charges=(3, 2, 1))
+    borel._multi_monopole_bundle.cache_clear()
+    assert stability_check(space, 2, 3).stable
+    upper = truncated_borel(space, 3).euler_s1
+    assert upper.base not in presented
+    assert upper.cup.reps.built == upper.cup.mus.built == 0 < len(upper.cup.reps)
+    assert upper.cup.reps[0] == cohomology(upper.base, 2).generators[0]
+
+
 def test_route_disagreement_names_the_field():
     three = mathai_wu_dual(SemiFreeSpace("monopole", charges=(3,)), 1)
     five = mathai_wu_dual(SemiFreeSpace("monopole", charges=(5,)), 1)

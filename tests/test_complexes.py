@@ -375,21 +375,58 @@ def test_cohomology_shapes_reject_an_invalid_complex_as_cohomology_does():
     assert str(shaped.value) == str(presented.value) == "invalid complex: delta[1] @ delta[0] != 0"
 
 
+# The benchmark's wide charge set: at truncation 2 the Smith transforms of
+# its glued total reach hundreds of bits.
+WIDE_CHARGES = (287, 10, 44, 40, 23, 11, 36, 39, 12, 25, 19, 28)
+
+
+def glued_total(charges, n):
+    from tduality.borel import SemiFreeSpace, truncated_borel
+    from tduality.gysin import total_space
+
+    bundle = truncated_borel(SemiFreeSpace("multi_monopole", charges=charges), n)
+    return bundle.base_model, total_space(bundle.euler_s1).total
+
+
+def test_invariant_factors_equal_the_smith_diagonal_on_engine_coboundaries():
+    from tduality.catalog import catalog_build, euler_model_from_label_coeffs
+    from tduality.gysin import total_space
+    from tduality.matrices import invariant_factors
+
+    complexes = list(glued_total(WIDE_CHARGES, 2))
+    for n, k in ((1, 1), (3, 6), (10, 3), (20, 12)):
+        model = euler_model_from_label_coeffs(catalog_build("cp", (n,)), {"u": k})
+        complexes.append(total_space(model).total)
+    ladder = [torus_facets(4), torus_facets(6), cross_polytope_facets(3),
+              cross_polytope_facets(4), cross_polytope_facets(5),
+              [tuple(v for v in range(7) if v != skip) for skip in range(7)]]
+    rng = random.Random(61)
+    complexes += [cochain_complex_of(from_facets(relabelled(f, rng))) for f in ladder]
+    for cx in complexes:
+        for delta in cx.deltas:
+            assert invariant_factors(delta) == smith_normal_form(delta).invariant_factors()
+
+
 def test_cohomology_shapes_read_no_transform_and_form_no_product(monkeypatch):
     from tduality import matrices
+    from tduality.complexes import _coboundary_factors
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a transform or a product was built")
 
     rng = random.Random(59)
     fresh = [cochain_complex_of(from_facets(relabelled(rp2_facets(4), rng))),
-             random_complex(rng)]
+             random_complex(rng), *glued_total((4, 2, 2), 2)]
+    want = [cohomology(cx, d).shape for cx in fresh[2:] for d in range(cx.top_degree + 1)]
     for cx in fresh:
         validate_complex(cx)  # checking the complex multiplies coboundaries
+    _coboundary_factors.cache_clear()  # building the glued base read its shapes
     monkeypatch.setattr(matrices, "_replay", forbidden)
     monkeypatch.setattr(matrices.IntMatrix, "__matmul__", forbidden)
     assert cohomology_shapes(fresh[0], 2) == (((), 1), ((), 0), ((2,), 0))
     cohomology_shapes(fresh[1], fresh[1].top_degree)
+    got = [s for cx in fresh[2:] for s in cohomology_shapes(cx, cx.top_degree)]
+    assert got == want and ((2, 2), 1) in got  # the glued total has torsion
     with pytest.raises(AssertionError, match="transform or a product"):
         cohomology(fresh[0], 1)
 
@@ -445,6 +482,24 @@ def test_cone_structural_maps_commute():
     assert cone.projection.degree == 0
 
 
+def test_cone_builds_its_structural_maps_on_first_read(monkeypatch):
+    built = []
+    check = CochainMap.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    rng = random.Random(45)
+    a = random_complex(rng, max_rank=2, max_deg=4)
+    b = random_complex(rng, max_rank=2, max_deg=4)
+    f = CochainMap.zero(a, b, 0)
+    monkeypatch.setattr(CochainMap, "__post_init__", counted)
+    cone = mapping_cone(f)
+    assert cone.complex.top_degree == max(a.top_degree, b.top_degree + 1) and built == []
+    assert cone.inclusion is cone.inclusion and len(built) == 1
+    assert cone.projection.source == cone.complex and len(built) == 2
+    assert cone == mapping_cone(f) and len(built) == 2
 def test_cone_rejects_maps_of_nonzero_degree():
     point = GradedComplex.with_zero_deltas((1,))
     b = GradedComplex((1, 1), (IntMatrix.from_rows([[1]]),))

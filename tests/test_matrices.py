@@ -18,6 +18,7 @@ from tduality.errors import PreconditionError
 from tduality.matrices import (
     IntMatrix,
     hermite_normal_form,
+    invariant_factors,
     kernel_basis,
     lattice_member,
     reduce_mod_lattice,
@@ -90,6 +91,31 @@ def test_snf_matches_gcd_reduction_oracle(rows, cols, data):
     m = IntMatrix.from_rows(entries, cols=cols)
     snf = check_snf_invariants(m)
     assert list(snf.invariant_factors()) == snf_diag(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.sampled_from((10, 40, 100)),
+       st.booleans(), st.randoms(use_true_random=True))
+def test_invariant_factors_equal_the_smith_diagonal(rows, cols, percent, wide, rng):
+    # unit draws are eliminated whole by the sparse pivots; wide draws mix
+    # units with entries up to 2^64, so fill-in reaches the dense core
+    bounds = (1, 2**64) if wide else (1,)
+    entries = [
+        [rng.randint(-b, b) if rng.randrange(100) < percent else 0
+         for b in (rng.choice(bounds) for _ in range(cols))]
+        for _ in range(rows)
+    ]
+    m = IntMatrix.from_rows(entries, cols=cols)
+    assert invariant_factors(m) == smith_normal_form(m).invariant_factors()
+
+
+def test_invariant_factors_split_off_units_and_leave_the_torsion_core():
+    # two unit pivots, then the core [[2, 0], [0, 6]] -> (2, 6)
+    m = IntMatrix.from_rows([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 6, 0], [1, 1, 0, 1]])
+    assert invariant_factors(m) == (1, 1, 2, 6)
+    assert invariant_factors(IntMatrix.zeros(3, 2)) == ()
+    assert invariant_factors(IntMatrix.zeros(0, 4)) == ()
+    assert invariant_factors(IntMatrix.from_rows([[4, 6]])) == (2,)
 
 
 def _identity_rows(n):
