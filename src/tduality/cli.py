@@ -14,6 +14,11 @@ re-runs for identical input.
 
 Exit codes: 0 success, 1 parse error, 2 precondition violation,
 3 internal invariant failure (always a bug).
+
+The argument parser is built once per process, on the first call to
+:func:`main` or :func:`execute`, and reused after that: importing this module
+builds nothing, and both functions can be called any number of times in one
+process, each call parsing its own arguments into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -336,9 +341,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on first use.
+
+    It is a constant of the program: ``parse_args`` leaves it unchanged and
+    returns a new namespace each call, so no call sees another's arguments.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def execute(argv: Sequence[str], spec: SpecFile) -> Report:
     """Run one command against a parsed model file."""
-    return _dispatch(build_parser().parse_args(list(argv)), spec)
+    return _dispatch(_parser().parse_args(list(argv)), spec)
 
 
 def _dispatch(args: argparse.Namespace, spec: SpecFile) -> Report:
@@ -356,9 +376,8 @@ def _read_source(path: str) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     use_json = args.json

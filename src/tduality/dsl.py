@@ -7,7 +7,8 @@ references resolve to earlier sections):
     [complex NAME]
     kind = algebraic | catalog | simplicial
     ranks = 1,0,1              (algebraic; omitted coboundaries are zero; each
-                                rank r has r * r <= simplicial.MAX_COBOUNDARY_ENTRIES)
+                                rank r has r * r <= simplicial.MAX_COBOUNDARY_ENTRIES,
+                                and there are at most MAX_DEGREES ranks)
     delta0 = 1,2;3,4           (rows separated by ';', entries by ',')
     name = cp                  (catalog)
     params = 2
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .catalog import (
-    CATALOG_NAMES, CatalogModel, catalog_build, euler_model_from_cocycle,
+    CATALOG_NAMES, MAX_LEVEL, CatalogModel, catalog_build, euler_model_from_cocycle,
     euler_model_from_label_coeffs,
 )
 from .complexes import GradedComplex
@@ -55,6 +56,11 @@ from .matrices import IntMatrix, Vector
 from .simplicial import MAX_COBOUNDARY_ENTRIES, cochain_complex_of, from_facets
 
 SECTION_KINDS = ("complex", "bundle", "flux", "action")
+
+# Most degrees an algebraic complex may list: as many as lens(k, MAX_LEVEL),
+# the largest catalog complex.  Every command works degree by degree, so an
+# unbounded list of even rank-1 degrees is unbounded time.
+MAX_DEGREES = 2 * MAX_LEVEL + 2
 
 _HEADER_RE = re.compile(r"^\[\s*([a-z_]+)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\]$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
@@ -297,6 +303,12 @@ def _resolve_complex(section: Section) -> CatalogModel:
         return CatalogModel(f"user:{section.name}", (), cochain_complex_of(k), cup)
     if kind == "algebraic":
         ranks = _parse_int_list(_require(section, "ranks"), section, "ranks")
+        if len(ranks) > MAX_DEGREES:
+            raise ParseError(
+                f"[complex {section.name}] lists {len(ranks)} degrees, above "
+                f"dsl.MAX_DEGREES = 2 * catalog.MAX_LEVEL + 2 = {MAX_DEGREES}",
+                *section.position("ranks"),
+            )
         if any(r < 0 for r in ranks):
             raise ParseError(
                 f"negative rank in [complex {section.name}]", *section.position("ranks")

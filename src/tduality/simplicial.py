@@ -122,7 +122,7 @@ def cochain_complex_of(k: SimplicialComplex) -> GradedComplex:
             for i in range(len(sigma)):
                 tau = sigma[:i] + sigma[i + 1:]
                 rows[r][idx[tau]] += -1 if i % 2 else 1
-        deltas.append(IntMatrix.from_rows(rows, cols=ranks[n]))
+        deltas.append(IntMatrix._computed(rows, ranks[n]))
     return GradedComplex(ranks, tuple(deltas))
 
 

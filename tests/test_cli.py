@@ -242,6 +242,73 @@ def test_execute_ignores_the_output_flag():
         assert execute(argv, spec) == execute(["dualize", "--bundle", "b", str(SAMPLE)], spec)
 
 
+def test_later_calls_build_no_parser(capsys, monkeypatch):
+    import argparse
+
+    from tduality.cli import build_parser
+
+    spec = parse_spec(SAMPLE.read_text(encoding="utf-8"))
+    run(capsys, "cohom", "--complex", "circle", str(SAMPLE))  # builds it, if nothing has yet
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["--json", "borel", "--action", "m", str(SAMPLE)],
+                 ["verify", "--bogus", str(SAMPLE)], ["--help"]):
+        run(capsys, *argv)
+        execute(["dualize", "--bundle", "b", str(SAMPLE)], spec)
+    assert built == []
+    build_parser()  # the counter sees a build: the parser and its 4 subparsers
+    assert len(built) == 5
+
+
+def test_importing_the_package_builds_no_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tduality, tduality.cli as c; print(c._PARSER)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout == "None\n", proc.stderr
+
+
+# one process, one parser: argparse successes, errors and --help in between
+REUSE_SEQUENCE = (
+    (["--json", "borel", "--action", "m", "--route", "both"], "golden_borel_monopole_both.txt"),
+    (["borel", "--action", "m", "--route", "both"], None),
+    (["borel", "--route", "sideways", "--action", "m"], None),
+    (["--help"], None),
+    (["dualize", "--bundle", "b"], "golden_dualize_b.txt"),
+)
+
+
+def test_a_sequence_in_one_process_prints_what_each_call_prints_alone(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    codes = []
+    for argv, golden in REUSE_SEQUENCE:
+        argv = argv if argv == ["--help"] else [*argv, str(SAMPLE)]
+        code, out, err = run(capsys, *argv)
+        alone = _run_module(*argv)  # a fresh interpreter, which builds its own parser
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+        if golden is not None:
+            assert out == (DATA / golden).read_text(encoding="utf-8")
+        codes.append(code)
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_PARSE, EXIT_OK, EXIT_OK]
+
+
+def test_json_after_the_subcommand_does_not_carry_into_the_next_call(capsys):
+    argv = ["borel", "--action", "m", str(SAMPLE)]
+    _, before, _ = run(capsys, *argv)
+    code, as_json, _ = run(capsys, "borel", "--json", "--action", "m", str(SAMPLE))
+    assert code == EXIT_OK and json.loads(as_json)["command"] == "borel --action m --route mw"
+    _, after, _ = run(capsys, *argv)
+    assert after == before and after.startswith("command: borel")
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 
@@ -458,6 +525,28 @@ def test_huge_algebraic_rank_fails_at_parse(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "line 3, column 1" in proc.stderr
     assert "simplicial.MAX_COBOUNDARY_ENTRIES" in proc.stderr
+
+
+def test_degree_count_bound_fails_at_parse(tmp_path):
+    # without the bound verify's time grows with the number of rank-1
+    # degrees; 402 is the degree count of lens(k, catalog.MAX_LEVEL)
+    from tduality.catalog import MAX_LEVEL
+    from tduality.dsl import MAX_DEGREES
+
+    assert MAX_DEGREES == 2 * MAX_LEVEL + 2 == 402
+    model = tmp_path / "degrees.tdsl"
+    for count, code in ((MAX_DEGREES, EXIT_OK), (MAX_DEGREES + 1, EXIT_PARSE)):
+        ranks = ",".join(["1"] * count)
+        model.write_text(
+            f"[complex c]\nkind = algebraic\nranks = {ranks}\n[bundle b]\nbase = c\neuler = 0\n",
+            encoding="utf-8",
+        )
+        proc = _run_module("verify", str(model))
+        assert proc.returncode == code, (count, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        if code == EXIT_PARSE:
+            assert "line 3, column 1" in proc.stderr
+            assert f"lists {count} degrees" in proc.stderr and "dsl.MAX_DEGREES" in proc.stderr
 
 
 def test_reports_match_the_committed_transcript_digest():

@@ -3,7 +3,8 @@
 Every input must end in exit 0 (success), 1 (parse error) or 2 (bad user
 data), with no exception escaping ``cli.main``; exit 3 is reserved for engine
 bugs.  Model sizes stay small (truncation and levels at most 4, at most four
-charges), so each example runs well inside its deadline.
+charges), so each example runs well inside its deadline; the one long draw is
+an algebraic complex of rank-0 or rank-1 degrees around ``dsl.MAX_DEGREES``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tduality.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+from tduality.dsl import MAX_DEGREES
 
 small = st.integers(-1, 4)
 int_list = st.lists(small, min_size=0, max_size=4).map(lambda xs: ",".join(map(str, xs)))
@@ -31,6 +33,10 @@ def mostly(valid):
 
 
 name = st.sampled_from(("a", "a", "b", "zz"))  # a reference, sometimes undeclared
+# rank-0 or rank-1 degrees in numbers around dsl.MAX_DEGREES, which parse
+# (and run at their full length) up to it and fail at parse above it
+long_ranks = st.tuples(st.integers(MAX_DEGREES - 2, MAX_DEGREES + 2), st.integers(0, 1)).map(
+    lambda t: [t[1]] * t[0])
 KINDS = ("complex", "bundle", "flux", "action")
 
 
@@ -62,9 +68,12 @@ def complex_section(draw):
             ("cp", "lens", "circle", "point", "sphere2", "torus2", "rp2", "nope"))))
         lines.append("params = " + draw(mostly(st.integers(1, 4).map(str) | int_list)))
     elif kind == "algebraic":
-        ranks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        ranks = draw(st.one_of(
+            st.lists(st.integers(0, 3), min_size=1, max_size=4),
+            long_ranks,
+        ))
         lines.append("ranks = " + ",".join(map(str, ranks)))
-        for n in range(len(ranks) - 1):
+        for n in range(min(len(ranks) - 1, 3)):
             if draw(st.booleans()):
                 lines.append(f"delta{n} = " + draw(mostly(matrix_text())))
     elif kind == "simplicial":
