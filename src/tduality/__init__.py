@@ -47,7 +47,6 @@ from .simplicial import (
     cup_operator,
     cup_product,
     from_facets,
-    unit_cochain,
 )
 from .tdual import (
     TDualResult,

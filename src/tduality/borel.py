@@ -20,11 +20,11 @@ on literal associated bundles):
   free part of the quotient 3-sphere.
 
 Two dualization routes are provided.  ``mathai_wu_dual`` feeds the catalog
-Borel bundle to the transform directly.  ``bunke_route_dual`` dualizes the
-same bundle after certifying its twisted total degreewise against the
-explicit ``lens(k, N)`` model of each supported kind.  Only that certificate
-is independent: the routes share the model, so their agreement checks the
-dual flux choice, not the model.
+Borel bundle to the transform directly.  ``bunke_route_dual`` returns the
+same dual once ``lens_certificate`` has compared the twisted total degree by
+degree with the explicit ``lens(k, N)`` model of each supported kind.  The
+routes share the model and the transform, so only that certificate is
+independent, and a caller wanting both routes dualizes once.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .gysin import (
     total_space,
 )
 from .matrices import IntMatrix, Vector
-from .tdual import TDualResult, TDualityTriple, canonical_flux_rep, dualize, triple
+from .tdual import TDualResult, TDualityTriple, dualize, triple
 
 KINDS = ("point_fixed", "monopole", "free_hopf", "multi_monopole", "free_bundle")
 
@@ -318,37 +318,33 @@ _SIMPLICIAL_ROUTE = {
 }
 
 
-def bunke_route_dual(space: SemiFreeSpace, n: int) -> TDualResult:
-    """Dualize the Borel bundle once its twisted total is certified
-    degreewise against the explicit lens model of the same space."""
+def lens_certificate(space: SemiFreeSpace, n: int) -> str:
+    """Empty when the twisted total of the action's Borel bundle has, in
+    every degree, the shape of the explicit lens model of the same space;
+    otherwise the first degree that differs with both shapes."""
     _check_truncation(space, n)
     if space.kind not in _SIMPLICIAL_ROUTE:
         raise PreconditionError(
             f"kind {space.kind!r} has no declared simplicial-space route"
         )
-    bundle = _borel_bundle(space, n)
-    total = total_space(bundle.euler_s1).total
+    total = total_space(_borel_bundle(space, n).euler_s1).total
     reference = catalog_build("lens", _SIMPLICIAL_ROUTE[space.kind](n, space.charges)).complex
     top = max(total.top_degree, reference.top_degree)
     pairs = zip(cohomology_shapes(total, top), cohomology_shapes(reference, top))
     for d, (got, want) in enumerate(pairs):
         if got != want:
-            raise InternalCheckError(
-                f"simplicial-route certification failed in degree {d}: "
-                f"total gives {got}, independent model gives {want}"
-            )
-    return dualize(_triple_for(bundle, space.flux))
-
-
-def route_disagreement(a: TDualResult, b: TDualResult) -> str:
-    """Empty when two dualization routes agree, that is, give the same dual
-    Euler class and the same canonical dual flux; otherwise the first field
-    that differs with both values."""
-    for field, x, y in (("dual_euler", a.dual_euler, b.dual_euler),
-                        ("canonical_flux_coords", canonical_flux_rep(a), canonical_flux_rep(b))):
-        if x != y:
-            return f"{field} differs: {list(x)} against {list(y)}"
+            return (f"simplicial-route certification failed in degree {d}: "
+                    f"total gives {got}, independent model gives {want}")
     return ""
+
+
+def bunke_route_dual(space: SemiFreeSpace, n: int) -> TDualResult:
+    """The dual of ``mathai_wu_dual``, returned once the lens certificate
+    holds; a failed certificate is an engine fault."""
+    failure = lens_certificate(space, n)
+    if failure:
+        raise InternalCheckError(failure)
+    return mathai_wu_dual(space, n)
 
 
 def multi_monopole_dual(charges: tuple[int, ...], n: int) -> TDualResult:

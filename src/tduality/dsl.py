@@ -6,9 +6,10 @@ references resolve to earlier sections):
     # comment
     [complex NAME]
     kind = algebraic | catalog | simplicial
-    ranks = 1,0,1              (algebraic; omitted coboundaries are zero; each
-                                rank r has r * r <= simplicial.MAX_COBOUNDARY_ENTRIES,
-                                and there are at most MAX_DEGREES ranks)
+    ranks = 1,0,1              (algebraic; omitted coboundaries are zero; the sum
+                                of r * r over the ranks r is at most
+                                simplicial.MAX_COBOUNDARY_ENTRIES, and there are
+                                at most MAX_DEGREES ranks)
     delta0 = 1,2;3,4           (rows separated by ';', entries by ',')
     name = cp                  (catalog)
     params = 2
@@ -314,16 +315,16 @@ def _resolve_complex(section: Section) -> CatalogModel:
                 f"negative rank in [complex {section.name}]", *section.position("ranks")
             )
         # A rank r gets r x r dense matrices (the Smith transforms of its
-        # coboundaries, a zero block of the twisted total), so r * r is held
-        # to the dense coboundary bound; every coboundary then is too.
-        for n, r in enumerate(ranks):
-            if r * r > MAX_COBOUNDARY_ENTRIES:
-                raise ParseError(
-                    f"rank {r} in degree {n} of [complex {section.name}] gives {r} x {r} "
-                    f"matrices, above simplicial.MAX_COBOUNDARY_ENTRIES = "
-                    f"{MAX_COBOUNDARY_ENTRIES} entries",
-                    *section.position("ranks"),
-                )
+        # coboundaries, a zero block of the twisted total), and a command
+        # works through those of every degree, so their sum of r * r is held
+        # to the dense coboundary bound; each rank and coboundary then is too.
+        if sum(r * r for r in ranks) > MAX_COBOUNDARY_ENTRIES:
+            raise ParseError(
+                f"ranks of [complex {section.name}] give r x r matrices of more than "
+                f"simplicial.MAX_COBOUNDARY_ENTRIES = {MAX_COBOUNDARY_ENTRIES} entries "
+                "in all (the sum of r * r over the degrees)",
+                *section.position("ranks"),
+            )
         _check_keys(section, ("kind", "ranks", *(f"delta{n}" for n in range(len(ranks) - 1))))
         deltas = []
         for n in range(max(len(ranks) - 1, 0)):

@@ -50,9 +50,7 @@ from .complexes import (
     validate_complex,
 )
 from .errors import InternalCheckError, PreconditionError
-from .matrices import (
-    IntMatrix, Vector, hash_once, hermite_normal_form, kernel_basis, solve_integer_system,
-)
+from .matrices import IntMatrix, Vector, hash_once, hermite_normal_form, kernel_basis
 from .simplicial import Cochain, SimplicialComplex, cup_operator
 
 PROVENANCE_AW = "simplicial-AW"
@@ -109,11 +107,14 @@ class OnFirstRead(Sequence):
 @hash_once
 @dataclass(frozen=True)
 class CupStructure:
-    """Declared degree-2 classes of a base together with their cup operators.
+    """Declared degree-2 basis of a base together with its cup operators.
 
-    Algebraic models only carry cup structure on these declared generators;
-    simplicial models additionally allow arbitrary representatives through
-    the Alexander-Whitney product (``simplicial`` is then set).  ``reps`` and
+    A nonempty declared basis is the H^2 generator basis of the base, in
+    order (``cohomology(base, 2).generators``); realizing an Euler class over
+    any other basis is a ``PreconditionError``.  Algebraic models only carry
+    cup structure on these declared generators; simplicial models
+    additionally allow arbitrary representatives through the
+    Alexander-Whitney product (``simplicial`` is then set).  ``reps`` and
     ``mus`` are tuples or ``OnFirstRead``s, whose items are built when first
     read.
     """
@@ -171,11 +172,13 @@ def realize_euler_class(
 ) -> EulerModel:
     """Euler model for the class with the given coordinates in H^2(base).
 
-    Coordinates are first expressed in the declared cup basis, and only the
-    operators of nonzero coefficients are read; simplicial bases fall back to
-    the Alexander-Whitney operator on the reduced representative.  Fails
-    when the class admits no cup realization.  Equal arguments give the same
-    model object; a failure is not kept, so it is raised again on every call.
+    A declared cup basis is the H^2 generator basis, so the representative is
+    the combination of generators with these coordinates and the operator the
+    sum of the basis operators of the nonzero ones, the only ones read;
+    simplicial bases without a declared basis use the Alexander-Whitney
+    operator.  Fails when the class admits no cup realization.  Equal
+    arguments give the same model object; a failure is not kept, so it is
+    raised again on every call.
     """
     return _realize_euler_class(base, cup, tuple(coords), provenance)
 
@@ -195,40 +198,23 @@ def _realize_euler_class(
         )
     if all(c == 0 for c in coords):
         return zero_euler_model(base, cup, provenance)
-    declared = cup is not None and bool(cup.labels)
-    combo = express_in_basis(group, coords, cup.reps) if declared else None
-    if combo is None:
-        if cup is not None and cup.simplicial is not None:
-            rep = group.rep_from_coords(coords)
-            mu = cup_operator(Cochain(cup.simplicial, 2, rep))
-            return EulerModel(base, rep, mu, PROVENANCE_AW, cup)
-        raise PreconditionError(
-            "class is not an integer combination of the declared degree-2 basis" if declared
-            else "base carries no cup structure; only the zero Euler class is realizable"
-        )
-    rep = [0] * base.rank_at(2)
-    for c, basis_rep in zip(combo, cup.reps):
-        for k in range(len(rep)):
-            rep[k] += c * basis_rep[k]
-    terms = [(c, cup.mus[i]) for i, c in enumerate(combo) if c]
-    mu = cochain_map_sum(terms) if terms else CochainMap.zero(base, base, 2)
-    return EulerModel(base, tuple(rep), mu, provenance, cup)
-
-
-def express_in_basis(
-    group: CohomologyGroup, target: Vector, basis_reps: Sequence[Vector]
-) -> Optional[Vector]:
-    """Integer combination of basis classes hitting ``target`` coordinates.
-
-    Solves ``T x = target`` in the coordinate group (torsion relations
-    included); returns None when no combination exists.
-    """
-    # columns: the basis classes, then the torsion relations
-    rows = [group.coordinates(rep) for rep in basis_reps] + list(group.relation_rows())
-    sol = solve_integer_system(IntMatrix.from_rows(rows, cols=group.coord_dim).transpose(), target)
-    if sol is None:
-        return None
-    return sol.particular[: len(basis_reps)]
+    rep = group.rep_from_coords(coords)
+    if cup is not None and cup.labels:
+        if len(cup.reps) != group.coord_dim or any(
+            tuple(cup.reps[i]) != gen for i, gen in enumerate(group.generators)
+        ):
+            raise PreconditionError(
+                f"declared degree-2 basis {list(cup.labels)} is not the H^2 generator "
+                "basis of its base"
+            )
+        mu = cochain_map_sum([(c, cup.mus[i]) for i, c in enumerate(coords) if c])
+        return EulerModel(base, rep, mu, provenance, cup)
+    if cup is not None and cup.simplicial is not None:
+        mu = cup_operator(Cochain(cup.simplicial, 2, rep))
+        return EulerModel(base, rep, mu, PROVENANCE_AW, cup)
+    raise PreconditionError(
+        "base carries no cup structure; only the zero Euler class is realizable"
+    )
 
 
 @dataclass(frozen=True)

@@ -152,10 +152,6 @@ class Cochain:
         return Cochain(self.complex, self.degree, tuple(c * v for v in self.values))
 
 
-def unit_cochain(k: SimplicialComplex) -> Cochain:
-    return Cochain(k, 0, (1,) * k.n_faces(0))
-
-
 def coboundary(c: Cochain) -> Cochain:
     cx = cochain_complex_of(c.complex)
     return Cochain(c.complex, c.degree + 1, cx.delta_at(c.degree).apply(c.values))

@@ -11,6 +11,7 @@ from tduality import borel, gysin
 from tduality.borel import (
     SemiFreeSpace,
     bunke_route_dual,
+    lens_certificate,
     mathai_wu_dual,
     mayer_vietoris_glue,
     multi_monopole_dual,
@@ -19,9 +20,9 @@ from tduality.borel import (
 )
 from tduality.catalog import catalog_build, cp_restriction
 from tduality.complexes import CochainMap, GradedComplex, MappingCone, cohomology, mapping_cone
-from tduality.errors import PreconditionError
+from tduality.errors import InternalCheckError, PreconditionError
 from tduality.gysin import (
-    OnFirstRead, cone_exactness, express_in_basis, realize_euler_class, total_space,
+    CupStructure, OnFirstRead, cone_exactness, realize_euler_class, total_space,
 )
 from tduality.matrices import IntMatrix
 from tduality.tdual import canonical_flux_rep
@@ -112,6 +113,7 @@ def test_mathai_wu_free_hopf():
 )
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_route_agreement(space, n):
+    assert lens_certificate(space, n) == ""
     mw = mathai_wu_dual(space, n)
     bk = bunke_route_dual(space, n)
     assert mw.dual_euler == bk.dual_euler
@@ -389,14 +391,56 @@ def test_stability_presents_no_h2_of_the_glued_base_at_the_next_level(monkeypatc
     assert upper.cup.reps[0] == cohomology(upper.base, 2).generators[0]
 
 
-def test_route_disagreement_names_the_field():
-    three = mathai_wu_dual(SemiFreeSpace("monopole", charges=(3,)), 1)
-    five = mathai_wu_dual(SemiFreeSpace("monopole", charges=(5,)), 1)
-    fluxed = mathai_wu_dual(SemiFreeSpace("monopole", charges=(3,), flux=(1,)), 1)
-    same = bunke_route_dual(SemiFreeSpace("monopole", charges=(3,)), 1)
-    assert borel.route_disagreement(three, same) == ""
-    assert borel.route_disagreement(three, five) == "canonical_flux_coords differs: [3] against [5]"
-    assert borel.route_disagreement(three, fluxed) == "dual_euler differs: [0] against [1]"
+def test_failed_lens_certificate_names_the_degree(monkeypatch):
+    space = SemiFreeSpace("monopole", charges=(3,))
+    assert lens_certificate(space, 2) == ""
+    monkeypatch.setitem(borel._SIMPLICIAL_ROUTE, "monopole", lambda n, charges: (5, n))
+    witness = ("simplicial-route certification failed in degree 2: "
+               "total gives ((3,), 0), independent model gives ((5,), 0)")
+    assert lens_certificate(space, 2) == witness
+    with pytest.raises(InternalCheckError) as err:
+        bunke_route_dual(space, 2)
+    assert str(err.value) == witness
+    with pytest.raises(PreconditionError, match="no declared simplicial-space route"):
+        lens_certificate(SemiFreeSpace("multi_monopole", charges=(1, 1)), 2)
+
+
+def engine_cup_bases():
+    # every base whose cup basis the engine declares: the catalog models and
+    # the glued multi-monopole bases
+    for name, params in (("cp", (1,)), ("cp", (2,)), ("cp", (3,)), ("cp", (5,)),
+                         ("sphere2", ()), ("torus2", ()), ("rp2", ())):
+        model = catalog_build(name, params)
+        yield model.display_name, model.complex, model.cup, model.provenance
+    for charges in ((1, 1), (2, 1, 1), (4, 2, 2), (3, 5, 2, 6), (1,) * 6,
+                    (287, 10, 44, 40, 23, 11, 36, 39, 12, 25, 19, 28)):
+        for n in (1, 2, 3):
+            euler = truncated_borel(SemiFreeSpace("multi_monopole", charges=charges), n).euler_s1
+            yield f"{charges} at N = {n}", euler.base, euler.cup, euler.provenance
+
+
+def test_every_engine_cup_basis_is_the_generator_basis():
+    for key, base, cup, provenance in engine_cup_bases():
+        generators = cohomology(base, 2).generators
+        assert cup.labels and list(cup.reps) == list(generators), key
+        # so the class with coordinates e_i is realized by generator i
+        for i, gen in enumerate(generators):
+            coords = tuple(int(i == j) for j in range(len(generators)))
+            real = realize_euler_class(base, cup, coords, provenance)
+            assert real.euler_rep == gen and real.mu == cup.mus[i], (key, i)
+
+
+def test_a_foreign_declared_basis_is_rejected():
+    cp = catalog_build("cp", (2,))
+    for reps in (((2,),), ((1,), (1,))):
+        foreign = CupStructure(("u",) * len(reps), reps, (cp.cup.mus[0],) * len(reps))
+        with pytest.raises(PreconditionError, match=r"not the H\^2 generator basis"):
+            realize_euler_class(cp.complex, foreign, (1,), cp.provenance)
+    torus = catalog_build("torus2")
+    shifted = tuple(-x for x in torus.cup.reps[0])
+    foreign = CupStructure(("vol",), (shifted,), tuple(torus.cup.mus), torus.simplicial)
+    with pytest.raises(PreconditionError, match=r"not the H\^2 generator basis"):
+        realize_euler_class(torus.complex, foreign, (1,), torus.provenance)
 
 
 # --- cup operators built on first read ---------------------------------------
@@ -447,13 +491,12 @@ def test_realized_class_on_a_glued_base_reads_only_its_nonzero_coefficients():
     gysin._realize_euler_class.cache_clear()
     model = glued_model()
     coords = tuple(golden["coords"])
-    combo = express_in_basis(cohomology(model.base, 2), coords, model.cup.reps)
     assert model.cup.mus.built == 0
     real = realize_euler_class(model.base, model.cup, coords, model.provenance)
     assert list(real.euler_rep) == golden["euler_rep"]
     assert_operator(real.mu, model.base, golden["mu"])
-    assert 0 in combo
-    assert model.cup.mus.built == sum(1 for c in combo if c) < len(combo)
+    assert 0 in coords
+    assert model.cup.mus.built == sum(1 for c in coords if c) < len(coords)
 
 
 def test_flux_free_borel_on_sixteen_charges_builds_no_generator_operator(tmp_path, capsys):

@@ -385,24 +385,55 @@ def test_failed_stability_check_names_its_degree(capsys, monkeypatch):
     assert check["detail"] == "total H^2 differs: ((3,), 0) at N=2, ((), 1) at N=3"
 
 
-def test_failed_route_check_names_its_field(capsys, monkeypatch):
+def test_failed_lens_certificate_names_its_degree(capsys, monkeypatch):
     from tduality import borel
 
-    def other_charge(space, n):
-        return borel.mathai_wu_dual(borel.SemiFreeSpace("monopole", charges=(5,)), n)
-
-    monkeypatch.setattr("tduality.borel.bunke_route_dual", other_charge)
+    # certify each monopole against the lens model of the next charge
+    monkeypatch.setitem(borel._SIMPLICIAL_ROUTE, "monopole", lambda n, charges: (charges[0] + 1, n))
     code, out, _ = run(capsys, "--json", "verify", str(SAMPLE))
     assert code == EXIT_INTERNAL
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     check = checks["action m: dualization routes agree"]
     assert not check["ok"]
-    assert check["detail"] == "canonical_flux_coords differs: [3] against [5]"
+    assert check["detail"] == ("simplicial-route certification failed in degree 2: "
+                               "total gives ((3,), 0), independent model gives ((4,), 0)")
     assert "detail" not in checks["action m: stable under N -> N+1"]
 
-    code, _, err = run(capsys, "borel", "--action", "m", "--route", "both", str(SAMPLE))
+    code, out, _ = run(capsys, "--json", "verify", "--all", str(SAMPLE))
     assert code == EXIT_INTERNAL
-    assert "disagree on m: canonical_flux_coords differs: [3] against [5]" in err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    check = checks["catalog: twisted cone over cp(3) with k=2 matches the explicit rank-one model"]
+    assert not check["ok"]
+    assert check["detail"] == ("simplicial-route certification failed in degree 2: "
+                               "total gives ((2,), 0), independent model gives ((3,), 0)")
+
+    code, out, err = run(capsys, "borel", "--action", "m", "--route", "both", str(SAMPLE))
+    assert code == EXIT_INTERNAL and out == ""
+    assert "simplicial-route certification failed in degree 2" in err
+
+
+def test_both_routes_and_verify_dualize_once_per_action(capsys, monkeypatch, tmp_path):
+    from tduality import tdual
+
+    calls = []
+    real = tdual.dualize
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tduality") and getattr(module, "dualize", None) is real:
+            monkeypatch.setattr(module, "dualize", counting)
+    model = tmp_path / "one.tdsl"
+    model.write_text("[action m]\ntype = monopole\ncharges = 3\ntruncation = 2\n",
+                     encoding="utf-8")
+    for argv in (["verify"], ["verify", "--all"], ["borel", "--action", "m", "--route", "both"]):
+        calls.clear()
+        code, out, _ = run(capsys, "--json", *argv, str(model))
+        assert code == EXIT_OK and len(calls) == 1, (argv, len(calls))
+    routes = json.loads(out)["routes"]
+    assert routes["mathai_wu"] == routes["bunke"]
 
 
 HUGE_LEVEL = 100_000_000

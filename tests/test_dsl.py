@@ -198,6 +198,19 @@ def test_algebraic_ranks_are_bounded_before_allocation():
         assert (err.value.line, err.value.column) == (3, 1)
 
 
+def test_algebraic_ranks_are_bounded_in_sum():
+    # each rank alone is within the bound, but a command works through the
+    # r x r matrices of every degree: 707,707,707,707 took verify about 27 s
+    for ranks in ("707,707", "707,707,707,707"):
+        text = f"[complex c]\nkind = algebraic\nranks = {ranks}\n"
+        with pytest.raises(ParseError, match="simplicial.MAX_COBOUNDARY_ENTRIES") as err:
+            resolve(parse_spec(text))
+        assert (err.value.line, err.value.column) == (3, 1)
+    for ranks in ((500, 500), (1, 1, 707), (408, 408, 408)):
+        text = "[complex c]\nkind = algebraic\nranks = " + ",".join(map(str, ranks)) + "\n"
+        assert resolve(parse_spec(text)).complexes["c"].complex.ranks == ranks
+
+
 def test_unknown_and_repeated_keys_are_parse_errors():
     text = (
         "[complex c]\nkind = algebraic\nranks = 1,1\nranks = 1,1,1\n"

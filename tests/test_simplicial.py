@@ -13,7 +13,6 @@ from tduality.simplicial import (
     cup_operator,
     cup_product,
     from_facets,
-    unit_cochain,
 )
 
 
@@ -115,7 +114,7 @@ def random_cochain(rng, k, degree):
 def test_unit_is_right_identity():
     rng = random.Random(3)
     k = from_facets(TORUS7_FACETS)
-    unit = unit_cochain(k)
+    unit = Cochain(k, 0, (1,) * k.n_faces(0))
     for degree in (0, 1, 2):
         f = random_cochain(rng, k, degree)
         assert cup_product(f, unit if degree == 0 else unit).values  # shape ok
@@ -127,7 +126,7 @@ def test_cup_rejects_mismatched_complexes():
     k1 = from_facets(SPHERE2_FACETS)
     k2 = from_facets(TORUS7_FACETS)
     with pytest.raises(PreconditionError):
-        cup_product(unit_cochain(k1), unit_cochain(k2))
+        cup_product(Cochain(k1, 0, (1,) * k1.n_faces(0)), Cochain(k2, 0, (1,) * k2.n_faces(0)))
 
 
 def brute_force_cup(k, f, g):
@@ -246,5 +245,5 @@ def test_cup_operator_unit_law_on_sphere():
     cx = cochain_complex_of(k)
     e = cohomology(cx, 2).generators[0]
     op = cup_operator(Cochain(k, 2, e))
-    image = op.apply(0, unit_cochain(k).values)
+    image = op.apply(0, (1,) * k.n_faces(0))
     assert image == e
