@@ -42,6 +42,7 @@ from .complexes import (
     cohomology,
     cohomology_shapes,
     direct_sum,
+    first_shape_difference,
     mapping_cone,
 )
 from .errors import InternalCheckError, PreconditionError
@@ -329,13 +330,12 @@ def lens_certificate(space: SemiFreeSpace, n: int) -> str:
         )
     total = total_space(_borel_bundle(space, n).euler_s1).total
     reference = catalog_build("lens", _SIMPLICIAL_ROUTE[space.kind](n, space.charges)).complex
-    top = max(total.top_degree, reference.top_degree)
-    pairs = zip(cohomology_shapes(total, top), cohomology_shapes(reference, top))
-    for d, (got, want) in enumerate(pairs):
-        if got != want:
-            return (f"simplicial-route certification failed in degree {d}: "
-                    f"total gives {got}, independent model gives {want}")
-    return ""
+    diff = first_shape_difference(total, reference, max(total.top_degree, reference.top_degree))
+    if diff is None:
+        return ""
+    d, got, want = diff
+    return (f"simplicial-route certification failed in degree {d}: "
+            f"total gives {got}, independent model gives {want}")
 
 
 def bunke_route_dual(space: SemiFreeSpace, n: int) -> TDualResult:
@@ -353,44 +353,14 @@ def multi_monopole_dual(charges: tuple[int, ...], n: int) -> TDualResult:
     return mathai_wu_dual(space, n)
 
 
-@dataclass(frozen=True)
-class StabilityEntry:
-    degree: int
-    stable: bool
-    at_n: tuple[tuple[int, ...], int]
-    at_n_plus_1: tuple[tuple[int, ...], int]
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    truncation: int
-    max_degree: int
-    base_entries: tuple[StabilityEntry, ...]
-    total_entries: tuple[StabilityEntry, ...]
-
-    @property
-    def stable(self) -> bool:
-        return all(e.stable for e in self.base_entries + self.total_entries)
-
-    @property
-    def witness(self) -> str:
-        """Empty when stable; otherwise the first degree whose groups differ,
-        base before total, with the shapes (torsion, free rank) at both
-        levels."""
-        for base, total in zip(self.base_entries, self.total_entries):
-            for side, e in (("base", base), ("total", total)):
-                if not e.stable:
-                    return (f"{side} H^{e.degree} differs: {e.at_n} at N={self.truncation}, "
-                            f"{e.at_n_plus_1} at N={self.truncation + 1}")
-        return ""
-
-
-def stability_check(space: SemiFreeSpace, n: int, max_degree: int) -> StabilityReport:
+def stability_check(space: SemiFreeSpace, n: int, max_degree: int) -> str:
     """Compare truncations N and N+1 in degrees <= max_degree <= 2N-1.
 
     Both the base model and the twisted total must have equal cohomology in
     the window; this certifies the finite approximation level.  Degrees above
-    every compared complex are zero on both sides and are not listed.
+    every compared complex are zero on both sides and are not compared.
+    Empty when stable; otherwise the lowest degree whose groups differ, base
+    before total, with the shapes (torsion, free rank) at both levels.
     """
     _check_truncation(space, n)
     if max_degree > 2 * n - 1:
@@ -402,10 +372,12 @@ def stability_check(space: SemiFreeSpace, n: int, max_degree: int) -> StabilityR
     lo_total = total_space(lo_bundle.euler_s1).total
     hi_total = total_space(hi_bundle.euler_s1).total
     top = min(max_degree, max(lo_total.top_degree, hi_total.top_degree))
-
-    def entries(lo_cx: GradedComplex, hi_cx: GradedComplex) -> tuple[StabilityEntry, ...]:
-        pairs = zip(cohomology_shapes(lo_cx, top), cohomology_shapes(hi_cx, top))
-        return tuple(StabilityEntry(d, lo == hi, lo, hi) for d, (lo, hi) in enumerate(pairs))
-
-    return StabilityReport(n, max_degree, entries(lo_bundle.base_model, hi_bundle.base_model),
-                           entries(lo_total, hi_total))
+    diffs = [(side, diff) for side, diff in (
+        ("base", first_shape_difference(lo_bundle.base_model, hi_bundle.base_model, top)),
+        ("total", first_shape_difference(lo_total, hi_total, top)),
+    ) if diff is not None]
+    if not diffs:
+        return ""
+    # min keeps the first of equal degrees: base before total
+    side, (d, lo, hi) = min(diffs, key=lambda e: e[1][0])
+    return f"{side} H^{d} differs: {lo} at N={n}, {hi} at N={n + 1}"

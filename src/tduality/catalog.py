@@ -50,8 +50,6 @@ from .simplicial import (
 
 SPHERE2_FACETS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
-CIRCLE3_FACETS = ((0, 1), (0, 2), (1, 2))
-
 TORUS7_FACETS = tuple(
     sorted(
         {tuple(sorted(((i % 7), ((i + 1) % 7), ((i + 3) % 7)))) for i in range(7)}

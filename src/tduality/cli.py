@@ -231,9 +231,8 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
             n = spec.truncation
             borel_mod.truncated_borel(space, n)
             checks.append((f"action {name}: Borel model builds", True, "", False))
-            stability = borel_mod.stability_check(space, n, max(2 * n - 1, 0))
-            checks.append((f"action {name}: stable under N -> N+1", stability.stable,
-                           stability.witness, True))
+            failure = borel_mod.stability_check(space, n, max(2 * n - 1, 0))
+            checks.append((f"action {name}: stable under N -> N+1", not failure, failure, True))
             if spec.kind in borel_mod._SIMPLICIAL_ROUTE:
                 borel_mod.mathai_wu_dual(space, n)  # a dualization error fails as user data
                 failure = borel_mod.lens_certificate(space, n)
@@ -305,9 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="structured output",
         )
 
+    def degree(text):
+        # argparse names this function in the message for a non-integer
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
     p = sub.add_parser("cohom", help="cohomology table of a complex")
     p.add_argument("--complex", required=True)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=degree, default=None)
     json_flag(p)
     p.add_argument("file")
 
@@ -381,7 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return EXIT_PARSE
     except VerifyFailure as exc:

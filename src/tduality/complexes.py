@@ -19,8 +19,9 @@ and runs the Smith routine only on the dense core left; invariant factors
 are unique, so the shapes equal those of the full elimination.  It reads no
 transform and forms no product, so reports that print or compare shapes only
 use it.  ``cohomology`` keeps the full ``smith_normal_form``, whose step logs
-fix the printed generators.  ``describe_shape`` formats a shape as
-``Z/k + Z^r``.
+fix the printed generators.  ``first_shape_difference`` compares two
+complexes by their shapes, for the stability and lens certificates.
+``describe_shape`` formats a shape as ``Z/k + Z^r``.
 """
 
 from __future__ import annotations
@@ -271,6 +272,15 @@ def cohomology_shapes(c: GradedComplex, top: int) -> tuple[Shape, ...]:
         (tuple(f for f in below if f >= 2), c.rank_at(d) - len(out) - len(below))
         for d, below, out in zip(range(top + 1), factors, factors[1:])
     )
+
+
+def first_shape_difference(
+    a: GradedComplex, b: GradedComplex, top: int
+) -> Optional[tuple[int, Shape, Shape]]:
+    """The first degree in ``0..top`` where ``a`` and ``b`` differ in shape,
+    with the shape of each; ``None`` when every degree agrees."""
+    pairs = zip(cohomology_shapes(a, top), cohomology_shapes(b, top))
+    return next(((d, x, y) for d, (x, y) in enumerate(pairs) if x != y), None)
 
 
 def class_coordinates(c: GradedComplex, n: int, z: Sequence[int]) -> Vector:

@@ -500,26 +500,17 @@ def kernel_basis(m: IntMatrix) -> tuple[Vector, ...]:
     return tuple(snf.v.col(j) for j in range(snf.rank, m.cols))
 
 
-@dataclass(frozen=True)
-class IntegerSolution:
-    """Particular solution plus a basis of the homogeneous solution lattice."""
-
-    particular: Vector
-    kernel: tuple[Vector, ...]
-
-
-def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> Optional[IntegerSolution]:
+def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     """Solve ``m @ x == b`` over the integers.
 
     Returns ``None`` when no integer solution exists; otherwise a particular
-    solution together with a generating set of the solution lattice of the
-    homogeneous system.  Deterministic for fixed input.
+    solution (``kernel_basis(m)`` generates the rest).  Deterministic for
+    fixed input.
     """
     if len(b) != m.rows:
         raise PreconditionError(f"right-hand side length {len(b)} against {m.shape} matrix")
     snf = smith_normal_form(m)
     c = snf.u.apply(b)
-    rank = snf.rank
     y = [0] * m.cols
     for i in range(min(m.rows, m.cols)):
         d = snf.d.entries[i][i]
@@ -527,12 +518,10 @@ def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> Optional[IntegerSolu
             if c[i] % d:
                 return None
             y[i] = c[i] // d
-    for i in range(rank, m.rows):
+    for i in range(snf.rank, m.rows):
         if c[i] != 0:
             return None
-    x = snf.v.apply(y)
-    kern = tuple(snf.v.col(j) for j in range(rank, m.cols))
-    return IntegerSolution(x, kern)
+    return snf.v.apply(y)
 
 
 def hermite_normal_form(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:

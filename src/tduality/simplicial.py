@@ -104,8 +104,6 @@ def from_facets(facets: Sequence[Sequence[int]]) -> SimplicialComplex:
     return SimplicialComplex(vertex_count, tuple(sorted(set(norm))), faces)
 
 
-# A simplicial complex has at most MAX_FACET_SIZE levels.
-@lru_cache(maxsize=64)
 def _face_index(k: SimplicialComplex, d: int) -> dict[Simplex, int]:
     return {s: i for i, s in enumerate(k.faces[d])} if 0 <= d < len(k.faces) else {}
 
@@ -138,18 +136,6 @@ class Cochain:
                 f"cochain of length {len(self.values)} in degree {self.degree} "
                 f"with {self.complex.n_faces(self.degree)} simplices"
             )
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        _same_complex(self, other)
-        if self.degree != other.degree:
-            raise PreconditionError("cochain degree mismatch")
-        return Cochain(
-            self.complex, self.degree,
-            tuple(a + b for a, b in zip(self.values, other.values)),
-        )
-
-    def scale(self, c: int) -> "Cochain":
-        return Cochain(self.complex, self.degree, tuple(c * v for v in self.values))
 
 
 def coboundary(c: Cochain) -> Cochain:

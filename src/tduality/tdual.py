@@ -110,12 +110,11 @@ def dualize(t: TDualityTriple) -> TDualResult:
     # cocycle condition in the dual twisted complex: delta phi_hat = e_hat ~ psi_hat
     psi_hat = t.model.euler_rep
     rhs = dual_model.mu.apply(2, psi_hat)
-    sol = solve_integer_system(base.delta_at(3), rhs)
-    if sol is None:
+    phi_hat = solve_integer_system(base.delta_at(3), rhs)
+    if phi_hat is None:
         raise PreconditionError(
             "obstruction [e_hat ~ e] != 0: the dual flux equation has no integer solution"
         )
-    phi_hat = sol.particular
     dual_tsm = total_space(dual_model)
     dual_flux = dual_tsm.join(3, phi_hat, psi_hat)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import time
@@ -334,13 +333,11 @@ def test_free_action_base_equals_quotient_model():
 )
 @pytest.mark.parametrize("n", [1, 2])
 def test_stability_under_truncation_increase(space, n):
-    report = stability_check(space, n, 2 * n - 1)
-    assert report.stable
+    assert stability_check(space, n, 2 * n - 1) == ""
 
 
 def test_stability_monopole_example():
-    report = stability_check(SemiFreeSpace("monopole", charges=(5,)), 2, 3)
-    assert report.stable
+    assert stability_check(SemiFreeSpace("monopole", charges=(5,)), 2, 3) == ""
 
 
 def test_stability_rejects_window_beyond_certified_range():
@@ -348,26 +345,40 @@ def test_stability_rejects_window_beyond_certified_range():
         stability_check(SemiFreeSpace("point_fixed"), 1, 2)
 
 
-def test_stability_compares_only_degrees_the_models_reach():
+def test_stability_compares_only_degrees_the_models_reach(monkeypatch):
     # the free Hopf model does not depend on N, so a high level compares
     # the four degrees of its total and stops
-    report = stability_check(SemiFreeSpace("free_hopf"), 1000, 1999)
-    assert report.stable
-    assert [e.degree for e in report.total_entries] == [0, 1, 2, 3]
+    tops = []
+    real = borel.first_shape_difference
+
+    def recording(a, b, top):
+        tops.append(top)
+        return real(a, b, top)
+
+    monkeypatch.setattr(borel, "first_shape_difference", recording)
+    assert stability_check(SemiFreeSpace("free_hopf"), 1000, 1999) == ""
+    assert tops == [3, 3]
 
 
-def test_stability_witness_names_the_first_unstable_degree():
-    report = stability_check(SemiFreeSpace("monopole", charges=(5,)), 2, 3)
-    assert report.witness == ""
-    broken = dataclasses.replace(report, total_entries=report.total_entries[:2] + (
-        borel.StabilityEntry(2, False, ((5,), 0), ((), 1)),
-    ) + report.total_entries[3:])
-    assert not broken.stable
-    assert broken.witness == "total H^2 differs: ((5,), 0) at N=2, ((), 1) at N=3"
-    broken = dataclasses.replace(broken, base_entries=report.base_entries[:2] + (
-        borel.StabilityEntry(2, False, ((), 1), ((), 2)),
-    ) + report.base_entries[3:])
-    assert broken.witness == "base H^2 differs: ((), 1) at N=2, ((), 2) at N=3"
+def test_stability_witness_names_the_first_unstable_degree(monkeypatch):
+    space = SemiFreeSpace("monopole", charges=(5,))
+    assert stability_check(space, 2, 3) == ""
+    lower_base = truncated_borel(space, 2).base_model
+    base_2, base_3 = (2, ((), 1), ((), 2)), (3, ((), 0), ((), 1))
+    total_2 = (2, ((5,), 0), ((), 1))
+    # (difference of the bases, difference of the totals) -> witness: the
+    # lower degree first, the base before the total in the same degree
+    cases = {
+        (None, total_2): "total H^2 differs: ((5,), 0) at N=2, ((), 1) at N=3",
+        (base_3, None): "base H^3 differs: ((), 0) at N=2, ((), 1) at N=3",
+        (base_3, total_2): "total H^2 differs: ((5,), 0) at N=2, ((), 1) at N=3",
+        (base_2, total_2): "base H^2 differs: ((), 1) at N=2, ((), 2) at N=3",
+    }
+    for (base, total), witness in cases.items():
+        monkeypatch.setattr(borel, "first_shape_difference",
+                            lambda a, b, top, base=base, total=total:
+                            base if a == lower_base else total)
+        assert stability_check(space, 2, 3) == witness
 
 
 def test_stability_presents_no_h2_of_the_glued_base_at_the_next_level(monkeypatch):
@@ -384,7 +395,7 @@ def test_stability_presents_no_h2_of_the_glued_base_at_the_next_level(monkeypatc
             monkeypatch.setattr(module, "cohomology", recording)
     space = SemiFreeSpace("multi_monopole", charges=(3, 2, 1))
     borel._multi_monopole_bundle.cache_clear()
-    assert stability_check(space, 2, 3).stable
+    assert stability_check(space, 2, 3) == ""
     upper = truncated_borel(space, 3).euler_s1
     assert upper.base not in presented
     assert upper.cup.reps.built == upper.cup.mus.built == 0 < len(upper.cup.reps)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -40,6 +39,15 @@ def test_cohom_max_degree(capsys):
     )
     assert code == EXIT_OK
     assert "degree_window: 0..2" in out
+
+
+def test_cohom_max_degree_must_not_be_negative(capsys):
+    code, out, err = run(capsys, "cohom", "--complex", "cp2", "--max-degree", "-1", str(SAMPLE))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "argument --max-degree: must be >= 0, got -1" in err
+    code, out, _ = run(capsys, "cohom", "--complex", "cp2", "--max-degree", "0", str(SAMPLE))
+    assert code == EXIT_OK
+    assert "degree_window: 0..0" in out
 
 
 def test_dualize_reports_flux_quantization(capsys):
@@ -317,10 +325,10 @@ def test_stdin_input(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
-def _run_module(*argv):
+def _run_module(*argv, stdin=None, **environ):
     """``python -m tduality`` with the child's address space capped at
     1.5 GB, so that an unbounded allocation fails instead of exhausting the
-    machine."""
+    machine; ``environ`` adds to the child's environment."""
     import resource
 
     def cap():
@@ -328,11 +336,24 @@ def _run_module(*argv):
 
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **environ)
     return subprocess.run(
         [sys.executable, "-m", "tduality", *argv],
-        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap,
+        stdin=stdin, capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap,
     )
+
+
+def test_undecodable_input_cannot_be_read(tmp_path):
+    model = tmp_path / "latin1.tdsl"
+    model.write_bytes(b"[complex c]\nkind = catalog\nname = cp\nparams = 2\n# \xff\n")
+    with open(model, "rb") as fh:
+        # a strict UTF-8 stdin decodes as the file path does
+        from_stdin = _run_module("cohom", "--complex", "c", "-", stdin=fh,
+                                 PYTHONIOENCODING="utf-8")
+    for proc in (_run_module("cohom", "--complex", "c", str(model)), from_stdin):
+        assert (proc.returncode, proc.stdout) == (EXIT_PARSE, ""), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("cannot read input: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_bundle_over_non_cochain_base_is_user_data(tmp_path):
@@ -369,20 +390,14 @@ def test_failed_gysin_check_names_its_nodes(capsys, monkeypatch):
 def test_failed_stability_check_names_its_degree(capsys, monkeypatch):
     from tduality import borel
 
-    real = borel.stability_check
-
-    def broken(space, n, max_degree):
-        report = real(space, n, max_degree)
-        entry = borel.StabilityEntry(2, False, ((3,), 0), ((), 1))
-        return dataclasses.replace(report, total_entries=(entry,))
-
-    monkeypatch.setattr("tduality.borel.stability_check", broken)
+    witness = "total H^2 differs: ((3,), 0) at N=2, ((), 1) at N=3"
+    monkeypatch.setattr(borel, "stability_check", lambda space, n, max_degree: witness)
     code, out, _ = run(capsys, "--json", "verify", str(SAMPLE))
     assert code == EXIT_INTERNAL
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     check = checks["action m: stable under N -> N+1"]
     assert not check["ok"]
-    assert check["detail"] == "total H^2 differs: ((3,), 0) at N=2, ((), 1) at N=3"
+    assert check["detail"] == witness
 
 
 def test_failed_lens_certificate_names_its_degree(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from tduality.complexes import (
     cohomology_shapes,
     describe_shape,
     direct_sum,
+    first_shape_difference,
     mapping_cone,
     tensor_product,
     validate_complex,
@@ -375,6 +376,15 @@ def test_cohomology_shapes_reject_an_invalid_complex_as_cohomology_does():
     assert str(shaped.value) == str(presented.value) == "invalid complex: delta[1] @ delta[0] != 0"
 
 
+def test_first_shape_difference_names_the_first_degree_that_differs():
+    assert first_shape_difference(lens_model(2), lens_model(2), 7) is None
+    assert first_shape_difference(lens_model(2), lens_model(3), 3) == (2, ((2,), 0), ((3,), 0))
+    assert first_shape_difference(lens_model(2), lens_model(3), 1) is None
+    # circle and point differ from degree 1 on; degrees above both are zero
+    assert first_shape_difference(circle_model(), point_model(), 5) == (1, ((), 1), ((), 0))
+    assert first_shape_difference(lens_model(2), circle_model(), 3) == (1, ((), 0), ((), 1))
+
+
 # The benchmark's wide charge set: at truncation 2 the Smith transforms of
 # its glued total reach hundreds of bits.
 WIDE_CHARGES = (287, 10, 44, 40, 23, 11, 36, 39, 12, 25, 19, 28)
@@ -592,7 +602,7 @@ def package_caches():
 def test_every_cache_is_bounded():
     caches = package_caches()
     assert {"cohomology", "validate_complex", "_coboundary_factors", "total_space",
-            "catalog_build", "cochain_complex_of", "_face_index",
+            "catalog_build", "cochain_complex_of",
             "_multi_monopole_bundle", "_realize_euler_class", "induced_matrix"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
