@@ -40,7 +40,6 @@ from .complexes import (
     GradedComplex,
     MappingCone,
     cohomology,
-    cohomology_shapes,
     direct_sum,
     first_shape_difference,
     mapping_cone,
@@ -50,7 +49,6 @@ from .gysin import (
     PROVENANCE_ALGEBRAIC,
     CupStructure,
     EulerModel,
-    OnFirstRead,
     total_space,
 )
 from .matrices import IntMatrix, Vector
@@ -182,9 +180,38 @@ def _sign_pattern(charges: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(signs))
 
 
+def _glued_cup(glued: GradedComplex, free_part: GradedComplex, piece: GradedComplex,
+               sphere: GradedComplex, signs: tuple[int, ...], z: Vector) -> CochainMap:
+    """Cup operator of a degree-2 cocycle ``z`` of a glued multi-monopole base.
+
+    C^2 of the glued base is free part, then pieces (the overlap has no
+    degree-1 cochains), so ``z = (c, b)``.  Componentwise the operator cups
+    with ``c`` on the free part (only the unit pairs nontrivially), with
+    ``b_i * u`` on piece i, and with the common restriction on overlap sphere
+    i, which sits one degree lower inside the cone.  This commutes with the
+    cone differential because the restrictions are ring maps on the models
+    involved.
+    """
+    split = free_part.rank_at(2)
+    free_coeffs, piece_coeffs = z[:split], z[split:]
+    return CochainMap(glued, glued, 2, tuple(
+        IntMatrix.block_diag(
+            [IntMatrix.column(free_coeffs) if d == 0
+             else IntMatrix.zeros(free_part.rank_at(d + 2), free_part.rank_at(d))]
+            + [IntMatrix.eye(piece.rank_at(d + 2), piece.rank_at(d), 0).scale(b)
+               for b in piece_coeffs]
+            + [IntMatrix.eye(sphere.rank_at(d + 1), sphere.rank_at(d - 1), 0).scale(s * b)
+               for s, b in zip(signs, piece_coeffs)]
+        )
+        for d in range(len(glued.ranks))
+    ))
+
+
 # A command reads levels N and N + 1 of one charge set.
 @lru_cache(maxsize=32)
 def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
+    """Glued Borel base of the charges at level N, with the ``_glued_cup``
+    product and the Euler class of the signed charges."""
     m = len(charges)
     signs = _sign_pattern(charges)
     free_part = _wedge_of_spheres(m - 1)
@@ -209,50 +236,13 @@ def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
         for d in range(len(pieces.ranks))
     ))
     glued = mayer_vietoris_glue(free_part, pieces, overlaps, r_a, r_b).complex
-
-    def glued_mu(free_coeffs: Vector, piece_coeffs: Vector) -> CochainMap:
-        # Cup operator of a degree-2 cocycle (c, b, 0) on the glued complex.
-        # Componentwise: cup with c on the free part (only the unit pairs
-        # nontrivially), with b_i * u on piece i, and with the common
-        # restriction on overlap sphere i, which sits one degree lower inside
-        # the cone.  This commutes with the cone differential because the
-        # restrictions are ring maps on the models involved.
-        return CochainMap(glued, glued, 2, tuple(
-            IntMatrix.block_diag(
-                [IntMatrix.column(free_coeffs) if d == 0
-                 else IntMatrix.zeros(free_part.rank_at(d + 2), free_part.rank_at(d))]
-                + [IntMatrix.eye(piece.rank_at(d + 2), piece.rank_at(d), 0).scale(b)
-                   for b in piece_coeffs]
-                + [IntMatrix.eye(sphere.rank_at(d + 1), sphere.rank_at(d - 1), 0).scale(s * b)
-                   for s, b in zip(signs, piece_coeffs)]
-            )
-            for d in range(len(glued.ranks))
-        ))
+    cup = CupStructure((), (), (_glued_cup, glued, free_part, piece, sphere, signs))
 
     # Euler cocycle: k_i * u_i on piece i plus the free-part class whose
-    # boundary values match the signed charges; C^2 of the glued base is
-    # free part, then pieces (the overlap has no degree-1 cochains)
+    # boundary values match the signed charges
     free_coeffs = tuple(accumulate(s * k for s, k in zip(signs[:-1], charges[:-1])))
-    mu = glued_mu(free_coeffs, charges)
-
-    # declared degree-2 basis of the glued base: every generator is a
-    # (free part, pieces) cocycle, so the same formula yields its operator.
-    # Its size is read from the shape of H^2; the generators and their
-    # operators are built when an Euler class first reads them, so a level
-    # that only compares shapes presents no H^2
-    split = free_part.rank_at(2)
-    torsion, free_rank = cohomology_shapes(glued, 2)[2]
-    count = len(torsion) + free_rank
-    gens = OnFirstRead(("multi_monopole reps", charges, n), count,
-                       lambda i: cohomology(glued, 2).generators[i])
-    cup = CupStructure(
-        tuple(f"g{idx}" for idx in range(count)),
-        gens,
-        OnFirstRead(("multi_monopole", charges, n), count,
-                    lambda i: glued_mu(gens[i][:split], gens[i][split:])),
-    )
-
-    return BorelBundle(n, EulerModel(glued, free_coeffs + charges, mu, PROVENANCE_ALGEBRAIC, cup))
+    euler = free_coeffs + charges
+    return BorelBundle(n, EulerModel(glued, euler, cup.operator(euler), PROVENANCE_ALGEBRAIC, cup))
 
 
 # Largest truncation N of an action whose model is built at level N: the
@@ -353,8 +343,8 @@ def multi_monopole_dual(charges: tuple[int, ...], n: int) -> TDualResult:
     return mathai_wu_dual(space, n)
 
 
-def stability_check(space: SemiFreeSpace, n: int, max_degree: int) -> str:
-    """Compare truncations N and N+1 in degrees <= max_degree <= 2N-1.
+def stability_check(space: SemiFreeSpace, n: int) -> str:
+    """Compare truncations N and N+1 in degrees <= 2N-1.
 
     Both the base model and the twisted total must have equal cohomology in
     the window; this certifies the finite approximation level.  Degrees above
@@ -363,15 +353,11 @@ def stability_check(space: SemiFreeSpace, n: int, max_degree: int) -> str:
     before total, with the shapes (torsion, free rank) at both levels.
     """
     _check_truncation(space, n)
-    if max_degree > 2 * n - 1:
-        raise PreconditionError(
-            f"degree window {max_degree} exceeds the certified range {2 * n - 1}"
-        )
     lo_bundle = _borel_bundle(space, n)
     hi_bundle = _borel_bundle(space, n + 1)
     lo_total = total_space(lo_bundle.euler_s1).total
     hi_total = total_space(hi_bundle.euler_s1).total
-    top = min(max_degree, max(lo_total.top_degree, hi_total.top_degree))
+    top = min(2 * n - 1, max(lo_total.top_degree, hi_total.top_degree))
     diffs = [(side, diff) for side, diff in (
         ("base", first_shape_difference(lo_bundle.base_model, hi_bundle.base_model, top)),
         ("total", first_shape_difference(lo_total, hi_total, top)),

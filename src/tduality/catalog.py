@@ -3,13 +3,13 @@
 Algebraic models:
 
 * ``cp(N)`` - truncated complex projective space: ranks 1,0,1,...,1 through
-  degree 2N, zero coboundaries, cup operator of the degree-2 generator ``u``
-  acting as the identity degree shift.  The cup table is declared data,
-  justified by uniqueness of the truncated polynomial ring on one degree-2
-  generator; the lens cross-check validates it indirectly.
+  degree 2N, zero coboundaries, cup with ``c u`` acting as ``c`` times the
+  identity degree shift.  The product is declared data, justified by
+  uniqueness of the truncated polynomial ring on one degree-2 generator; the
+  lens cross-check validates it indirectly.
 * ``lens(k, N)`` - explicit model with rank 1 in each degree 0..2N+1 and
   alternating (0, k) coboundaries.  Used as the independent oracle for
-  twisted-cone totals; it carries no cup table.
+  twisted-cone totals; it carries no cup product.
 * ``circle``, ``point`` - the obvious zero-coboundary models.
 
 Simplicial models (fixed facet lists, so goldens are stable):
@@ -19,8 +19,8 @@ Simplicial models (fixed facet lists, so goldens are stable):
   {i, i+2, i+3} mod 7.
 * ``rp2`` - the minimal 6-vertex triangulation.
 
-Simplicial models declare a degree-2 basis taken from the computed generator
-cocycle and derive the cup operator through the Alexander-Whitney product.
+Simplicial models declare the computed H^2 generator cocycle as their
+degree-2 label and cup through the Alexander-Whitney product.
 """
 
 from __future__ import annotations
@@ -36,17 +36,10 @@ from .gysin import (
     PROVENANCE_AW,
     CupStructure,
     EulerModel,
-    OnFirstRead,
     realize_euler_class,
 )
 from .matrices import IntMatrix, Vector
-from .simplicial import (
-    Cochain,
-    SimplicialComplex,
-    cochain_complex_of,
-    cup_operator,
-    from_facets,
-)
+from .simplicial import SimplicialComplex, cochain_complex_of, from_facets
 
 SPHERE2_FACETS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
@@ -99,9 +92,11 @@ def _cp_complex(n: int) -> GradedComplex:
     return GradedComplex.with_zero_deltas(ranks)
 
 
-def _cp_mu(cx: GradedComplex) -> CochainMap:
+def _cp_cup(cx: GradedComplex, z: Vector) -> CochainMap:
+    """Cup with ``c u`` on cp(N): ``c`` times the identity degree shift."""
+    (c,) = z
     return CochainMap(cx, cx, 2, tuple(
-        IntMatrix.eye(cx.rank_at(d + 2), cx.rank_at(d), 0) for d in range(len(cx.ranks))
+        IntMatrix.eye(cx.rank_at(d + 2), cx.rank_at(d), 0).scale(c) for d in range(len(cx.ranks))
     ))
 
 
@@ -118,13 +113,8 @@ def _simplicial_model(name: str, facets) -> CatalogModel:
     cx = cochain_complex_of(k)
     h2 = cohomology(cx, 2)
     label = "w" if name == "rp2" else "vol"
-    if h2.coord_dim == 0:
-        cup = CupStructure((), (), (), simplicial=k)
-    else:
-        rep = h2.generators[0]
-        mus = OnFirstRead(("catalog", name), 1, lambda i: cup_operator(Cochain(k, 2, rep)))
-        cup = CupStructure((label,), (rep,), mus, simplicial=k)
-    return CatalogModel(name, (), cx, cup)
+    labels = (label,) if h2.coord_dim else ()
+    return CatalogModel(name, (), cx, CupStructure(labels, h2.generators[:1], (), simplicial=k))
 
 
 def _check_level(n: int) -> None:
@@ -157,9 +147,7 @@ def catalog_build(name: str, params: tuple[int, ...] = ()) -> CatalogModel:
         (n,) = params
         _check_level(n)
         cx = _cp_complex(n)
-        mus = OnFirstRead(("catalog", "cp", n), 1, lambda i: _cp_mu(cx))
-        cup = CupStructure(("u",), ((1,),), mus)
-        return CatalogModel(name, params, cx, cup)
+        return CatalogModel(name, params, cx, CupStructure(("u",), ((1,),), (_cp_cup, cx)))
     if name == "lens":
         if len(params) != 2 or params[0] < 1 or params[1] < 1:
             raise PreconditionError("lens requires parameters k >= 1, N >= 1")
@@ -176,7 +164,7 @@ def catalog_build(name: str, params: tuple[int, ...] = ()) -> CatalogModel:
 def euler_model_from_label_coeffs(
     model: CatalogModel, coeffs: dict[str, int]
 ) -> EulerModel:
-    """Euler model for an integer combination of the declared basis labels."""
+    """Euler model for an integer combination of the declared degree-2 labels."""
     unknown = sorted(set(coeffs) - set(model.cup.labels))
     if unknown:
         raise PreconditionError(
@@ -194,11 +182,11 @@ def euler_model_from_label_coeffs(
 def euler_model_from_cocycle(model: CatalogModel, rep: Vector) -> EulerModel:
     """Euler model for an explicit 2-cocycle representative.
 
-    Simplicial models accept any cocycle (Alexander-Whitney operator);
-    algebraic models require the class to reduce to the declared basis.
+    Simplicial models keep any cocycle (Alexander-Whitney operator);
+    algebraic models replace it by the generator combination of its class.
     """
     if model.simplicial is not None:
-        mu = cup_operator(Cochain(model.simplicial, 2, tuple(rep)))
+        mu = model.cup.operator(rep)
         return EulerModel(model.complex, tuple(rep), mu, model.provenance, model.cup)
     coords = class_coordinates(model.complex, 2, rep)
     return realize_euler_class(model.complex, model.cup, coords, model.provenance)

@@ -231,7 +231,7 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
             n = spec.truncation
             borel_mod.truncated_borel(space, n)
             checks.append((f"action {name}: Borel model builds", True, "", False))
-            failure = borel_mod.stability_check(space, n, max(2 * n - 1, 0))
+            failure = borel_mod.stability_check(space, n)
             checks.append((f"action {name}: stable under N -> N+1", not failure, failure, True))
             if spec.kind in borel_mod._SIMPLICIAL_ROUTE:
                 borel_mod.mathai_wu_dual(space, n)  # a dualization error fails as user data

@@ -130,9 +130,6 @@ class CohomologyGroup:
     def coord_dim(self) -> int:
         return len(self.torsion) + self.free_rank
 
-    def is_trivial(self) -> bool:
-        return self.coord_dim == 0
-
     @property
     def shape(self) -> tuple[tuple[int, ...], int]:
         return (self.torsion, self.free_rank)

@@ -94,12 +94,6 @@ class Section:
 class SpecFile:
     sections: tuple[Section, ...]
 
-    def find(self, kind: str, name: str) -> Optional[Section]:
-        for s in self.sections:
-            if s.kind == kind and s.name == name:
-                return s
-        return None
-
 
 def parse_spec(text: str) -> SpecFile:
     sections: list[Section] = []
@@ -141,16 +135,6 @@ def parse_spec(text: str) -> SpecFile:
         current[4].append((lineno, col))
     close_current()
     return SpecFile(tuple(sections))
-
-
-def serialize_spec(spec: SpecFile) -> str:
-    lines = []
-    for s in spec.sections:
-        lines.append(f"[{s.kind} {s.name}]")
-        for k, v in s.entries:
-            lines.append(f"{k} = {v}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def _parse_int_list(value: str, section: Section, key: str) -> tuple[int, ...]:

@@ -15,6 +15,10 @@ is a machine-checked statement rather than an assumption.  The connecting map
 is ``(-1)^{m+1} (e ~ .)`` on ``H^m(B)``; the transfer orientation is the
 ``+`` convention, projecting ``(phi, psi)`` to ``psi``.
 
+A base's ``CupStructure`` carries one operator ``z -> (z ~ .)`` on its
+degree-2 cocycles, so the Euler model of a class is its generator
+combination ``e`` with the operator of ``e``, on every kind of base.
+
 One verifier, ``triangle_exactness``, checks the long exact sequence of any
 triangle ``X -> Y -> Z -> X`` of cochain maps whose degrees add up to 1.
 ``gysin_sequence`` gives it (pullback, transfer, ``e ~ .``) and
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .complexes import (
     CochainMap,
@@ -45,7 +49,6 @@ from .complexes import (
     GradedComplex,
     MappingCone,
     class_coordinates,
-    cochain_map_sum,
     cohomology,
     validate_complex,
 )
@@ -62,71 +65,40 @@ SIGN_CONVENTION = (
     "connecting map (-1)^(m+1) e~ on degree m of the base"
 )
 
-
-class OnFirstRead(Sequence):
-    """Read-only sequence of ``count`` items whose item ``i`` is made by
-    ``build(i)`` the first time it is read, and kept.
-
-    Two such sequences are equal when their keys are, so a key must
-    determine every item; ``built`` counts the items made so far.
-    """
-
-    def __init__(self, key: Hashable, count: int, build: Callable[[int], object]):
-        self.key = key
-        self._build = build
-        self._items: list = [None] * count
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, i: int):
-        i = range(len(self))[i]
-        if self._items[i] is None:
-            self._items[i] = self._build(i)
-        return self._items[i]
-
-    @property
-    def built(self) -> int:
-        return sum(item is not None for item in self._items)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OnFirstRead) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __repr__(self) -> str:
-        return f"OnFirstRead({self.key!r}, {len(self)} items, {self.built} built)"
-
-    def __reduce__(self):
-        # a pickle carries the items, all built now, instead of the builder
-        items = tuple(self)
-        return OnFirstRead, (self.key, len(items), items.__getitem__)
+NO_CUP_PRODUCT = "base carries no cup structure; only the zero Euler class is realizable"
 
 
 @hash_once
 @dataclass(frozen=True)
 class CupStructure:
-    """Declared degree-2 basis of a base together with its cup operators.
+    """Declared degree-2 labels of a base with their cocycles, and the cup
+    operator ``z -> (z ~ .)`` on the degree-2 cocycles of the base.
 
-    A nonempty declared basis is the H^2 generator basis of the base, in
-    order (``cohomology(base, 2).generators``); realizing an Euler class over
-    any other basis is a ``PreconditionError``.  Algebraic models only carry
-    cup structure on these declared generators; simplicial models
-    additionally allow arbitrary representatives through the
-    Alexander-Whitney product (``simplicial`` is then set).  ``reps`` and
-    ``mus`` are tuples or ``OnFirstRead``s, whose items are built when first
-    read.
+    The operator is the Alexander-Whitney product when ``simplicial`` is
+    set; otherwise ``product`` is ``(function, *args)`` and the operator of
+    ``z`` is ``function(*args, z)``, with ``function`` defined at module
+    level so that a structure compares, hashes and pickles by what
+    determines its operator.  An empty ``product`` on a non-simplicial base
+    declares no cup product.  Every operator is linear in ``z``.
     """
 
     labels: tuple[str, ...]
-    reps: Sequence[Vector]
-    mus: Sequence[CochainMap]
+    reps: tuple[Vector, ...]
+    product: tuple = ()
     simplicial: Optional[SimplicialComplex] = None
 
     def __post_init__(self):
-        if not (len(self.labels) == len(self.reps) == len(self.mus)):
+        if len(self.labels) != len(self.reps):
             raise ValueError("cup structure arity mismatch")
+
+    def operator(self, z: Sequence[int]) -> CochainMap:
+        """The degree +2 cochain map ``(z ~ .)`` of a degree-2 cocycle ``z``."""
+        if self.simplicial is not None:
+            return cup_operator(Cochain(self.simplicial, 2, tuple(z)))
+        if not self.product:
+            raise PreconditionError(NO_CUP_PRODUCT)
+        function, *args = self.product
+        return function(*args, tuple(z))
 
 
 @hash_once
@@ -172,11 +144,9 @@ def realize_euler_class(
 ) -> EulerModel:
     """Euler model for the class with the given coordinates in H^2(base).
 
-    A declared cup basis is the H^2 generator basis, so the representative is
-    the combination of generators with these coordinates and the operator the
-    sum of the basis operators of the nonzero ones, the only ones read;
-    simplicial bases without a declared basis use the Alexander-Whitney
-    operator.  Fails when the class admits no cup realization.  Equal
+    The representative is the combination of the H^2 generators with these
+    coordinates and the operator the cup operator of that representative.
+    Fails when the class is nonzero and the base has no cup product.  Equal
     arguments give the same model object; a failure is not kept, so it is
     raised again on every call.
     """
@@ -198,23 +168,10 @@ def _realize_euler_class(
         )
     if all(c == 0 for c in coords):
         return zero_euler_model(base, cup, provenance)
+    if cup is None:
+        raise PreconditionError(NO_CUP_PRODUCT)
     rep = group.rep_from_coords(coords)
-    if cup is not None and cup.labels:
-        if len(cup.reps) != group.coord_dim or any(
-            tuple(cup.reps[i]) != gen for i, gen in enumerate(group.generators)
-        ):
-            raise PreconditionError(
-                f"declared degree-2 basis {list(cup.labels)} is not the H^2 generator "
-                "basis of its base"
-            )
-        mu = cochain_map_sum([(c, cup.mus[i]) for i, c in enumerate(coords) if c])
-        return EulerModel(base, rep, mu, provenance, cup)
-    if cup is not None and cup.simplicial is not None:
-        mu = cup_operator(Cochain(cup.simplicial, 2, rep))
-        return EulerModel(base, rep, mu, PROVENANCE_AW, cup)
-    raise PreconditionError(
-        "base carries no cup structure; only the zero Euler class is realizable"
-    )
+    return EulerModel(base, rep, cup.operator(rep), provenance, cup)
 
 
 @dataclass(frozen=True)

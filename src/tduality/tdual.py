@@ -25,6 +25,7 @@ from .complexes import class_coordinates, cohomology
 from .errors import InternalCheckError, PreconditionError
 from .gysin import (
     EulerModel,
+    induced_matrix,
     realize_euler_class,
     total_space,
 )
@@ -122,12 +123,11 @@ def dualize(t: TDualityTriple) -> TDualResult:
     if any(dz):
         raise InternalCheckError("constructed dual flux is not a cocycle")
 
-    h3_base = cohomology(base, 3)
     dual_h3 = cohomology(dual_tsm.total, 3)
-    amb = tuple(
-        class_coordinates(dual_tsm.total, 3, dual_tsm.pullback_incl.apply(3, gen))
-        for gen in h3_base.generators
-    )
+    amb = ()
+    if cohomology(base, 3).coord_dim:  # otherwise the pullback map is never built
+        pulled = induced_matrix(dual_tsm.pullback_incl, 3)
+        amb = tuple(pulled.col(j) for j in range(pulled.cols))
     relations = dual_h3.relation_rows()
     full = hermite_normal_form(list(amb) + list(relations), dual_h3.coord_dim)
     # the relations f_i e_i (f_i >= 2) are independent, so they span a

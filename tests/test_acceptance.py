@@ -195,4 +195,4 @@ def test_criterion_8_free_action_sanity_and_stability():
         ]
         for space in spaces:
             for n in (1, 2):
-                assert stability_check(space, n, 2 * n - 1) == "", (space.kind, n)
+                assert stability_check(space, n) == "", (space.kind, n)

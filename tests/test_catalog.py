@@ -21,7 +21,7 @@ def test_cp2_defining_data():
     model = catalog_build("cp", (2,))
     assert model.complex.ranks == (1, 0, 1, 0, 1)
     assert all(d.is_zero() for d in model.complex.deltas)
-    mu = model.cup.mus[0]
+    mu = model.cup.operator((1,))
     assert mu.mat_at(0).entries == ((1,),)
     assert mu.mat_at(2).entries == ((1,),)
     assert model.cup.labels == ("u",)

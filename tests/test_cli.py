@@ -391,7 +391,7 @@ def test_failed_stability_check_names_its_degree(capsys, monkeypatch):
     from tduality import borel
 
     witness = "total H^2 differs: ((3,), 0) at N=2, ((), 1) at N=3"
-    monkeypatch.setattr(borel, "stability_check", lambda space, n, max_degree: witness)
+    monkeypatch.setattr(borel, "stability_check", lambda space, n: witness)
     code, out, _ = run(capsys, "--json", "verify", str(SAMPLE))
     assert code == EXIT_INTERNAL
     checks = {c["name"]: c for c in json.loads(out)["checks"]}

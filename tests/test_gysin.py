@@ -92,7 +92,7 @@ def test_fiber_integration_kills_pullbacks():
         base = model.base
         for n in range(len(base.ranks)):
             g = cohomology(base, n)
-            if g.is_trivial():
+            if g.coord_dim == 0:
                 continue
             coords = tuple(rng.randint(-2, 2) for _ in range(g.coord_dim))
             image = fiber_integration(model, n, pullback(model, n, coords))
@@ -112,7 +112,7 @@ def test_fiber_integration_torus_volume_times_fiber():
 def test_fiber_integration_on_vanishing_degree():
     model = cp_bundle(2, 3)
     g = cohomology(total_space(model).total, 3)
-    assert g.is_trivial()
+    assert g.coord_dim == 0
     assert fiber_integration(model, 3, ()) == (0,) * cohomology(model.base, 2).coord_dim
 
 
