@@ -26,7 +26,6 @@ from .errors import InternalCheckError, ParseError, PreconditionError, TdualityE
 from .gysin import (
     CupStructure,
     EulerModel,
-    TotalSpaceModel,
     fiber_integration,
     gysin_sequence,
     pullback,

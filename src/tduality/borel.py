@@ -120,10 +120,11 @@ def mayer_vietoris_glue(
     """Cochain model of the union of two pieces glued over an overlap.
 
     Returns the mapping cone of the restriction difference
-    ``(x, y) -> r_a(x) - r_b(y)`` from ``A (+) B`` to the overlap.  With the
-    cone convention used here the cone's complex computes the cohomology of
-    the union, and its long exact sequence is the Mayer-Vietoris sequence:
-    ``gysin.cone_exactness(glue, lo, hi)`` checks it node by node.
+    ``(x, y) -> r_a(x) - r_b(y)`` from ``A (+) B`` to the overlap, a
+    degree-0 map, so ``Cone^n = overlap^{n-1} (+) (A (+) B)^n``.  Its
+    ``total`` computes the cohomology of the union, and its long exact
+    sequence is the Mayer-Vietoris sequence: ``gysin.cone_exactness(glue, lo,
+    hi)`` checks it node by node.
     """
     if r_a.degree != 0 or r_b.degree != 0:
         raise PreconditionError("restriction maps must have degree 0")
@@ -235,7 +236,7 @@ def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
         IntMatrix.block_diag([trunc.mat_at(d).scale(s if d == 2 else 1) for s in signs])
         for d in range(len(pieces.ranks))
     ))
-    glued = mayer_vietoris_glue(free_part, pieces, overlaps, r_a, r_b).complex
+    glued = mayer_vietoris_glue(free_part, pieces, overlaps, r_a, r_b).total
     cup = CupStructure((), (), (_glued_cup, glued, free_part, piece, sphere, signs))
 
     # Euler cocycle: k_i * u_i on piece i plus the free-part class whose
@@ -284,8 +285,7 @@ def _borel_bundle(space: SemiFreeSpace, n: int) -> BorelBundle:
 def _triple_for(bundle: BorelBundle, flux: Optional[Vector]) -> TDualityTriple:
     if flux is None:
         return triple(bundle.euler_s1)
-    tsm = total_space(bundle.euler_s1)
-    group = cohomology(tsm.total, 3)
+    group = cohomology(total_space(bundle.euler_s1).total, 3)
     if len(flux) != group.coord_dim:
         raise PreconditionError(
             f"flux has {len(flux)} coordinates but H^3 of the total model has "

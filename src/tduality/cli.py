@@ -209,13 +209,13 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
 
     for name, model in resolved.bundles.items():
         try:
-            tsm = total_space(model)
+            total = total_space(model).total
         except PreconditionError as exc:
             checks.append((f"bundle {name}: total complex builds", False, str(exc), False))
             continue
-        rep = validate_complex(tsm.total)
+        rep = validate_complex(total)
         checks.append((f"bundle {name}: total complex valid", rep.valid, rep.detail or "", True))
-        seq = gysin_sequence(model, 0, tsm.total.top_degree)
+        seq = gysin_sequence(model, 0, total.top_degree)
         failing = [node.label for node in seq.nodes if not node.exact]
         detail = "not exact at " + ", ".join(failing) if failing else ""
         checks.append(
@@ -233,8 +233,8 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
             checks.append((f"action {name}: Borel model builds", True, "", False))
             failure = borel_mod.stability_check(space, n)
             checks.append((f"action {name}: stable under N -> N+1", not failure, failure, True))
+            borel_mod.mathai_wu_dual(space, n)  # a dualization error fails as user data
             if spec.kind in borel_mod._SIMPLICIAL_ROUTE:
-                borel_mod.mathai_wu_dual(space, n)  # a dualization error fails as user data
                 failure = borel_mod.lens_certificate(space, n)
                 checks.append((f"action {name}: dualization routes agree", not failure,
                                failure, True))

@@ -21,7 +21,9 @@ transform and forms no product, so reports that print or compare shapes only
 use it.  ``cohomology`` keeps the full ``smith_normal_form``, whose step logs
 fix the printed generators.  ``first_shape_difference`` compares two
 complexes by their shapes, for the stability and lens certificates.
-``describe_shape`` formats a shape as ``Z/k + Z^r``.
+``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``mapping_cone`` builds
+the cone of a cochain map of any degree ``d >= 0``; ``gysin.total_space`` and
+``borel.mayer_vietoris_glue`` return such cones.
 """
 
 from __future__ import annotations
@@ -367,49 +369,56 @@ def cochain_map_sum(terms: Sequence[tuple[int, CochainMap]]) -> CochainMap:
 
 @dataclass(frozen=True)
 class MappingCone:
-    """Cone of a degree-0 map ``f : A -> B``, ``Cone^n = A^n (+) B^{n-1}``.
+    """Cone of a cochain map ``f : A -> C`` of degree ``d >= 0``,
+    ``Cone^n = C^{n+k} (+) A^{n+k+1-d}`` with ``k = min(0, d - 1)``, the
+    largest shift that keeps both ``A^0`` and ``C^0``.
 
-    Differential ``D(a, b) = (-delta a, f(a) + delta b)``; any consistent
-    convention with the same long exact sequence would do, this one is fixed.
-    ``inclusion`` is ``b -> (0, b)`` and ``projection`` is
-    ``(a, b) -> (-1)^n a``, signed per degree so it commutes strictly.  Each
-    is built, and checked to commute, the first time it is read.
+    Differential ``D(c, a) = (delta c + (-1)^n f(a), delta a)``.
+    ``inclusion`` is ``c -> (c, 0)`` of degree ``-k`` and ``projection`` is
+    ``(c, a) -> a`` of degree ``k + 1 - d``, unsigned, so with ``f`` they
+    form a triangle whose degrees add up to 1.  Each is built, and checked
+    to commute, the first time it is read.
     """
 
-    complex: GradedComplex
+    total: GradedComplex
     f: CochainMap
+
+    @property
+    def shift(self) -> int:
+        return min(0, self.f.degree - 1)
 
     @cached_property
     def inclusion(self) -> CochainMap:
-        """B -> Cone, degree 1: B^m sits below A^{m+1} in Cone^{m+1}."""
-        a_cx, b_cx, cone = self.f.source, self.f.target, self.complex
-        return CochainMap(b_cx, cone, 1, tuple(
-            IntMatrix.eye(cone.rank_at(m + 1), b_cx.rank_at(m), -a_cx.rank_at(m + 1))
-            for m in range(len(b_cx.ranks))
+        c_cx, k = self.f.target, self.shift
+        return CochainMap(c_cx, self.total, -k, tuple(
+            IntMatrix.eye(self.total.rank_at(m - k), c_cx.rank_at(m), 0)
+            for m in range(len(c_cx.ranks))
         ))
 
     @cached_property
     def projection(self) -> CochainMap:
-        """Cone -> A, degree 0, sign (-1)^n."""
-        a_cx, cone = self.f.source, self.complex
-        return CochainMap(cone, a_cx, 0, tuple(
-            IntMatrix.eye(a_cx.rank_at(n), cone.rank_at(n), 0).scale((-1) ** n)
-            for n in range(len(cone.ranks))
+        a_cx, c_cx, k = self.f.source, self.f.target, self.shift
+        d = k + 1 - self.f.degree
+        return CochainMap(self.total, a_cx, d, tuple(
+            IntMatrix.eye(a_cx.rank_at(n + d), self.total.rank_at(n), c_cx.rank_at(n + k))
+            for n in range(len(self.total.ranks))
         ))
 
 
 def mapping_cone(f: CochainMap) -> MappingCone:
-    """The cone complex of a degree-0 map, its structural maps built on first
-    read; a map of any other degree raises ``PreconditionError``."""
-    if f.degree != 0:
-        raise PreconditionError(f"mapping cones take degree-0 maps, not degree {f.degree}")
-    a_cx, b_cx = f.source, f.target
-    top = max(a_cx.top_degree, b_cx.top_degree + 1)
-    ranks = tuple(a_cx.rank_at(n) + b_cx.rank_at(n - 1) for n in range(top + 1))
+    """The cone of ``f``, its structural maps built on first read; a map of
+    negative degree raises ``PreconditionError``."""
+    if f.degree < 0:
+        raise PreconditionError(f"mapping cones take maps of degree >= 0, not degree {f.degree}")
+    a_cx, c_cx, d = f.source, f.target, f.degree
+    k = min(0, d - 1)
+    top = max(c_cx.top_degree - k, a_cx.top_degree + d - k - 1)
+    ranks = tuple(c_cx.rank_at(n + k) + a_cx.rank_at(n + k + 1 - d) for n in range(top + 1))
     deltas = tuple(
         IntMatrix.from_blocks([
-            [a_cx.delta_at(n).scale(-1), IntMatrix.zeros(a_cx.rank_at(n + 1), b_cx.rank_at(n - 1))],
-            [f.mat_at(n), b_cx.delta_at(n - 1)],
+            [c_cx.delta_at(n + k), f.mat_at(n + k + 1 - d).scale(-1 if n % 2 else 1)],
+            [IntMatrix.zeros(a_cx.rank_at(n + k + 2 - d), c_cx.rank_at(n + k)),
+             a_cx.delta_at(n + k + 1 - d)],
         ])
         for n in range(top)
     )

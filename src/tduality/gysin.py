@@ -2,7 +2,7 @@
 
 Given a base complex ``B``, a degree-2 cocycle ``e`` and a chain-level cup
 operator ``mu = (e ~ .)``, the total space of the corresponding circle bundle
-is modelled by the twisted cone
+is modelled by the twisted total ``total_space``, the mapping cone of ``mu``
 
     T^n = B^n (+) B^{n-1},    D(phi, psi) = (delta phi + (-1)^n mu(psi), delta psi).
 
@@ -21,9 +21,10 @@ combination ``e`` with the operator of ``e``, on every kind of base.
 
 One verifier, ``triangle_exactness``, checks the long exact sequence of any
 triangle ``X -> Y -> Z -> X`` of cochain maps whose degrees add up to 1.
-``gysin_sequence`` gives it (pullback, transfer, ``e ~ .``) and
-``cone_exactness`` gives it (projection, ``f``, inclusion) of a mapping cone,
-which for a ``borel.mayer_vietoris_glue`` is the Mayer-Vietoris sequence.
+``gysin_sequence`` gives it the cone triangle (inclusion, projection, ``mu``)
+of the total, whose first two maps are the pullback and the transfer, and
+``cone_exactness`` gives it the triangle of any mapping cone, which for a
+``borel.mayer_vietoris_glue`` is the Mayer-Vietoris sequence.
 Exactness at a node compares the image and kernel lattices, and neither
 changes when a map is multiplied by -1, so the connecting map goes in
 unsigned.
@@ -33,14 +34,14 @@ bounded LRU caches: ``total_space`` (``maxsize=128``), ``realize_euler_class``
 (``maxsize=64``, through ``_realize_euler_class``) and ``induced_matrix``
 (``maxsize=4096``).  So a warm dualization builds each dual Euler model and
 each induced matrix once.  Exactness verdicts are not cached: every
-``triangle_exactness`` call decides its nodes again.  A total space builds its
+``triangle_exactness`` call decides its nodes again.  A cone builds its
 structural maps, and checks that they commute, the first time each is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .complexes import (
@@ -50,6 +51,7 @@ from .complexes import (
     MappingCone,
     class_coordinates,
     cohomology,
+    mapping_cone,
     validate_complex,
 )
 from .errors import InternalCheckError, PreconditionError
@@ -174,75 +176,26 @@ def _realize_euler_class(
     return EulerModel(base, rep, cup.operator(rep), provenance, cup)
 
 
-@dataclass(frozen=True)
-class TotalSpaceModel:
-    """Twisted cone complex of an Euler model with its structural maps.
-
-    Each map is built, and checked to commute, the first time it is read.
-    """
-
-    model: EulerModel
-    total: GradedComplex
-
-    @cached_property
-    def pullback_incl(self) -> CochainMap:
-        """B -> T, phi -> (phi, 0)."""
-        base, total = self.model.base, self.total
-        return CochainMap(base, total, 0, tuple(
-            IntMatrix.eye(total.rank_at(n), base.rank_at(n), 0) for n in range(len(base.ranks))
-        ))
-
-    @cached_property
-    def fiber_proj(self) -> CochainMap:
-        """T -> B, degree -1, (phi, psi) -> psi."""
-        base, total = self.model.base, self.total
-        return CochainMap(total, base, -1, tuple(
-            IntMatrix.eye(base.rank_at(n - 1), total.rank_at(n), base.rank_at(n))
-            for n in range(len(total.ranks))
-        ))
-
-    def split(self, n: int, vec: Sequence[int]) -> tuple[Vector, Vector]:
-        r_phi = self.model.base.rank_at(n)
-        return tuple(vec[:r_phi]), tuple(vec[r_phi:])
-
-    def join(self, n: int, phi: Sequence[int], psi: Sequence[int]) -> Vector:
-        base = self.model.base
-        if len(phi) != base.rank_at(n) or len(psi) != base.rank_at(n - 1):
-            raise PreconditionError("total-space component length mismatch")
-        return tuple(phi) + tuple(psi)
-
-
 # ``verify --all`` builds 23 totals.
 @lru_cache(maxsize=128)
-def total_space(model: EulerModel) -> TotalSpaceModel:
-    """Build the twisted cone; the result satisfies ``validate_complex``."""
-    base = model.base
-    report = validate_complex(base)
+def total_space(model: EulerModel) -> MappingCone:
+    """The twisted total, the cone of ``mu``; it satisfies ``validate_complex``."""
+    report = validate_complex(model.base)
     if not report.valid:
         raise PreconditionError(
             f"base is not a cochain complex at degree {report.degree}: {report.detail}"
         )
-    top = base.top_degree + 1
-    ranks = tuple(base.rank_at(n) + base.rank_at(n - 1) for n in range(top + 1))
-    deltas = []
-    for n in range(top):
-        sign = -1 if n % 2 else 1
-        blocks = [
-            [base.delta_at(n), model.mu.mat_at(n - 1).scale(sign)],
-            [IntMatrix.zeros(base.rank_at(n), base.rank_at(n)), base.delta_at(n - 1)],
-        ]
-        deltas.append(IntMatrix.from_blocks(blocks))
-    total = GradedComplex(ranks, tuple(deltas))
-    report = validate_complex(total)
+    cone = mapping_cone(model.mu)
+    report = validate_complex(cone.total)
     if not report.valid:
         raise InternalCheckError(f"twisted total complex broken: {report.detail}")
-    return TotalSpaceModel(model, total)
+    return cone
 
 
 def pullback(model: EulerModel, n: int, coords: Vector) -> Vector:
     """Induced map H^n(B) -> H^n(E) of the bundle projection."""
-    tsm = total_space(model)
-    if n < 0 or n > tsm.total.top_degree:
+    cone = total_space(model)
+    if n < 0 or n > cone.total.top_degree:
         raise PreconditionError(f"degree {n} out of range for the total space")
     group = cohomology(model.base, n)
     if len(coords) != group.coord_dim:
@@ -250,21 +203,21 @@ def pullback(model: EulerModel, n: int, coords: Vector) -> Vector:
             f"expected {group.coord_dim} coordinates in H^{n}(B), got {len(coords)}"
         )
     rep = group.rep_from_coords(coords)
-    return class_coordinates(tsm.total, n, tsm.pullback_incl.apply(n, rep))
+    return class_coordinates(cone.total, n, cone.inclusion.apply(n, rep))
 
 
 def fiber_integration(model: EulerModel, n: int, coords: Vector) -> Vector:
     """Transfer H^n(E) -> H^{n-1}(B), the projection to the psi component."""
-    tsm = total_space(model)
-    if n < 0 or n > tsm.total.top_degree:
+    cone = total_space(model)
+    if n < 0 or n > cone.total.top_degree:
         raise PreconditionError(f"degree {n} out of range for the total space")
-    group = cohomology(tsm.total, n)
+    group = cohomology(cone.total, n)
     if len(coords) != group.coord_dim:
         raise PreconditionError(
             f"expected {group.coord_dim} coordinates in H^{n}(E), got {len(coords)}"
         )
     rep = group.rep_from_coords(coords)
-    return class_coordinates(model.base, n - 1, tsm.fiber_proj.apply(n, rep))
+    return class_coordinates(model.base, n - 1, cone.projection.apply(n, rep))
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +321,21 @@ def triangle_exactness(
 def gysin_sequence(model: EulerModel, lo: int, hi: int) -> SequenceReport:
     """Exactness at every node of the Gysin sequence in degrees ``lo..hi`` of
     the total space: pullback, transfer, then cup with ``e`` unsigned."""
-    tsm = total_space(model)
+    cone = total_space(model)
     return triangle_exactness(
-        tsm.pullback_incl, tsm.fiber_proj, model.mu,
+        cone.inclusion, cone.projection, cone.f,
         ("H^{}(B)", "H^{}(E)", "H^{}(B) [transfer target]"), lo, hi,
     )
 
 
 def cone_exactness(cone: MappingCone, lo: int, hi: int) -> SequenceReport:
-    """Exactness of the long exact sequence of a mapping cone,
-    ``-> H^{n-1}(B) -> H^n(Cone) -> H^n(A) -> H^n(B) ->``."""
+    """Exactness of the long exact sequence of the cone of ``f : A -> C`` of
+    degree ``d`` and shift ``k`` (``complexes.MappingCone``),
+    ``-> H^n(Cone) -> H^{n+k+1-d}(A) -> H^{n+k+1}(C) -> H^{n+1}(Cone) ->``.
+
+    It is the triangle of ``gysin_sequence`` read from the cone, so that for
+    ``d = 0`` degree 0 of every term is a node."""
     return triangle_exactness(
         cone.projection, cone.f, cone.inclusion,
-        ("H^{}(Cone)", "H^{}(A)", "H^{}(B)"), lo, hi,
+        ("H^{}(Cone)", "H^{}(A)", "H^{}(C)"), lo, hi,
     )

@@ -46,13 +46,13 @@ class TDualityTriple:
     flux_rep: Vector  # vector in T^3 = B^3 (+) B^2
 
     def __post_init__(self):
-        tsm = total_space(self.model)
-        want = tsm.total.rank_at(3)
+        total = total_space(self.model).total
+        want = total.rank_at(3)
         if len(self.flux_rep) != want:
             raise PreconditionError(
                 f"flux vector of length {len(self.flux_rep)}, expected {want}"
             )
-        dz = tsm.total.delta_at(3).apply(self.flux_rep)
+        dz = total.delta_at(3).apply(self.flux_rep)
         for i, x in enumerate(dz):
             if x != 0:
                 raise PreconditionError(
@@ -62,7 +62,7 @@ class TDualityTriple:
 
     @property
     def psi2(self) -> Vector:
-        return total_space(self.model).split(3, self.flux_rep)[1]
+        return self.flux_rep[self.model.base.rank_at(3):]
 
 
 def triple(model: EulerModel, flux_rep: Optional[Vector] = None) -> TDualityTriple:
@@ -73,8 +73,7 @@ def triple(model: EulerModel, flux_rep: Optional[Vector] = None) -> TDualityTrip
 
 def triple_from_flux_coords(model: EulerModel, coords: Vector) -> TDualityTriple:
     """Triple whose flux is the H^3 class with the given coordinates."""
-    tsm = total_space(model)
-    group = cohomology(tsm.total, 3)
+    group = cohomology(total_space(model).total, 3)
     return TDualityTriple(model, group.rep_from_coords(coords))
 
 
@@ -116,17 +115,17 @@ def dualize(t: TDualityTriple) -> TDualResult:
         raise PreconditionError(
             "obstruction [e_hat ~ e] != 0: the dual flux equation has no integer solution"
         )
-    dual_tsm = total_space(dual_model)
-    dual_flux = dual_tsm.join(3, phi_hat, psi_hat)
+    dual_cone = total_space(dual_model)
+    dual_flux = phi_hat + psi_hat
 
-    dz = dual_tsm.total.delta_at(3).apply(dual_flux)
+    dz = dual_cone.total.delta_at(3).apply(dual_flux)
     if any(dz):
         raise InternalCheckError("constructed dual flux is not a cocycle")
 
-    dual_h3 = cohomology(dual_tsm.total, 3)
+    dual_h3 = cohomology(dual_cone.total, 3)
     amb = ()
     if cohomology(base, 3).coord_dim:  # otherwise the pullback map is never built
-        pulled = induced_matrix(dual_tsm.pullback_incl, 3)
+        pulled = induced_matrix(dual_cone.inclusion, 3)
         amb = tuple(pulled.col(j) for j in range(pulled.cols))
     relations = dual_h3.relation_rows()
     full = hermite_normal_form(list(amb) + list(relations), dual_h3.coord_dim)

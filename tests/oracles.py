@@ -2,8 +2,9 @@
 
 These deliberately share no code with the package: a minimal gcd-reduction
 Smith diagonal without transform bookkeeping, a triple-loop matrix product,
-a Bareiss determinant, a brute-force solver over a box, and a
-cohomology-shape calculator built only on the diagonal oracle.  Production
+a Bareiss determinant, a brute-force solver over a box, a
+cohomology-shape calculator built only on the diagonal oracle, and the
+twisted-total and degree-0 cone block constructions on plain row lists.  Production
 results are checked against these, never the other way around.
 """
 
@@ -228,3 +229,61 @@ def block_diag_rows(blocks):
             line.append(value)
         out.append(line)
     return out
+
+
+def _rank(ranks, n):
+    return ranks[n] if 0 <= n < len(ranks) else 0
+
+
+def _rows(mats, n, rows, cols):
+    """Row lists of matrix ``n`` of ``mats``, or the rows x cols zero matrix
+    when ``n`` is outside the list."""
+    if 0 <= n < len(mats):
+        return [list(row) for row in mats[n]]
+    return [[0] * cols for _ in range(rows)]
+
+
+def _two_by_two(top_left, top_right, bottom_left, bottom_right):
+    return ([left + right for left, right in zip(top_left, top_right)]
+            + [left + right for left, right in zip(bottom_left, bottom_right)])
+
+
+def twisted_total(ranks, deltas, mu):
+    """Ranks and coboundary row lists of the twisted total of a base (its
+    ranks and coboundary row lists) under a degree-2 operator ``mu`` (row
+    lists per base degree): ``T^n = B^n (+) B^{n-1}`` with
+    ``D(phi, psi) = (delta phi + (-1)^n mu(psi), delta psi)``, up to one
+    degree above the base."""
+    def r(n):
+        return _rank(ranks, n)
+
+    out = []
+    for n in range(len(ranks)):
+        sign = -1 if n % 2 else 1
+        twist = [[sign * x for x in row] for row in _rows(mu, n - 1, r(n + 1), r(n - 1))]
+        out.append(_two_by_two(_rows(deltas, n, r(n + 1), r(n)), twist,
+                               [[0] * r(n) for _ in range(r(n))],
+                               _rows(deltas, n - 1, r(n), r(n - 1))))
+    return [r(n) + r(n - 1) for n in range(len(ranks) + 1)], out
+
+
+def degree0_cone(a_ranks, a_deltas, c_ranks, c_deltas, f):
+    """Ranks and coboundary row lists of the cone of a degree-0 map
+    ``f : A -> C`` (row lists per degree of A): ``Cone^n = A^n (+) C^{n-1}``
+    with ``D(a, c) = (-delta a, f(a) + delta c)``."""
+    def ra(n):
+        return _rank(a_ranks, n)
+
+    def rc(n):
+        return _rank(c_ranks, n)
+
+    top = max(len(a_ranks) - 1, len(c_ranks))
+    out = []
+    for n in range(top):
+        out.append(_two_by_two(
+            [[-x for x in row] for row in _rows(a_deltas, n, ra(n + 1), ra(n))],
+            [[0] * rc(n - 1) for _ in range(ra(n + 1))],
+            _rows(f, n, rc(n), ra(n)),
+            _rows(c_deltas, n - 1, rc(n), rc(n - 1)),
+        ))
+    return [ra(n) + rc(n - 1) for n in range(top + 1)], out

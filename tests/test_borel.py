@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import first_sign_pattern
+from oracles import degree0_cone, first_sign_pattern
 from tduality import borel, gysin
 from tduality.borel import (
     SemiFreeSpace,
@@ -148,9 +148,9 @@ def test_glue_two_disks_into_sphere():
     circle = GradedComplex.with_zero_deltas((1, 1))
     restriction = CochainMap(pt, circle, 0, (IntMatrix.from_rows([[1]]),))
     glue = mayer_vietoris_glue(pt, pt, circle, restriction, restriction)
-    assert shapes_of(glue.complex) == [((), 1), ((), 0), ((), 1)]
+    assert shapes_of(glue.total) == [((), 1), ((), 0), ((), 1)]
     sphere = catalog_build("sphere2").complex
-    assert shapes_of(glue.complex) == shapes_of(sphere)
+    assert shapes_of(glue.total) == shapes_of(sphere)
     assert cone_exactness(glue, 0, 3).exact
 
 
@@ -169,7 +169,7 @@ def test_glue_disjoint_union_over_empty_overlap():
     empty = GradedComplex.empty()
     to_empty = CochainMap(pt, empty, 0, (IntMatrix.zeros(0, 1),))
     glue = mayer_vietoris_glue(pt, pt, empty, to_empty, to_empty)
-    assert cohomology(glue.complex, 0).shape == ((), 2)
+    assert cohomology(glue.total, 0).shape == ((), 2)
 
 
 def test_glue_two_cones_over_boundary_model():
@@ -178,10 +178,32 @@ def test_glue_two_cones_over_boundary_model():
     cp1 = catalog_build("cp", (1,)).complex
     restriction = cp_restriction(2, 1)
     glue = mayer_vietoris_glue(cp2, cp2, cp1, restriction, restriction)
-    assert shapes_of(glue.complex) == [
+    assert shapes_of(glue.total) == [
         ((), 1), ((), 0), ((), 1), ((), 0), ((), 2),
     ]
     assert cone_exactness(glue, 0, 6).exact
+
+
+def test_glued_base_is_the_block_degree_zero_cone_entry_for_entry(monkeypatch):
+    # each degree of a glued multi-monopole base holds pieces only or
+    # overlaps only, and every coboundary there is zero, so the cone's block
+    # order and signs leave the glued complex as the old construction built it
+    glues = []
+    real = borel.mayer_vietoris_glue
+
+    def recording(*args):
+        glues.append(real(*args))
+        return glues[-1]
+
+    monkeypatch.setattr(borel, "mayer_vietoris_glue", recording)
+    for charges in ((1, 1), (1, 2, 3), (2, 2, 4), (1, 2, 3, 4)):
+        for n in (1, 2, 3):
+            base = borel._multi_monopole_bundle.__wrapped__(charges, n).base_model
+            a, c, f = glues[-1].f.source, glues[-1].f.target, glues[-1].f
+            want = degree0_cone(list(a.ranks), [d.entries for d in a.deltas],
+                                list(c.ranks), [d.entries for d in c.deltas],
+                                [m.entries for m in f.mats])
+            assert (list(base.ranks), [[list(row) for row in d.entries] for d in base.deltas]) == want
 
 
 def test_glue_rejects_wrong_degree_or_targets():

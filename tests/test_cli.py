@@ -169,6 +169,24 @@ def test_verify_flags_broken_user_complex(tmp_path, capsys):
     assert "verification failed" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[action a]\ntype = multi_monopole\ncharges = 1,1\ntruncation = 2\nh = 1,2,3,4,5,6,7\n",
+    "[complex s]\nkind = catalog\nname = sphere2\n"
+    "[action a]\ntype = free_bundle\nbase = s\neuler = vol\ntruncation = 1\nh = 1,2,3\n",
+], ids=["multi_monopole", "free_bundle"])
+def test_verify_fails_an_action_whose_dualization_borel_rejects(tmp_path, capsys, text):
+    # kinds without a lens route are dualized by verify too
+    model = tmp_path / "m.tdsl"
+    model.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "borel", "--action", "a", str(model))
+    assert code == EXIT_PRECONDITION and "H^3 of the total model" in err
+    message = err.strip().split(": ", 1)[1]
+    code, out, _ = run(capsys, "--json", "verify", str(model))
+    assert code == EXIT_PRECONDITION
+    failing = [check for check in json.loads(out)["checks"] if not check["ok"]]
+    assert failing == [{"name": f"action a: {message}", "ok": False, "detail": message}]
+
+
 def test_precondition_for_non_cocycle_flux(tmp_path, capsys):
     text = (
         "[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n"
@@ -595,11 +613,12 @@ def test_degree_count_bound_fails_at_parse(tmp_path):
             assert f"lists {count} degrees" in proc.stderr and "dsl.MAX_DEGREES" in proc.stderr
 
 
-def test_reports_match_the_committed_transcript_digest():
-    # tests/data/transcript.sha256 holds the digest of tests/transcript.py
-    # on its default model file; an engine change that alters any report
-    # byte changes it
+@pytest.mark.parametrize("name", ["transcript", "sample"])
+def test_reports_match_the_committed_transcript_digest(name):
+    # tests/data/NAME.sha256 holds the digest of tests/transcript.py on
+    # tests/data/NAME.tdsl; an engine change that alters any report byte
+    # changes it
     from transcript import transcript
 
-    digest, _ = transcript(str(DATA / "transcript.tdsl"))
-    assert digest == (DATA / "transcript.sha256").read_text(encoding="utf-8").strip()
+    digest, _ = transcript(str(DATA / f"{name}.tdsl"))
+    assert digest == (DATA / f"{name}.sha256").read_text(encoding="utf-8").strip()

@@ -19,6 +19,7 @@ from tduality.complexes import (
     validate_complex,
 )
 from tduality.errors import PreconditionError
+from tduality.gysin import cone_exactness
 from tduality.matrices import (
     IntMatrix,
     kernel_basis,
@@ -450,8 +451,8 @@ def test_cone_of_zero_map_is_sum_with_shift():
     b = random_complex(rng, max_rank=3, max_deg=4)
     f = CochainMap.zero(a, b, 0)
     cone = mapping_cone(f)
-    for n in range(len(cone.complex.ranks) + 1):
-        got = canonical_shape(cohomology(cone.complex, n).shape)
+    for n in range(len(cone.total.ranks) + 1):
+        got = canonical_shape(cohomology(cone.total, n).shape)
         want = group_direct_sum(
             cohomology(a, n).shape, cohomology(b, n - 1).shape
         )
@@ -462,16 +463,16 @@ def test_cone_of_identity_is_acyclic():
     cx = lens_model(3, n=2)
     f = CochainMap(cx, cx, 0, tuple(IntMatrix.eye(1, 1, 0) for _ in cx.ranks))
     cone = mapping_cone(f)
-    for n in range(len(cone.complex.ranks) + 1):
-        assert cohomology(cone.complex, n).coord_dim == 0
+    for n in range(len(cone.total.ranks) + 1):
+        assert cohomology(cone.total, n).coord_dim == 0
 
 
 def test_cone_of_multiplication_by_k_on_point():
     pt = point_model()
     f = CochainMap(pt, pt, 0, (IntMatrix.from_rows([[6]]),))
     cone = mapping_cone(f)
-    assert cohomology(cone.complex, 0).coord_dim == 0
-    assert cohomology(cone.complex, 1).shape == ((6,), 0)
+    assert cohomology(cone.total, 0).coord_dim == 0
+    assert cohomology(cone.total, 1).shape == ((6,), 0)
 
 
 def test_cone_rejects_non_chain_map():
@@ -506,18 +507,37 @@ def test_cone_builds_its_structural_maps_on_first_read(monkeypatch):
     f = CochainMap.zero(a, b, 0)
     monkeypatch.setattr(CochainMap, "__post_init__", counted)
     cone = mapping_cone(f)
-    assert cone.complex.top_degree == max(a.top_degree, b.top_degree + 1) and built == []
+    assert cone.total.top_degree == max(a.top_degree, b.top_degree + 1) and built == []
     assert cone.inclusion is cone.inclusion and len(built) == 1
-    assert cone.projection.source == cone.complex and len(built) == 2
+    assert cone.projection.source == cone.total and len(built) == 2
     assert cone == mapping_cone(f) and len(built) == 2
-def test_cone_rejects_maps_of_nonzero_degree():
-    point = GradedComplex.with_zero_deltas((1,))
+def test_cone_rejects_maps_of_negative_degree():
     b = GradedComplex((1, 1), (IntMatrix.from_rows([[1]]),))
-    with pytest.raises(PreconditionError, match="degree 2"):
-        mapping_cone(CochainMap.zero(point, b, 2))
-    for degree in (-1, 1):
-        with pytest.raises(PreconditionError, match=f"degree {degree}"):
+    for degree in (-1, -2):
+        with pytest.raises(PreconditionError, match=f"not degree {degree}"):
             mapping_cone(CochainMap.zero(b, b, degree))
+
+
+def test_cones_of_degree_one_and_two_are_valid_with_exact_triangles():
+    point = GradedComplex.with_zero_deltas((1,))
+    circle = GradedComplex.with_zero_deltas((1, 1))
+    # B^0 sits in cone degree 0 for d = 2, so its nonzero delta0 is kept
+    b = GradedComplex((1, 1), (IntMatrix.from_rows([[1]]),))
+    twice = CochainMap(point, circle, 1, (IntMatrix.from_rows([[2]]),))
+    rng = random.Random(47)
+    a, c = random_complex(rng, max_rank=3, max_deg=4), random_complex(rng, max_rank=3, max_deg=4)
+    cones = [mapping_cone(twice), mapping_cone(CochainMap.zero(point, b, 2))]
+    cones += [mapping_cone(CochainMap.zero(a, c, d)) for d in (1, 2)]
+    for cone in cones:
+        assert validate_complex(cone.total).valid
+        assert cone_exactness(cone, 0, cone.total.top_degree + 1).exact
+    assert [cohomology(cones[0].total, n).shape for n in (0, 1)] == [((), 1), ((2,), 0)]
+    # B is acyclic, so the cone is the point moved up one degree
+    assert [cohomology(cones[1].total, n).shape for n in (0, 1)] == [((), 0), ((), 1)]
+    for d, cone in zip((1, 2), cones[2:]):
+        for n in range(cone.total.top_degree + 2):
+            want = group_direct_sum(cohomology(c, n).shape, cohomology(a, n + 1 - d).shape)
+            assert canonical_shape(cohomology(cone.total, n).shape) == canonical_shape(want)
 
 
 # --- tensor products -----------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from generators import random_euler_model
-from oracles import canonical_shape, group_direct_sum
+from oracles import canonical_shape, group_direct_sum, twisted_total
 from tduality import gysin
 from tduality.borel import SemiFreeSpace, truncated_borel
 from tduality.catalog import catalog_build, euler_model_from_cocycle, euler_model_from_label_coeffs
@@ -39,10 +39,10 @@ def test_trivial_bundle_splits_groupwise():
     for name, params in (("torus2", ()), ("rp2", ()), ("lens", (3, 1))):
         base = catalog_build(name, params).complex
         model = zero_euler_model(base)
-        tsm = total_space(model)
-        assert validate_complex(tsm.total).valid
-        for n in range(len(tsm.total.ranks)):
-            got = canonical_shape(cohomology(tsm.total, n).shape)
+        cone = total_space(model)
+        assert validate_complex(cone.total).valid
+        for n in range(len(cone.total.ranks)):
+            got = canonical_shape(cohomology(cone.total, n).shape)
             want = group_direct_sum(
                 cohomology(base, n).shape, cohomology(base, n - 1).shape
             )
@@ -53,16 +53,16 @@ def test_trivial_bundle_splits_groupwise():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_twisted_total_matches_lens_model(k, n):
     model = cp_bundle(n, k)
-    tsm = total_space(model)
+    cone = total_space(model)
     lens = catalog_build("lens", (k, n)).complex
     for d in range(2 * n + 2):
-        assert cohomology(tsm.total, d).shape == cohomology(lens, d).shape
+        assert cohomology(cone.total, d).shape == cohomology(lens, d).shape
 
 
 def test_unit_euler_class_gives_sphere_profile():
     model = cp_bundle(2, 1)
-    tsm = total_space(model)
-    shapes = shapes_of(tsm.total)
+    cone = total_space(model)
+    shapes = shapes_of(cone.total)
     assert shapes == [((), 1), ((), 0), ((), 0), ((), 0), ((), 0), ((), 1)]
 
 
@@ -102,10 +102,10 @@ def test_fiber_integration_kills_pullbacks():
 def test_fiber_integration_torus_volume_times_fiber():
     torus = catalog_build("torus2")
     model = zero_euler_model(torus.complex, torus.cup)
-    tsm = total_space(model)
+    cone = total_space(model)
     vol = cohomology(torus.complex, 2).generators[0]
-    cls = tsm.join(3, (0,) * torus.complex.rank_at(3), vol)
-    coords = class_coordinates(tsm.total, 3, cls)
+    cls = (0,) * torus.complex.rank_at(3) + vol
+    coords = class_coordinates(cone.total, 3, cls)
     assert fiber_integration(model, 3, coords) == (1,)
 
 
@@ -126,11 +126,11 @@ def test_gysin_trivial_bundle_over_sphere_exact():
 def test_gysin_hopf_type_bundles_exact():
     for k in (1, 5):
         model = cp_bundle(3, k)
-        tsm = total_space(model)
-        report = gysin_sequence(model, 0, tsm.total.top_degree)
+        cone = total_space(model)
+        report = gysin_sequence(model, 0, cone.total.top_degree)
         assert report.exact
         if k == 5:
-            assert cohomology(tsm.total, 2).shape == ((5,), 0)
+            assert cohomology(cone.total, 2).shape == ((5,), 0)
 
 
 def test_gysin_randomized_models_exact():
@@ -237,18 +237,18 @@ def test_cone_long_exact_sequence_with_torsion():
     )
     times3 = CochainMap(lens6, lens6, 0, tuple(IntMatrix.from_rows([[3]]) for _ in range(4)))
     cone = mapping_cone(times3)
-    report = cone_exactness(cone, 0, len(cone.complex.ranks))
+    report = cone_exactness(cone, 0, len(cone.total.ranks))
     assert report.exact
 
 
 def test_total_space_extension_is_degreewise_exact():
     model = cp_bundle(2, 3)
-    tsm = total_space(model)
-    base, total = model.base, tsm.total
+    cone = total_space(model)
+    base, total = model.base, cone.total
     for n in range(len(total.ranks)):
         # ranks add up and the maps compose to zero with full rank blocks
         assert total.rank_at(n) == base.rank_at(n) + base.rank_at(n - 1)
-        comp = tsm.fiber_proj.mat_at(n) @ tsm.pullback_incl.mat_at(n)
+        comp = cone.projection.mat_at(n) @ cone.inclusion.mat_at(n)
         assert comp.is_zero()
 
 
@@ -256,17 +256,17 @@ def test_sequence_report_carries_generator_matrices():
     model = cp_bundle(2, 3)
     from tduality.gysin import induced_matrix
 
-    tsm = total_space(model)
+    cone = total_space(model)
     assert gysin_sequence(model, 0, 4).exact
     # the three families of maps are integer matrices on chosen generators
     g2_base = cohomology(model.base, 2)
     g2_total = cohomology(total_space(model).total, 2)
-    pull = induced_matrix(tsm.pullback_incl, 2)
+    pull = induced_matrix(cone.inclusion, 2)
     assert pull.shape == (g2_total.coord_dim, g2_base.coord_dim)
     cup = induced_matrix(model.mu, 0)
     assert cup.shape == (g2_base.coord_dim, cohomology(model.base, 0).coord_dim)
     assert cup.entries == ((3,),)  # cup with 3u on the unit
-    transfer = induced_matrix(tsm.fiber_proj, 3)
+    transfer = induced_matrix(cone.projection, 3)
     assert transfer.shape == (g2_base.coord_dim, cohomology(total_space(model).total, 3).coord_dim)
 
 
@@ -321,12 +321,27 @@ def cached_path_models():
     return [(a, realize_euler_class(*a)) for a in args]
 
 
+def test_total_space_is_the_block_twisted_total_entry_for_entry():
+    # mapping_cone(mu) of a degree-2 mu has the blocks, block order and signs
+    # of the twisted total T^n = B^n (+) B^{n-1}
+    models = [cp_bundle(n, k) for n in (1, 2, 3, 4) for k in (0, 1, 3)]
+    models += [model for _, model in cached_path_models()]  # torus, RP^2, glued
+    for charges in ((1, 1), (1, 2, 3), (2, 2, 4)):
+        for n in (1, 2, 3):
+            models.append(truncated_borel(SemiFreeSpace("multi_monopole", charges=charges), n).euler_s1)
+    for model in models:
+        base, total = model.base, total_space(model).total
+        want = twisted_total(list(base.ranks), [d.entries for d in base.deltas],
+                             [m.entries for m in model.mu.mats])
+        assert (list(total.ranks), [[list(row) for row in d.entries] for d in total.deltas]) == want
+
+
 def test_cached_results_equal_the_uncached_ones():
     for (base, cup, coords, provenance), model in cached_path_models():
         assert model == _realize_euler_class.__wrapped__(base, cup, tuple(coords), provenance)
         assert realize_euler_class(base, cup, list(coords), provenance) is model
-        tsm = total_space(model)
-        for f in (tsm.pullback_incl, tsm.fiber_proj, model.mu):
+        cone = total_space(model)
+        for f in (cone.inclusion, cone.projection, model.mu):
             for n in range(len(f.source.ranks)):
                 assert induced_matrix(f, n) == induced_matrix.__wrapped__(f, n)
                 assert induced_matrix(f, n) is induced_matrix(f, n)
@@ -370,17 +385,17 @@ def test_structural_maps_are_built_on_first_read(monkeypatch):
 
     monkeypatch.setattr(CochainMap, "__post_init__", counting)
     for model in models:
-        tsm = total_space.__wrapped__(model)
-        base, total = model.base, tsm.total
+        cone = total_space.__wrapped__(model)
+        base, total = model.base, cone.total
         assert built == []
         # each map is checked once when first read, then its eye-built copy here
-        assert tsm.pullback_incl == CochainMap(base, total, 0, tuple(
+        assert cone.inclusion == CochainMap(base, total, 0, tuple(
             IntMatrix.eye(total.rank_at(n), base.rank_at(n), 0) for n in range(len(base.ranks))
         ))
-        assert tsm.fiber_proj == CochainMap(total, base, -1, tuple(
+        assert cone.projection == CochainMap(total, base, -1, tuple(
             IntMatrix.eye(base.rank_at(n - 1), total.rank_at(n), base.rank_at(n))
             for n in range(len(total.ranks))
         ))
-        assert tsm.pullback_incl is tsm.pullback_incl and tsm.fiber_proj is tsm.fiber_proj
+        assert cone.inclusion is cone.inclusion and cone.projection is cone.projection
         assert built == [0, 0, -1, -1]
         built.clear()

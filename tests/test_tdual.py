@@ -29,9 +29,8 @@ def torus_trivial():
 
 def torus_flux_triple(j):
     model = torus_trivial()
-    tsm = total_space(model)
     vol = cohomology(model.base, 2).generators[0]
-    rep = tsm.join(3, (0,) * model.base.rank_at(3), tuple(j * x for x in vol))
+    rep = (0,) * model.base.rank_at(3) + tuple(j * x for x in vol)
     return TDualityTriple(model, rep)
 
 
@@ -165,8 +164,8 @@ def test_double_dual_examples(make):
 
 def test_push_flux_additive():
     model = sphere3_trivial()
-    tsm = total_space(model)
-    g = cohomology(tsm.total, 3)
+    cone = total_space(model)
+    g = cohomology(cone.total, 3)
     rng = random.Random(89)
     for _ in range(10):
         c1 = tuple(rng.randint(-3, 3) for _ in range(g.coord_dim))

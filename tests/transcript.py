@@ -8,7 +8,8 @@ flux), each action (``borel`` with each route), ``verify`` and ``verify
 --all``, each in text and ``--json``, and hashes the argument list (the file
 written as ``FILE``), exit code, stdout and stderr of every run.  Two
 versions of the engine report byte-identically on FILE when the hashes
-match.  FILE defaults to ``tests/data/transcript.tdsl``.
+match.  FILE defaults to ``tests/data/transcript.tdsl``; the committed digest
+of ``tests/data/NAME.tdsl`` is ``tests/data/NAME.sha256``.
 """
 
 from __future__ import annotations
