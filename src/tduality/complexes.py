@@ -210,8 +210,8 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
     # image of b in kernel coordinates (top coordinates vanish since a @ b == 0)
     p = reduce_rows @ b
     snf_p = smith_normal_form(p)
-    kernel_cols = IntMatrix._computed([row[r_a:] for row in snf_a.v.entries], k)
-    gens_all = kernel_cols @ snf_p.u_inv
+    # generators: the columns of (kernel basis) @ U_p^-1, from snf_p's step log
+    gens_all = snf_p.times_u_inv([list(col) for col in zip(*snf_a.v.entries)][r_a:])
 
     factors = []
     for i in range(k):
@@ -227,10 +227,10 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
 
     # normalize: first nonzero entry of each generator positive, coordinate
     # row flipped along with it, so coordinates(generator_i) stays e_i
-    coord_list = [list(row) for row in (snf_p.u @ reduce_rows).entries]
+    coord_list = snf_p.u_times([list(row) for row in reduce_rows.entries])
     gen_list = []
     for i, _ in selection:
-        gen = list(gens_all.col(i))
+        gen = gens_all[i]
         lead = next((x for x in gen if x), 1)
         if lead < 0:
             gen = [-x for x in gen]

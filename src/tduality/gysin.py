@@ -292,14 +292,14 @@ def triangle_exactness(
     The degrees of the three maps add up to 1, so for each ``n`` in
     ``lo..hi`` the nodes are ``H^n(X)``, ``H^{n+|f|}(Y)`` and
     ``H^{n+|f|+|g|}(Z)``, and ``h`` leads on to ``H^{n+1}(X)``.  Each label
-    is a format string receiving its node's degree.
+    is a format string receiving its node's degree; ``lo`` may be -1.
     """
     maps = (f, g, h)
     if f.target != g.source or g.target != h.source or h.target != f.source:
         raise PreconditionError("the three maps do not form a triangle")
     if f.degree + g.degree + h.degree != 1:
         raise PreconditionError("the degrees of a triangle's maps must add up to 1")
-    if lo < 0 or hi < lo:
+    if lo < -1 or hi < lo:
         raise PreconditionError(f"bad degree range {lo}..{hi}")
 
     nodes = []
@@ -333,9 +333,11 @@ def cone_exactness(cone: MappingCone, lo: int, hi: int) -> SequenceReport:
     degree ``d`` and shift ``k`` (``complexes.MappingCone``),
     ``-> H^n(Cone) -> H^{n+k+1-d}(A) -> H^{n+k+1}(C) -> H^{n+1}(Cone) ->``.
 
-    It is the triangle of ``gysin_sequence`` read from the cone, so that for
-    ``d = 0`` degree 0 of every term is a node."""
+    It is the triangle of ``gysin_sequence`` read from the cone.  It starts
+    at ``n = lo - k - 1``, where ``H^lo(C)`` is a node, so degree ``lo`` of
+    every term is checked: at ``lo`` itself for ``d = 0`` and one step
+    earlier, with ``H^{lo-1}(Cone)`` and ``H^{lo-2}(A)``, for ``d >= 1``."""
     return triangle_exactness(
         cone.projection, cone.f, cone.inclusion,
-        ("H^{}(Cone)", "H^{}(A)", "H^{}(C)"), lo, hi,
+        ("H^{}(Cone)", "H^{}(A)", "H^{}(C)"), lo - cone.shift - 1, hi,
     )

@@ -17,11 +17,14 @@ Conventions:
   picks, so the early exit leaves the decomposition unchanged.
 * ``smith_normal_form`` eliminates on a copy of ``M`` only and logs each
   step as ``(i, j, q)``: ``row_i -= q row_j``, a swap when ``q == 0``, a
-  negation when ``i == j``; column steps act on columns.  A transform is
-  replayed on the identity when first read (Kannan-Bachem: it is the product
-  of the steps).  Forward replay gives ``U`` and the columns of ``V``;
-  mirrored replay, ``row_j += q row_i`` per step (swaps and negations are
-  their own inverses), gives the columns of ``U^-1`` and the rows of ``V^-1``.
+  negation when ``i == j``; column steps act on columns.  A transform is the
+  product of its steps (Kannan-Bachem), so callers apply a log to their
+  operand instead: ``u_times`` gives ``U @ X`` on the rows of ``X``,
+  ``times_u_inv`` gives ``X @ U^-1`` on its columns, each step mirrored as
+  ``row_j += q row_i`` (swaps and negations are their own inverses), and
+  ``v_times`` gives ``V @ X``, each column step, last first, as
+  ``row_j -= q row_i``.  The properties ``u``, ``v``, ``u_inv`` and
+  ``v_inv`` replay a whole transform on the identity, for its readers.
 * ``invariant_factors`` gives the nonzero Smith diagonal alone.  It splits
   off unit pivots on dict rows of the nonzeros, choosing each to limit
   fill-in (Kaczynski-Mrozek-Slusarek; Dumas-Saunders-Villard), and runs
@@ -36,13 +39,15 @@ Conventions:
   the diagonal.
 * Products skip zeros: ``a @ b`` adds ``a[i][k] * (row k of b)`` only where
   ``a[i][k] != 0``, and only at that row's nonzero columns, so a structural
-  map or a coboundary costs what its nonzeros cost.  The arithmetic is exact,
-  so the result equals the dense sum of products.
+  map or a coboundary costs what its nonzeros cost.  Each factor keeps its
+  row supports, the nonzero columns of every row, on first use, like the
+  column layout below.  The arithmetic is exact, so the result equals the
+  dense sum of products.
 * Matrix-vector products follow the vector's nonzeros: the first ``m @ v``
   keeps a column layout on ``m``, for each column the rows where it is
   nonzero, and every product adds ``m[i][k] * v[k]`` only at those rows of
-  the columns where ``v[k] != 0``.  The layout is not a field, so equality,
-  ``repr`` and pickling ignore it; it costs one index per nonzero entry.
+  the columns where ``v[k] != 0``.  Neither layout is a field, so equality,
+  ``repr`` and pickling ignore them; each costs one index per nonzero entry.
 * Cache keys hash once: ``IntMatrix``, and through ``hash_once`` the complexes,
   cochain maps and Euler models that key the ``lru_cache`` lookups, keep the
   dataclass default hash after its first computation.
@@ -170,18 +175,27 @@ class IntMatrix:
             # Each nonzero a = row[k] adds a * (right row k), at that row's
             # nonzero columns only, so the cost follows the nonzeros.
             right = other.entries
-            support = [[j for j, b in enumerate(r) if b] for r in right]
+            support = other._row_support()
             out = []
-            for row in self.entries:
+            for row, nonzero in zip(self.entries, self._row_support()):
                 acc = [0] * other.cols
-                for k, a in enumerate(row):
-                    if a:
-                        r = right[k]
-                        for j in support[k]:
-                            acc[j] += a * r[j]
+                for k in nonzero:
+                    a, r = row[k], right[k]
+                    for j in support[k]:
+                        acc[j] += a * r[j]
                 out.append(tuple(acc))
             return IntMatrix(self.rows, other.cols, tuple(out))
         return self.apply(other)
+
+    def _row_support(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the columns holding a nonzero entry; kept like _hash."""
+        try:
+            return self._row_cols
+        except AttributeError:
+            cols = range(self.cols)
+            support = tuple(tuple(compress(cols, row)) for row in self.entries)
+            object.__setattr__(self, "_row_cols", support)
+            return support
 
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
@@ -222,6 +236,8 @@ class IntMatrix:
         return self.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
+        if c == 1:
+            return self
         return IntMatrix(
             self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries)
         )
@@ -244,7 +260,7 @@ class IntMatrix:
         )
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -259,8 +275,7 @@ class IntMatrix:
             for b in block_row:
                 if b.rows != height:
                     raise ValueError("ragged block row")
-            for i in range(height):
-                rows.append(tuple(x for b in block_row for x in b.entries[i]))
+            rows += [sum(parts, ()) for parts in zip(*(b.entries for b in block_row))]
         width = sum(b.cols for b in blocks[0]) if blocks else 0
         return IntMatrix._computed(rows, width)
 
@@ -273,22 +288,27 @@ def _apply_step(rows: list[list[int]], i: int, j: int, q: int) -> None:
     elif q == 0:
         rows[i], rows[j] = rows[j], rows[i]
     else:
-        ri, rj = rows[i], rows[j]
-        for k in range(len(ri)):
-            ri[k] -= q * rj[k]
+        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
+
+
+def _apply_steps(
+    rows: list[list[int]], steps: Iterable[tuple[int, int, int]], mirrored: bool
+) -> list[list[int]]:
+    """The logged steps applied in order to ``rows`` in place, each as
+    ``row_j += q row_i`` when ``mirrored``; returns ``rows``."""
+    for i, j, q in steps:
+        if mirrored:
+            i, j, q = j, i, -q
+        _apply_step(rows, i, j, q)
+    return rows
 
 
 def _replay(
     n: int, steps: Sequence[tuple[int, int, int]], mirrored: bool, transposed: bool
 ) -> IntMatrix:
-    """The logged steps applied to the ``n x n`` identity, each as
-    ``row_j += q row_i`` when ``mirrored``; ``transposed`` returns the
-    columns."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i, j, q in steps:
-        if mirrored:
-            i, j, q = j, i, -q
-        _apply_step(rows, i, j, q)
+    """The logged steps applied to the ``n x n`` identity (see
+    ``_apply_steps``); ``transposed`` returns the columns."""
+    rows = _apply_steps([[int(i == j) for j in range(n)] for i in range(n)], steps, mirrored)
     return IntMatrix._computed(zip(*rows) if transposed else rows, n)
 
 
@@ -296,14 +316,28 @@ def _replay(
 class SNFDecomposition:
     """``U @ M @ V == D`` from ``smith_normal_form``.
 
-    Holds ``d`` and the logs of the row and column steps; ``u``, ``v``,
-    ``u_inv`` (``U^-1``) and ``v_inv`` (``V^-1``) are each replayed from
-    their log the first time they are read (see the module docstring).
+    Holds ``d`` and the logs of the row and column steps; ``u_times``,
+    ``times_u_inv`` and ``v_times`` apply a log to an operand in place, and
+    ``u``, ``v``, ``u_inv`` (``U^-1``) and ``v_inv`` (``V^-1``) are each
+    replayed whole when first read (see the module docstring).
     """
 
     d: IntMatrix
     row_steps: tuple[tuple[int, int, int], ...]
     col_steps: tuple[tuple[int, int, int], ...]
+
+    def u_times(self, rows: list[list[int]]) -> list[list[int]]:
+        """``U @ X`` on the rows of ``X``."""
+        return _apply_steps(rows, self.row_steps, mirrored=False)
+
+    def times_u_inv(self, cols: list[list[int]]) -> list[list[int]]:
+        """``X @ U^-1`` on the columns of ``X``."""
+        return _apply_steps(cols, self.row_steps, mirrored=True)
+
+    def v_times(self, rows: list[list[int]]) -> list[list[int]]:
+        """``V @ X`` on the rows of ``X``: ``col_i -= q col_j`` of ``V`` acts
+        as ``row_j -= q row_i``, last step first."""
+        return _apply_steps(rows, ((j, i, q) for i, j, q in reversed(self.col_steps)), False)
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -495,9 +529,12 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 
 
 def kernel_basis(m: IntMatrix) -> tuple[Vector, ...]:
-    """Basis of the lattice ``{x : m @ x == 0}`` (columns of V past the rank)."""
+    """Basis of the lattice ``{x : m @ x == 0}`` (columns of V past the rank),
+    read as ``V`` times the unit slab of those columns."""
     snf = smith_normal_form(m)
-    return tuple(snf.v.col(j) for j in range(snf.rank, m.cols))
+    r = snf.rank
+    slab = [[int(i - r == j) for j in range(m.cols - r)] for i in range(m.cols)]
+    return tuple(zip(*snf.v_times(slab)))
 
 
 def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
@@ -510,7 +547,7 @@ def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     if len(b) != m.rows:
         raise PreconditionError(f"right-hand side length {len(b)} against {m.shape} matrix")
     snf = smith_normal_form(m)
-    c = snf.u.apply(b)
+    c = [row[0] for row in snf.u_times([[x] for x in b])]
     y = [0] * m.cols
     for i in range(min(m.rows, m.cols)):
         d = snf.d.entries[i][i]
@@ -521,7 +558,7 @@ def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     for i in range(snf.rank, m.rows):
         if c[i] != 0:
             return None
-    return snf.v.apply(y)
+    return tuple(row[0] for row in snf.v_times([[x] for x in y]))
 
 
 def hermite_normal_form(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import class_coordinates, cohomology
+from .complexes import class_coordinates, cohomology, cohomology_shapes
 from .errors import InternalCheckError, PreconditionError
 from .gysin import (
     EulerModel,
@@ -124,7 +124,7 @@ def dualize(t: TDualityTriple) -> TDualResult:
 
     dual_h3 = cohomology(dual_cone.total, 3)
     amb = ()
-    if cohomology(base, 3).coord_dim:  # otherwise the pullback map is never built
+    if cohomology_shapes(base, 3)[3] != ((), 0):  # else the pullback is never built
         pulled = induced_matrix(dual_cone.inclusion, 3)
         amb = tuple(pulled.col(j) for j in range(pulled.cols))
     relations = dual_h3.relation_rows()

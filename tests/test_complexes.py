@@ -24,6 +24,7 @@ from tduality.matrices import (
     IntMatrix,
     kernel_basis,
     smith_normal_form,
+    solve_integer_system,
     unimodular_inverse,
 )
 from tduality.simplicial import cochain_complex_of, from_facets
@@ -399,6 +400,59 @@ def glued_total(charges, n):
     return bundle.base_model, total_space(bundle.euler_s1).total
 
 
+def check_step_logs_against_replayed_transforms(a, b, rng):
+    """Each operand built from a Smith step log equals the product with the
+    transform replayed on the identity: ``U_p @ R`` and ``K @ U_p^-1`` of the
+    presentation with outgoing ``a`` and incoming ``b``, ``V[:, r:]`` of
+    ``kernel_basis(a)``, and ``U @ b`` and ``V @ y`` of
+    ``solve_integer_system(a, a @ x)``.  Returns the largest bit size of the
+    replayed transforms."""
+    snf_a = smith_normal_form(a)
+    r, n = snf_a.rank, a.cols
+    reduce_rows = [list(row) for row in snf_a.v_inv.entries[r:]]
+    kernel = [list(row[r:]) for row in snf_a.v.entries]
+    snf_p = smith_normal_form(IntMatrix.from_rows(reduce_rows, cols=n) @ b)
+    assert snf_p.u_times([row[:] for row in reduce_rows]) == \
+        mat_mul(snf_p.u.entries, reduce_rows, n)
+    k = n - r
+    assert snf_p.times_u_inv([list(col) for col in zip(*kernel)]) == \
+        [list(col) for col in zip(*mat_mul(kernel, snf_p.u_inv.entries, k))]
+    assert kernel_basis(a) == tuple(zip(*snf_a.v.entries))[r:]
+
+    x = [rng.randint(-9, 9) for _ in range(n)]
+    rhs = a.apply(x)
+    c = [row[0] for row in mat_mul(snf_a.u.entries, [[v] for v in rhs], 1)]
+    assert snf_a.u_times([[v] for v in rhs]) == [[v] for v in c]
+    y = [ci // di for ci, di in zip(c, snf_a.invariant_factors())] + [0] * k
+    assert snf_a.v_times([[v] for v in y]) == mat_mul(snf_a.v.entries, [[v] for v in y], 1)
+    assert solve_integer_system(a, rhs) == snf_a.v.apply(y)
+    transforms = (snf_a.u, snf_a.v, snf_a.v_inv, snf_p.u, snf_p.u_inv)
+    return max((abs(v).bit_length() for t in transforms for row in t.entries for v in row),
+               default=0)
+
+
+def test_step_logs_equal_replayed_products_on_random_matrices():
+    rng = random.Random(67)
+    for _ in range(60):
+        rows, cols, width = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 5)
+        bound = rng.choice((1, 3, 2**40))
+        a, b = ([[rng.randint(-bound, bound) if rng.random() < 0.6 else 0 for _ in range(w)]
+                 for _ in range(h)] for h, w in ((rows, cols), (cols, width)))
+        check_step_logs_against_replayed_transforms(
+            IntMatrix.from_rows(a, cols=cols), IntMatrix.from_rows(b, cols=width), rng)
+    for _ in range(20):
+        cx = random_complex(rng)
+        for d in range(cx.top_degree + 1):
+            check_step_logs_against_replayed_transforms(cx.delta_at(d), cx.delta_at(d - 1), rng)
+
+
+def test_step_logs_equal_replayed_products_on_the_wide_glued_total():
+    rng = random.Random(71)
+    bits = [check_step_logs_against_replayed_transforms(cx.delta_at(d), cx.delta_at(d - 1), rng)
+            for cx in glued_total(WIDE_CHARGES, 2) for d in range(cx.top_degree + 1)]
+    assert max(bits) > 100
+
+
 def test_invariant_factors_equal_the_smith_diagonal_on_engine_coboundaries():
     from tduality.catalog import catalog_build, euler_model_from_label_coeffs
     from tduality.gysin import total_space
@@ -538,6 +592,24 @@ def test_cones_of_degree_one_and_two_are_valid_with_exact_triangles():
         for n in range(cone.total.top_degree + 2):
             want = group_direct_sum(cohomology(c, n).shape, cohomology(a, n + 1 - d).shape)
             assert canonical_shape(cohomology(cone.total, n).shape) == canonical_shape(want)
+
+
+def test_cone_exactness_checks_degree_zero_of_every_term():
+    point = GradedComplex.with_zero_deltas((1,))
+    b = GradedComplex((1, 1), (IntMatrix.from_rows([[1]]),))
+    # degree 0: H^0 of all three terms is a node of n = 0
+    report = cone_exactness(mapping_cone(CochainMap.zero(point, point, 0)), 0, 1)
+    assert report.exact and [node.label for node in report.nodes] == [
+        "H^0(Cone)", "H^0(A)", "H^0(C)", "H^1(Cone)", "H^1(A)", "H^1(C)",
+    ]
+    # degree 2: H^0(C) follows H^-1(Cone) and H^-2(A), so the check starts a
+    # step below the cone's degree 0
+    report = cone_exactness(mapping_cone(CochainMap.zero(point, b, 2)), 0, 1)
+    assert report.exact and report.degree_range == (-1, 1)
+    assert [node.label for node in report.nodes] == [
+        "H^-1(Cone)", "H^-2(A)", "H^0(C)", "H^0(Cone)", "H^-1(A)", "H^1(C)",
+        "H^1(Cone)", "H^0(A)", "H^2(C)",
+    ]
 
 
 # --- tensor products -----------------------------------------------------

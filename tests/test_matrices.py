@@ -153,9 +153,10 @@ def test_snf_unit_pivot_tie_break_is_pinned():
     )
 
 
-def test_cohomology_replays_exactly_the_transforms_it_reads(monkeypatch):
+def test_only_the_presentation_replays_and_only_v_and_v_inv(monkeypatch):
     # H^1 of Z -(1,2)-> Z^2 -(2,-1)-> Z reads V and V^-1 of the outgoing
-    # coboundary and U and U^-1 of the incoming one, each replayed once
+    # coboundary, each replayed once; the incoming one's U and U^-1 are
+    # applied as step logs, and the kernel and the solver replay nothing
     import tduality.complexes as complexes_mod
     import tduality.matrices as matrices_mod
 
@@ -178,8 +179,15 @@ def test_cohomology_replays_exactly_the_transforms_it_reads(monkeypatch):
     group = complexes_mod.cohomology.__wrapped__(c, 1)
     assert group.shape == ((), 0)
     fields = {"d", "row_steps", "col_steps"}
-    assert [sorted(set(vars(f)) - fields) for f in forms] == [["v", "v_inv"], ["u", "u_inv"]]
-    assert len(replays) == 4
+    assert [sorted(set(vars(f)) - fields) for f in forms] == [["v", "v_inv"], []]
+    assert len(replays) == 2
+
+    replays.clear()
+    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12]])
+    assert kernel_basis(m) == ((-2, 4, -3),)
+    assert solve_integer_system(m, (2, -6)) == (1, 0, 0)
+    assert solve_integer_system(m, (1, 0)) is None
+    assert replays == []
 
 
 def test_matmul_empty_shapes():
