@@ -226,7 +226,7 @@ def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
     r_a = CochainMap(free_part, overlaps, 0, (
         IntMatrix.column((1,) * m),
         IntMatrix.zeros(0, 0),
-        IntMatrix.eye(m, m - 1, 0) - IntMatrix.eye(m, m - 1, -1),
+        IntMatrix.eye(m, m - 1, 0) + IntMatrix.eye(m, m - 1, -1).scale(-1),
     ))
 
     # each cp(N) piece restricts to its boundary sphere through the skeleton

@@ -13,7 +13,10 @@ same numeric content as the text report.  Output is byte-identical across
 re-runs for identical input.
 
 Exit codes: 0 success, 1 parse error, 2 precondition violation,
-3 internal invariant failure (always a bug).
+3 internal invariant failure (always a bug).  A failed ``verify`` still
+prints its report: the report carries the exit code, 2 when a check fails on
+user data and 3 when any failing check is internal, and :func:`execute`
+returns it like any other report rather than raising.
 
 The argument parser is built once per process, on the first call to
 :func:`main` or :func:`execute`, and reused after that: importing this module
@@ -49,6 +52,7 @@ EXIT_INTERNAL = 3
 @dataclass(frozen=True)
 class Report:
     payload: dict
+    exit_code: int = EXIT_OK
 
     def render_text(self) -> str:
         lines = []
@@ -269,23 +273,9 @@ def _cmd_verify(args, resolved: ResolvedSpec) -> Report:
         "failures": sum(1 for _, ok, _, _ in checks if not ok),
         "sign_convention": SIGN_CONVENTION,
     }
-    report = Report(payload)
-    internal_failures = [name for name, ok, _, internal in checks if not ok and internal]
-    user_failures = [name for name, ok, _, internal in checks if not ok and not internal]
-    if internal_failures:
-        raise VerifyFailure(report, EXIT_INTERNAL)
-    if user_failures:
-        raise VerifyFailure(report, EXIT_PRECONDITION)
-    return report
-
-
-class VerifyFailure(Exception):
-    """Carries the verify report alongside the exit classification."""
-
-    def __init__(self, report: Report, exit_code: int):
-        self.report = report
-        self.exit_code = exit_code
-        super().__init__("verification failed")
+    failed = [internal for _, ok, _, internal in checks if not ok]
+    code = EXIT_INTERNAL if any(failed) else EXIT_PRECONDITION if failed else EXIT_OK
+    return Report(payload, code)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,10 +380,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return EXIT_PARSE
-    except VerifyFailure as exc:
-        emit(exc.report)
-        sys.stderr.write("verification failed\n")
-        return exc.exit_code
     except PreconditionError as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
@@ -401,7 +387,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"internal invariant failure: {exc}\n")
         return EXIT_INTERNAL
     emit(report)
-    return EXIT_OK
+    if report.exit_code:
+        sys.stderr.write("verification failed\n")
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -116,9 +116,11 @@ def validate_complex(c: GradedComplex) -> ValidationReport:
 class CohomologyGroup:
     """Invariant-factor presentation of ``H^n`` with explicit generators.
 
-    ``generators`` are cocycle vectors in ``C^n``; ``coordinates`` expresses
-    any cocycle in the generator basis, torsion coordinates reduced into
-    ``[0, factor)``.  Coboundaries map to zero coordinates.
+    ``generators`` are cocycle vectors in ``C^n``, torsion generators first,
+    and ``_coord_rows`` holds one coordinate row per generator in the same
+    order.  ``coordinates`` expresses any cocycle in the generator basis,
+    torsion coordinates reduced into ``[0, factor)``.  Coboundaries map to
+    zero coordinates.
     """
 
     degree: int
@@ -126,7 +128,6 @@ class CohomologyGroup:
     free_rank: int
     generators: tuple[Vector, ...]
     _coord_rows: IntMatrix
-    _selection: tuple[tuple[int, int], ...]  # (presentation index, factor or 0)
 
     @property
     def coord_dim(self) -> int:
@@ -138,9 +139,7 @@ class CohomologyGroup:
 
     def coordinates(self, cocycle: Sequence[int]) -> Vector:
         w = self._coord_rows.apply(cocycle)
-        return tuple(
-            w[i] % f if f else w[i] for (i, f) in self._selection
-        )
+        return tuple(x % f for x, f in zip(w, self.torsion)) + w[len(self.torsion):]
 
     def rep_from_coords(self, coords: Sequence[int]) -> Vector:
         if len(coords) != self.coord_dim:
@@ -210,42 +209,30 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
     # image of b in kernel coordinates (top coordinates vanish since a @ b == 0)
     p = reduce_rows @ b
     snf_p = smith_normal_form(p)
-    # generators: the columns of (kernel basis) @ U_p^-1, from snf_p's step log
+    # generators: the columns of (kernel basis) @ U_p^-1, from snf_p's step log;
+    # their coordinate rows: the rows of U_p @ reduce_rows
     gens_all = snf_p.times_u_inv([list(col) for col in zip(*snf_a.v.entries)][r_a:])
-
-    factors = []
-    for i in range(k):
-        if i < min(snf_p.d.rows, snf_p.d.cols):
-            factors.append(snf_p.d.entries[i][i])
-        else:
-            factors.append(0)
-
-    selection = [(i, f) for i, f in enumerate(factors) if f >= 2]
-    selection += [(i, 0) for i, f in enumerate(factors) if f == 0]
-    torsion = tuple(f for _, f in selection if f)
-    free_rank = sum(1 for _, f in selection if f == 0)
+    rows_all = snf_p.u_times([list(row) for row in reduce_rows.entries])
+    # the unit factors come first on D and present nothing; the torsion and
+    # then the free generators follow in order
+    factors = snf_p.invariant_factors()
+    units = factors.count(1)
 
     # normalize: first nonzero entry of each generator positive, coordinate
     # row flipped along with it, so coordinates(generator_i) stays e_i
-    coord_list = snf_p.u_times([list(row) for row in reduce_rows.entries])
-    gen_list = []
-    for i, _ in selection:
-        gen = gens_all[i]
-        lead = next((x for x in gen if x), 1)
-        if lead < 0:
-            gen = [-x for x in gen]
-            coord_list[i] = [-x for x in coord_list[i]]
-        gen_list.append(tuple(gen))
-    generators = tuple(gen_list)
-    coord_rows = IntMatrix._computed(coord_list, rank_n)
+    generators, coord_rows = [], []
+    for gen, row in zip(gens_all[units:], rows_all[units:]):
+        if next((x for x in gen if x), 1) < 0:
+            gen, row = [-x for x in gen], [-x for x in row]
+        generators.append(tuple(gen))
+        coord_rows.append(row)
 
     return CohomologyGroup(
         degree=n,
-        torsion=torsion,
-        free_rank=free_rank,
-        generators=generators,
-        _coord_rows=coord_rows,
-        _selection=tuple(selection),
+        torsion=factors[units:],
+        free_rank=k - len(factors),
+        generators=tuple(generators),
+        _coord_rows=IntMatrix._computed(coord_rows, rank_n),
     )
 
 

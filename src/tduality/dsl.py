@@ -201,7 +201,7 @@ def parse_euler_value(value: str, section: Section) -> EulerSpec:
     coeffs: dict[str, int] = {}
     pos = 0
     compact = value.replace(" ", "")
-    while pos < len(compact):
+    while pos < len(compact) or not coeffs:  # an empty value is no expression
         m = _TERM_RE.match(compact, pos)
         if not m or m.start() != pos:
             raise ParseError(
@@ -365,7 +365,8 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             charges = _parse_int_list(section.get("charges") or "", section, "charges")
             truncation_value = section.get("truncation")
             truncation = (
-                _parse_int(truncation_value, section, "truncation") if truncation_value else 1
+                1 if truncation_value is None
+                else _parse_int(truncation_value, section, "truncation")
             )
             base_name = section.get("base")
             if kind == "free_bundle":

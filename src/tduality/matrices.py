@@ -39,15 +39,13 @@ Conventions:
   the diagonal.
 * Products skip zeros: ``a @ b`` adds ``a[i][k] * (row k of b)`` only where
   ``a[i][k] != 0``, and only at that row's nonzero columns, so a structural
-  map or a coboundary costs what its nonzeros cost.  Each factor keeps its
-  row supports, the nonzero columns of every row, on first use, like the
-  column layout below.  The arithmetic is exact, so the result equals the
-  dense sum of products.
-* Matrix-vector products follow the vector's nonzeros: the first ``m @ v``
-  keeps a column layout on ``m``, for each column the rows where it is
-  nonzero, and every product adds ``m[i][k] * v[k]`` only at those rows of
-  the columns where ``v[k] != 0``.  Neither layout is a field, so equality,
-  ``repr`` and pickling ignore them; each costs one index per nonzero entry.
+  map or a coboundary costs what its nonzeros cost.  ``m @ v`` adds
+  ``m[i][k] * v[k]`` only where ``v[k] != 0``, at the rows where column ``k``
+  is nonzero.  The arithmetic is exact, so each result equals the dense sum.
+* The two layouts these read, the nonzero columns of each row and the
+  nonzero rows of each column, are ``functools.cached_property`` values
+  built on first use.  Neither is a field, so equality, ``repr`` and
+  pickling ignore them; each costs one index per nonzero entry.
 * Cache keys hash once: ``IntMatrix``, and through ``hash_once`` the complexes,
   cochain maps and Euler models that key the ``lru_cache`` lookups, keep the
   dataclass default hash after its first computation.
@@ -175,9 +173,9 @@ class IntMatrix:
             # Each nonzero a = row[k] adds a * (right row k), at that row's
             # nonzero columns only, so the cost follows the nonzeros.
             right = other.entries
-            support = other._row_support()
+            support = other._row_cols
             out = []
-            for row, nonzero in zip(self.entries, self._row_support()):
+            for row, nonzero in zip(self.entries, self._row_cols):
                 acc = [0] * other.cols
                 for k in nonzero:
                     a, r = row[k], right[k]
@@ -187,15 +185,17 @@ class IntMatrix:
             return IntMatrix(self.rows, other.cols, tuple(out))
         return self.apply(other)
 
-    def _row_support(self) -> tuple[tuple[int, ...], ...]:
-        """Per row, the columns holding a nonzero entry; kept like _hash."""
-        try:
-            return self._row_cols
-        except AttributeError:
-            cols = range(self.cols)
-            support = tuple(tuple(compress(cols, row)) for row in self.entries)
-            object.__setattr__(self, "_row_cols", support)
-            return support
+    @cached_property
+    def _row_cols(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the columns holding a nonzero entry."""
+        cols = range(self.cols)
+        return tuple(tuple(compress(cols, row)) for row in self.entries)
+
+    @cached_property
+    def _col_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per column, the rows holding a nonzero entry."""
+        rows = range(self.rows)
+        return tuple(tuple(compress(rows, col)) for col in zip(*self.entries))
 
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
@@ -203,13 +203,7 @@ class IntMatrix:
         entries = self.entries
         if not entries:
             return ()
-        try:
-            layout = self._col_rows
-        except AttributeError:
-            # per column, the rows holding a nonzero entry; kept like _hash
-            rows = range(self.rows)
-            layout = tuple(tuple(compress(rows, col)) for col in zip(*entries))
-            object.__setattr__(self, "_col_rows", layout)
+        layout = self._col_rows
         acc = [0] * self.rows
         for k, x in enumerate(vec):
             if x:
@@ -228,12 +222,6 @@ class IntMatrix:
                 for r1, r2 in zip(self.entries, other.entries)
             ),
         )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
         if c == 1:
@@ -357,9 +345,7 @@ class SNFDecomposition:
 
     @property
     def rank(self) -> int:
-        return sum(
-            1 for i in range(min(self.d.rows, self.d.cols)) if self.d.entries[i][i] != 0
-        )
+        return len(self.invariant_factors())
 
     def invariant_factors(self) -> Vector:
         return tuple(
@@ -548,16 +534,14 @@ def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
         raise PreconditionError(f"right-hand side length {len(b)} against {m.shape} matrix")
     snf = smith_normal_form(m)
     c = [row[0] for row in snf.u_times([[x] for x in b])]
+    factors = snf.invariant_factors()  # the nonzero entries come first on D
+    if any(c[len(factors):]):
+        return None
     y = [0] * m.cols
-    for i in range(min(m.rows, m.cols)):
-        d = snf.d.entries[i][i]
-        if d != 0:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-    for i in range(snf.rank, m.rows):
-        if c[i] != 0:
+    for i, d in enumerate(factors):
+        if c[i] % d:
             return None
+        y[i] = c[i] // d
     return tuple(row[0] for row in snf.v_times([[x] for x in y]))
 
 

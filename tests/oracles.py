@@ -6,6 +6,10 @@ a Bareiss determinant, a brute-force solver over a box, a
 cohomology-shape calculator built only on the diagonal oracle, and the
 twisted-total and degree-0 cone block constructions on plain row lists.  Production
 results are checked against these, never the other way around.
+
+The one exception is ``presentation``: the printed generators are fixed by
+the package's pivot rule, so it reads the package's Smith transforms, but
+multiplies them out and selects the generators on plain lists.
 """
 
 from __future__ import annotations
@@ -287,3 +291,52 @@ def degree0_cone(a_ranks, a_deltas, c_ranks, c_deltas, f):
             _rows(c_deltas, n - 1, rc(n), rc(n - 1)),
         ))
     return [ra(n) + rc(n - 1) for n in range(top + 1)], out
+
+
+def presentation(c, n):
+    """``H^n(c)`` presented over the whole kernel of ``delta^n``, then
+    selected: ``(torsion, free_rank, generators, coordinates)``.
+
+    With ``U_a delta^n V_a = D_a`` of rank ``r`` and ``U_p P V_p = D_p`` for
+    ``P = V_a^-1[r:] delta^{n-1}``, every transform replayed whole, the
+    kernel generators are the columns of ``V_a[:, r:] U_p^-1`` and their
+    coordinate rows the rows of ``U_p V_a^-1[r:]``, plain products.  The
+    indices whose factor on the diagonal of ``D_p`` is >= 2 are selected,
+    then those whose factor is 0; a selected generator whose first nonzero
+    entry is negative is negated with its row.  ``coordinates`` maps a
+    cocycle to its selected coordinates, torsion ones reduced modulo their
+    factor.
+    """
+    from tduality.matrices import IntMatrix, smith_normal_form
+
+    def rows_of(m):
+        return [list(row) for row in m.entries]
+
+    def diagonal(d):
+        return [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+
+    rank_n, b = c.rank_at(n), c.delta_at(n - 1)
+    snf_a = smith_normal_form(c.delta_at(n))
+    r = sum(1 for x in diagonal(snf_a.d) if x)
+    k = rank_n - r
+    kernel = [row[r:] for row in rows_of(snf_a.v)]
+    reduce_rows = rows_of(snf_a.v_inv)[r:]
+    snf_p = smith_normal_form(
+        IntMatrix.from_rows(mat_mul(reduce_rows, rows_of(b), b.cols), cols=b.cols))
+    gens = [list(col) for col in zip(*mat_mul(kernel, rows_of(snf_p.u_inv), k))]
+    coord_rows = mat_mul(rows_of(snf_p.u), reduce_rows, rank_n)
+    factors = (diagonal(snf_p.d) + [0] * k)[:k]
+    selection = [i for i in range(k) if factors[i] >= 2] + [i for i in range(k) if factors[i] == 0]
+    for i in selection:
+        if next(x for x in gens[i] if x) < 0:
+            gens[i] = [-x for x in gens[i]]
+            coord_rows[i] = [-x for x in coord_rows[i]]
+
+    def coordinates(z):
+        w = [sum(x * y for x, y in zip(row, z)) for row in coord_rows]
+        return tuple(w[i] % factors[i] if factors[i] else w[i] for i in selection)
+
+    return (tuple(factors[i] for i in selection if factors[i]),
+            sum(1 for i in selection if factors[i] == 0),
+            tuple(tuple(gens[i]) for i in selection),
+            coordinates)

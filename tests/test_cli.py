@@ -167,6 +167,9 @@ def test_verify_flags_broken_user_complex(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
     assert "ok: False" in out
     assert "verification failed" in err
+    # execute returns the failed report, its exit code on it, and raises nothing
+    report = execute(["verify", str(model)], parse_spec(text))
+    assert report.exit_code == EXIT_PRECONDITION and report.render_text() == out
 
 
 @pytest.mark.parametrize("text", [
@@ -204,6 +207,7 @@ def test_execute_api(capsys):
     spec = parse_spec(SAMPLE.read_text(encoding="utf-8"))
     report = execute(["cohom", "--complex", "circle", str(SAMPLE)], spec)
     assert report.payload["cohomology"]["1"]["pretty"] == "Z"
+    assert report.exit_code == EXIT_OK
 
 
 def test_golden_dualize_report(capsys):
@@ -397,8 +401,11 @@ def test_failed_gysin_check_names_its_nodes(capsys, monkeypatch):
         ))
 
     monkeypatch.setattr("tduality.cli.gysin_sequence", broken)
-    code, out, _ = run(capsys, "--json", "verify", str(SAMPLE))
-    assert code == EXIT_INTERNAL
+    code, out, err = run(capsys, "--json", "verify", str(SAMPLE))
+    assert code == EXIT_INTERNAL and err == "verification failed\n"
+    report = execute(["--json", "verify", str(SAMPLE)],
+                     parse_spec(SAMPLE.read_text(encoding="utf-8")))
+    assert report.exit_code == EXIT_INTERNAL and report.render_json() == out
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     check = checks["bundle b: Gysin sequence exact at all nodes"]
     assert not check["ok"]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from generators import random_complex, random_sparse_candidate
-from oracles import canonical_shape, cohom_shape, group_direct_sum, mat_mul
+from oracles import canonical_shape, cohom_shape, group_direct_sum, mat_mul, presentation
 from tduality.complexes import (
     CochainMap,
     GradedComplex,
@@ -451,6 +451,40 @@ def test_step_logs_equal_replayed_products_on_the_wide_glued_total():
     bits = [check_step_logs_against_replayed_transforms(cx.delta_at(d), cx.delta_at(d - 1), rng)
             for cx in glued_total(WIDE_CHARGES, 2) for d in range(cx.top_degree + 1)]
     assert max(bits) > 100
+
+
+def check_against_the_whole_kernel_presentation(cx, rng):
+    """``cohomology`` keeps only the selected rows of the presentation:
+    generators, shape and the coordinates of random cocycles and
+    coboundaries equal those of ``oracles.presentation``, degrees -1 to one
+    above the complex included."""
+    for n in range(-1, cx.top_degree + 2):
+        group = cohomology(cx, n)
+        torsion, free_rank, generators, coordinates = presentation(cx, n)
+        assert (group.torsion, group.free_rank, group.generators) == \
+            (torsion, free_rank, generators)
+        for _ in range(4):
+            w = [rng.randint(-5, 5) for _ in range(cx.rank_at(n - 1))]
+            boundary = cx.delta_at(n - 1).apply(w)
+            assert group.coordinates(boundary) == coordinates(boundary) == (0,) * len(generators)
+            z = boundary
+            for g in generators:
+                c = rng.randint(-9, 9)
+                z = tuple(x + c * y for x, y in zip(z, g))
+            assert group.coordinates(z) == coordinates(z)
+
+
+def test_cohomology_keeps_the_selected_rows_of_the_whole_kernel_presentation():
+    from tduality.catalog import CATALOG_NAMES, catalog_build
+
+    rng = random.Random(19)
+    for _ in range(40):
+        check_against_the_whole_kernel_presentation(random_complex(rng), rng)
+    for name in CATALOG_NAMES:
+        for params in {"cp": ((1,), (3,)), "lens": ((5, 1), (4, 2))}.get(name, ((),)):
+            check_against_the_whole_kernel_presentation(catalog_build(name, params).complex, rng)
+    for cx in glued_total((5, 2, 3), 2) + glued_total(WIDE_CHARGES, 2):
+        check_against_the_whole_kernel_presentation(cx, rng)
 
 
 def test_invariant_factors_equal_the_smith_diagonal_on_engine_coboundaries():

@@ -169,6 +169,16 @@ def test_value_errors_point_at_the_key_line():
     with pytest.raises(ParseError, match="delta0") as err:
         resolve(parse_spec(text))
     assert err.value.line == 5
+    # an empty value is no value: it neither defaults nor means the zero class
+    text = "[action a]\ntype = monopole\ncharges = 3\ntruncation =\n"
+    with pytest.raises(ParseError, match="truncation in \\[action a\\]") as err:
+        resolve(parse_spec(text))
+    assert (err.value.line, err.value.column) == (4, 1)
+    text = "[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n" \
+        "[bundle b]\nbase = cp2\neuler =\n"
+    with pytest.raises(ParseError, match="cannot parse euler expression ''") as err:
+        resolve(parse_spec(text))
+    assert (err.value.line, err.value.column) == (7, 1)
     # a missing key has no line of its own: the header is reported
     with pytest.raises(ParseError, match="missing key 'ranks'") as err:
         resolve(parse_spec("\n[complex c]\nkind = algebraic\n"))
