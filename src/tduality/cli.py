@@ -220,7 +220,10 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
         rep = validate_complex(total)
         checks.append((f"bundle {name}: total complex valid", rep.valid, rep.detail or "", True))
         seq = gysin_sequence(model, 0, total.top_degree)
-        failing = [node.label for node in seq.nodes if not node.exact]
+        failing = [
+            node.label if node.witness is None else f"{node.label} (witness {list(node.witness)})"
+            for node in seq.nodes if not node.exact
+        ]
         detail = "not exact at " + ", ".join(failing) if failing else ""
         checks.append(
             (f"bundle {name}: Gysin sequence exact at all nodes", seq.exact, detail, True)

@@ -288,6 +288,10 @@ def _resolve_complex(section: Section) -> CatalogModel:
         return CatalogModel(f"user:{section.name}", (), cochain_complex_of(k), cup)
     if kind == "algebraic":
         ranks = _parse_int_list(_require(section, "ranks"), section, "ranks")
+        if not ranks:
+            raise ParseError(
+                f"ranks in [complex {section.name}] lists no degree", *section.position("ranks")
+            )
         if len(ranks) > MAX_DEGREES:
             raise ParseError(
                 f"[complex {section.name}] lists {len(ranks)} degrees, above "

@@ -25,17 +25,23 @@ triangle ``X -> Y -> Z -> X`` of cochain maps whose degrees add up to 1.
 of the total, whose first two maps are the pullback and the transfer, and
 ``cone_exactness`` gives it the triangle of any mapping cone, which for a
 ``borel.mayer_vietoris_glue`` is the Mayer-Vietoris sequence.
-Exactness at a node compares the image and kernel lattices, and neither
-changes when a map is multiplied by -1, so the connecting map goes in
-unsigned.
+Exactness at a node compares the Hermite forms of the image and kernel
+lattices in its coordinates, both found by Hermite forms alone, so the
+certificate shares no elimination with the Smith forms that built the
+presentations it checks.  Neither lattice changes when a map is multiplied by -1, so the
+connecting map goes in unsigned.  A node that is not exact carries a
+witness: a kernel vector outside the image, or else an image vector outside
+the kernel.
 
 Three pure functions of immutable, hash-once arguments keep their results in
 bounded LRU caches: ``total_space`` (``maxsize=128``), ``realize_euler_class``
 (``maxsize=64``, through ``_realize_euler_class``) and ``induced_matrix``
 (``maxsize=4096``).  So a warm dualization builds each dual Euler model and
 each induced matrix once.  Exactness verdicts are not cached: every
-``triangle_exactness`` call decides its nodes again.  A cone builds its
-structural maps, and checks that they commute, the first time each is read.
+``triangle_exactness`` call decides its nodes again, with three Hermite
+forms each, and finds a witness only for a node that is not exact.  A cone
+builds its structural maps, and checks that they commute, the first time
+each is read.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from .complexes import (
     validate_complex,
 )
 from .errors import InternalCheckError, PreconditionError
-from .matrices import IntMatrix, Vector, hash_once, hermite_normal_form, kernel_basis
+from .matrices import IntMatrix, Vector, hash_once, hermite_normal_form, lattice_member
 from .simplicial import Cochain, SimplicialComplex, cup_operator
 
 PROVENANCE_AW = "simplicial-AW"
@@ -224,7 +230,9 @@ def fiber_integration(model: EulerModel, n: int, coords: Vector) -> Vector:
 # Exactness machinery for long exact sequences of finitely generated groups.
 # Groups are presented by CohomologyGroup coordinates; a homomorphism is the
 # integer matrix of generator images.  im == ker is decided by comparing the
-# Hermite forms of the corresponding lattices in coordinate space.
+# Hermite forms of the corresponding lattices in coordinate space; the kernel
+# comes from one Hermite form of the map's graph with the target relations,
+# with no Smith form.
 # ---------------------------------------------------------------------------
 
 
@@ -240,31 +248,51 @@ def induced_matrix(f: CochainMap, n: int) -> IntMatrix:
     return IntMatrix.from_rows(cols, cols=dst.coord_dim).transpose()
 
 
-def exact_at(
-    incoming: IntMatrix,
-    node: CohomologyGroup,
-    outgoing: IntMatrix,
-    nxt: CohomologyGroup,
-) -> bool:
+def _lattices(incoming: IntMatrix, node: CohomologyGroup, outgoing: IntMatrix,
+              nxt: CohomologyGroup) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """Hermite forms of ``im(incoming)`` and ``ker(outgoing)`` inside ``node``.
+
+    The kernel ``{x : outgoing x in R'}``, ``R'`` the relations of ``nxt``,
+    is the right part of the rows with a zero left part in the Hermite form
+    of the rows ``(outgoing e_j | e_j)`` and ``(r' | 0)``.  Both lattices
+    contain the relations of ``node``.
+    """
+    dim, width = node.coord_dim, nxt.coord_dim
+    relations = node.relation_rows()
+    image = hermite_normal_form([*zip(*incoming.entries), *relations], dim)
+    graph = [outgoing.col(j) + (0,) * j + (1,) + (0,) * (dim - j - 1) for j in range(dim)]
+    graph += [r + (0,) * dim for r in nxt.relation_rows()]
+    kernel_rows = [row[width:] for row in hermite_normal_form(graph, width + dim)
+                   if not any(row[:width])]
+    return image, hermite_normal_form(kernel_rows + list(relations), dim)
+
+
+def exact_at(incoming: IntMatrix, node: CohomologyGroup, outgoing: IntMatrix,
+             nxt: CohomologyGroup) -> bool:
     """Check ``im(incoming) == ker(outgoing)`` inside ``node``."""
-    dim = node.coord_dim
-    relations = list(node.relation_rows())
+    image, kernel = _lattices(incoming, node, outgoing, nxt)
+    return image == kernel
 
-    image_rows = [incoming.col(j) for j in range(incoming.cols)] + relations
-    im_hnf = hermite_normal_form(image_rows, dim)
 
-    rel_cols = IntMatrix.from_rows(nxt.relation_rows(), cols=nxt.coord_dim).transpose()
-    augmented = outgoing.hstack(rel_cols)
-    ker_rows = [vec[:dim] for vec in kernel_basis(augmented)] + relations
-    ker_hnf = hermite_normal_form(ker_rows, dim)
-
-    return im_hnf == ker_hnf
+def exactness_witness(incoming: IntMatrix, node: CohomologyGroup, outgoing: IntMatrix,
+                      nxt: CohomologyGroup) -> Optional[Vector]:
+    """A vector of ``node`` in one lattice of ``exact_at`` and not the other:
+    the first Hermite row of the kernel outside the image, or else the first
+    Hermite row of the image outside the kernel; ``None`` at an exact node."""
+    image, kernel = _lattices(incoming, node, outgoing, nxt)
+    outside = [row for row in kernel if not lattice_member(row, image)]
+    outside += [row for row in image if not lattice_member(row, kernel)]
+    return outside[0] if outside else None
 
 
 @dataclass(frozen=True)
 class SequenceNode:
+    """One node of a long exact sequence; a node that is not exact carries
+    ``exactness_witness``'s vector in its coordinates."""
+
     label: str
     exact: bool
+    witness: Optional[Vector] = None
 
 
 @dataclass(frozen=True)
@@ -307,13 +335,15 @@ def triangle_exactness(
         d = n
         for i, (out, label) in enumerate(zip(maps, labels)):
             into = maps[i - 1]
-            exact = exact_at(
+            args = (
                 induced_matrix(into, d - into.degree),
                 cohomology(out.source, d),
                 induced_matrix(out, d),
                 cohomology(out.target, d + out.degree),
             )
-            nodes.append(SequenceNode(label.format(d), exact))
+            exact = exact_at(*args)
+            witness = None if exact else exactness_witness(*args)
+            nodes.append(SequenceNode(label.format(d), exact, witness))
             d += out.degree
     return SequenceReport((lo, hi), tuple(nodes))
 

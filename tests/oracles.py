@@ -7,9 +7,12 @@ cohomology-shape calculator built only on the diagonal oracle, and the
 twisted-total and degree-0 cone block constructions on plain row lists.  Production
 results are checked against these, never the other way around.
 
-The one exception is ``presentation``: the printed generators are fixed by
-the package's pivot rule, so it reads the package's Smith transforms, but
-multiplies them out and selects the generators on plain lists.
+Two exceptions read the package's Smith forms.  ``presentation``: the
+printed generators are fixed by the package's pivot rule, so it reads the
+package's Smith transforms, but multiplies them out and selects the
+generators on plain lists.  ``smith_exact_at``: the exactness test over the
+Smith kernel ``kernel_basis``, against which the Hermite-only
+``gysin.exact_at`` is checked.
 """
 
 from __future__ import annotations
@@ -340,3 +343,22 @@ def presentation(c, n):
             sum(1 for i in selection if factors[i] == 0),
             tuple(tuple(gens[i]) for i in selection),
             coordinates)
+
+
+def smith_exact_at(incoming, node, outgoing, nxt):
+    """``im(incoming) == ker(outgoing)`` inside ``node``, the kernel read from
+    ``kernel_basis`` of ``[outgoing | relation columns of nxt]``."""
+    from tduality.matrices import IntMatrix, hermite_normal_form, kernel_basis
+
+    dim = node.coord_dim
+    relations = list(node.relation_rows())
+
+    image_rows = [incoming.col(j) for j in range(incoming.cols)] + relations
+    im_hnf = hermite_normal_form(image_rows, dim)
+
+    rel_cols = IntMatrix.from_rows(nxt.relation_rows(), cols=nxt.coord_dim).transpose()
+    augmented = outgoing.hstack(rel_cols)
+    ker_rows = [vec[:dim] for vec in kernel_basis(augmented)] + relations
+    ker_hnf = hermite_normal_form(ker_rows, dim)
+
+    return im_hnf == ker_hnf

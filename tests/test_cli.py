@@ -412,6 +412,30 @@ def test_failed_gysin_check_names_its_nodes(capsys, monkeypatch):
     assert check["detail"] == "not exact at H^2(E)"
 
 
+def test_failed_gysin_check_gives_each_node_its_witness(capsys, monkeypatch):
+    from tduality import gysin
+    from tduality.complexes import CochainMap
+
+    def doubled(model, lo, hi):
+        # the Gysin triangle of the model with its connecting map doubled
+        cone = gysin.total_space(model)
+        f = cone.f
+        twice = CochainMap(f.source, f.target, f.degree, tuple(m.scale(2) for m in f.mats))
+        return gysin.triangle_exactness(
+            cone.inclusion, cone.projection, twice,
+            ("H^{}(B)", "H^{}(E)", "H^{}(B) [transfer target]"), lo, hi)
+
+    monkeypatch.setattr("tduality.cli.gysin_sequence", doubled)
+    code, out, err = run(capsys, "--json", "verify", str(SAMPLE))
+    assert code == EXIT_INTERNAL and err == "verification failed\n"
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    # over cp(2) with e = 5u, H^0(B) -10-> H^2(B) -> H^2(E) = Z/5 has image
+    # 10Z where the kernel is 5Z, and so on one degree up
+    assert checks["bundle b: Gysin sequence exact at all nodes"]["detail"] == (
+        "not exact at H^2(B) (witness [5]), H^4(B) (witness [5])")
+    assert checks["bundle flat: Gysin sequence exact at all nodes"]["ok"]  # e = 0
+
+
 def test_failed_stability_check_names_its_degree(capsys, monkeypatch):
     from tduality import borel
 

@@ -179,6 +179,13 @@ def test_value_errors_point_at_the_key_line():
     with pytest.raises(ParseError, match="cannot parse euler expression ''") as err:
         resolve(parse_spec(text))
     assert (err.value.line, err.value.column) == (7, 1)
+    text = "[complex c]\nkind = algebraic\nranks =\n"
+    with pytest.raises(ParseError, match="ranks in \\[complex c\\] lists no degree") as err:
+        resolve(parse_spec(text))
+    assert (err.value.line, err.value.column) == (3, 1)
+    # an empty params is still the empty parameter list
+    resolved = resolve(parse_spec("[complex p]\nkind = catalog\nname = torus2\nparams =\n"))
+    assert resolved.complexes["p"].complex.ranks == (7, 21, 14)
     # a missing key has no line of its own: the header is reported
     with pytest.raises(ParseError, match="missing key 'ranks'") as err:
         resolve(parse_spec("\n[complex c]\nkind = algebraic\n"))

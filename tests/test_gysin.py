@@ -3,26 +3,36 @@ import random
 import pytest
 
 from generators import random_euler_model
-from oracles import canonical_shape, group_direct_sum, twisted_total
+from oracles import brute_solutions, canonical_shape, group_direct_sum, smith_exact_at, twisted_total
 from tduality import gysin
 from tduality.borel import SemiFreeSpace, truncated_borel
 from tduality.catalog import catalog_build, euler_model_from_cocycle, euler_model_from_label_coeffs
-from tduality.complexes import CochainMap, class_coordinates, cohomology, validate_complex
+from tduality.complexes import (
+    CochainMap,
+    CohomologyGroup,
+    class_coordinates,
+    cohomology,
+    validate_complex,
+)
 from tduality.errors import PreconditionError
 from tduality.gysin import (
     PROVENANCE_AW,
     CupStructure,
     EulerModel,
     _realize_euler_class,
+    cone_exactness,
+    exact_at,
+    exactness_witness,
     fiber_integration,
     gysin_sequence,
     induced_matrix,
     pullback,
     realize_euler_class,
     total_space,
+    triangle_exactness,
     zero_euler_model,
 )
-from tduality.matrices import IntMatrix
+from tduality.matrices import IntMatrix, hermite_normal_form, lattice_member
 from tduality.simplicial import Cochain, coboundary
 from tduality.tdual import double_dual_check, triple_from_flux_coords
 
@@ -399,3 +409,155 @@ def test_structural_maps_are_built_on_first_read(monkeypatch):
         assert cone.inclusion is cone.inclusion and cone.projection is cone.projection
         assert built == [0, 0, -1, -1]
         built.clear()
+
+
+# --- exactness from Hermite forms alone, against the Smith kernel ----------
+
+
+def coordinate_group(torsion, free_rank):
+    """A group of the given shape; ``exact_at`` reads only its coordinates."""
+    return CohomologyGroup(0, tuple(torsion), free_rank, (), IntMatrix.zeros(0, 0))
+
+
+def in_kernel(vec, node, outgoing, nxt):
+    """``vec`` in ``ker(outgoing) + R``: ``outgoing vec`` in ``R' + outgoing R``,
+    ``R`` and ``R'`` the relations of ``node`` and ``nxt`` (a map that is not
+    well defined on ``node`` need not send ``R`` into ``R'``)."""
+    targets = [*nxt.relation_rows(), *map(outgoing.apply, node.relation_rows())]
+    return lattice_member(outgoing.apply(vec), hermite_normal_form(targets, nxt.coord_dim))
+
+
+def in_image(vec, incoming, node):
+    return lattice_member(vec, hermite_normal_form(
+        [*zip(*incoming.entries), *node.relation_rows()], node.coord_dim))
+
+
+def test_hermite_kernel_verdicts_equal_the_smith_kernel_on_random_nodes():
+    rng = random.Random(2020)
+
+    def group():
+        return coordinate_group([rng.randint(2, 12) for _ in range(rng.randint(0, 2))],
+                                rng.randint(0, 3))
+
+    def matrix(rows, cols):
+        return IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    verdicts, witnesses = {True: 0, False: 0}, {"kernel": 0, "image": 0}
+    for draw in range(2400):
+        node, nxt = group(), group()
+        incoming = matrix(node.coord_dim, rng.randint(0, 3))
+        if draw % 2:
+            outgoing = matrix(nxt.coord_dim, node.coord_dim)
+        else:
+            outgoing = IntMatrix.zeros(nxt.coord_dim, node.coord_dim)
+        exact = exact_at(incoming, node, outgoing, nxt)
+        assert exact == smith_exact_at(incoming, node, outgoing, nxt), draw
+        verdicts[exact] += 1
+        witness = exactness_witness(incoming, node, outgoing, nxt)
+        assert (witness is None) == exact
+        if witness is not None:
+            # in exactly one of the two lattices, the kernel checked directly
+            kernel = in_kernel(witness, node, outgoing, nxt)
+            image = in_image(witness, incoming, node)
+            assert kernel != image, draw
+            witnesses["kernel" if kernel else "image"] += 1
+    assert min(verdicts.values()) > 300 and min(witnesses.values()) > 100
+
+
+def doubled(f):
+    return CochainMap(f.source, f.target, f.degree, tuple(m.scale(2) for m in f.mats))
+
+
+def catalog_euler_models():
+    """cp(1..3) with u to 5u, and the sphere, torus and RP^2 with the
+    Alexander-Whitney cup and each class up to 3 (RP^2: its two classes)."""
+    models = [cp_bundle(n, k) for n in (1, 2, 3) for k in range(1, 6)]
+    for name, classes in (("sphere2", 4), ("torus2", 4), ("rp2", 2)):
+        m = catalog_build(name, ())
+        models += [realize_euler_class(m.complex, m.cup, (k,), m.provenance)
+                   for k in range(classes)]
+    return models
+
+
+def glued_multi_monopole_cones(monkeypatch):
+    """The Mayer-Vietoris cone of each glued multi-monopole base (1,1),
+    (1,2,3) and (2,2,4) at N = 1..3."""
+    from tduality import borel
+
+    cones = []
+    real = borel.mayer_vietoris_glue
+
+    def recording(*args):
+        cones.append(real(*args))
+        return cones[-1]
+
+    monkeypatch.setattr(borel, "mayer_vietoris_glue", recording)
+    for charges in ((1, 1), (1, 2, 3), (2, 2, 4)):
+        for n in (1, 2, 3):
+            borel._multi_monopole_bundle.__wrapped__(charges, n)
+    monkeypatch.undo()
+    return cones
+
+
+def test_hermite_kernel_verdicts_equal_the_smith_kernel_on_every_sequence_node(monkeypatch):
+    cones = glued_multi_monopole_cones(monkeypatch)
+    calls = []
+
+    def both(*args):
+        calls.append((exact_at(*args), smith_exact_at(*args)))
+        return calls[-1][0]
+
+    monkeypatch.setattr(gysin, "exact_at", both)
+    for model in catalog_euler_models():
+        cone = total_space(model)
+        top = cone.total.top_degree
+        assert gysin_sequence(model, 0, top).exact
+        # with the connecting map doubled, the sequence of a nonzero class is not exact
+        corrupted = triangle_exactness(cone.inclusion, cone.projection, doubled(cone.f),
+                                       ("a{}", "b{}", "c{}"), 0, top)
+        assert corrupted.exact == (not any(model.euler_rep))
+    for cone in cones:
+        assert cone_exactness(cone, 0, len(cone.total.ranks)).exact
+    assert len(cones) == 9 and len(calls) > 900
+    assert all(hermite == smith for hermite, smith in calls)
+    assert {hermite for hermite, _ in calls} == {True, False}
+
+
+def test_a_corrupted_gysin_triangle_names_a_witness_in_one_lattice_only(monkeypatch):
+    # cup with e doubled in place of the connecting map: on cp(1) with e = 3u,
+    # H^0(B) = Z -> H^2(B) = Z has image 6Z where the pullback to H^2(E) = Z/3
+    # kills 3Z, so the witness is the generator 3 of the kernel
+    nodes = []
+    real = gysin.exact_at
+
+    def recording(*args):
+        nodes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gysin, "exact_at", recording)
+    rp2 = catalog_build("rp2", ())
+    models = [cp_bundle(1, 3), cp_bundle(2, 1),
+              realize_euler_class(rp2.complex, rp2.cup, (1,), rp2.provenance)]
+    failing = []
+    for model in models:
+        cone = total_space(model)
+        nodes.clear()
+        report = triangle_exactness(cone.inclusion, cone.projection, doubled(cone.f),
+                                    ("H^{}(B)", "H^{}(E)", "H^{}(B) [transfer target]"),
+                                    0, cone.total.top_degree)
+        assert len(nodes) == len(report.nodes)
+        for node, (incoming, group, outgoing, nxt) in zip(report.nodes, nodes):
+            assert (node.witness is None) == node.exact
+            if node.exact:
+                continue
+            w = node.witness
+            kernel = in_kernel(w, group, outgoing, nxt)
+            relations = list(group.relation_rows())
+            rows = [list(incoming.entries[i]) + [r[i] for r in relations]
+                    for i in range(group.coord_dim)]
+            image = bool(brute_solutions(rows, list(w), -12, 12))
+            assert kernel != image, node
+            failing.append((node.label, w))
+    assert failing[0] == ("H^2(B)", (3,))
+    assert ("H^2(B)", (1,)) in failing  # cp(2), e = u: image 2Z, kernel Z
