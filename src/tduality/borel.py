@@ -123,8 +123,8 @@ def mayer_vietoris_glue(
     ``(x, y) -> r_a(x) - r_b(y)`` from ``A (+) B`` to the overlap, a
     degree-0 map, so ``Cone^n = overlap^{n-1} (+) (A (+) B)^n``.  Its
     ``total`` computes the cohomology of the union, and its long exact
-    sequence is the Mayer-Vietoris sequence: ``gysin.cone_exactness(glue, lo,
-    hi)`` checks it node by node.
+    sequence is the Mayer-Vietoris sequence: ``gysin.cone_exactness(glue,
+    labels, lo, hi)`` checks it node by node.
     """
     if r_a.degree != 0 or r_b.degree != 0:
         raise PreconditionError("restriction maps must have degree 0")

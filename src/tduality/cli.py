@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -344,15 +345,33 @@ def _parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
+_COMMANDS = {"cohom": _cmd_cohom, "dualize": _cmd_dualize, "borel": _cmd_borel,
+             "verify": _cmd_verify}  # the parser admits no other
+
+
 def execute(argv: Sequence[str], spec: SpecFile) -> Report:
     """Run one command against a parsed model file."""
-    return _dispatch(_parser().parse_args(list(argv)), spec)
+    args = _parser().parse_args(list(argv))
+    return _COMMANDS[args.command](args, resolve(spec))
 
 
-def _dispatch(args: argparse.Namespace, spec: SpecFile) -> Report:
-    command = {"cohom": _cmd_cohom, "dualize": _cmd_dualize, "borel": _cmd_borel,
-               "verify": _cmd_verify}[args.command]  # the parser admits no other
-    return command(args, resolve(spec))
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on the digits of an ``int`` <-> ``str`` conversion
+    (3.10.7 and later) for the block, restoring the previous value on exit.
+
+    Engine results such as invariant factors may exceed the limit.  Literals
+    of the model file are read before the block, under the limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _read_source(path: str) -> str:
@@ -368,15 +387,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
-    use_json = args.json
-
-    def emit(report: Report):
-        sys.stdout.write(report.render_json() if use_json else report.render_text())
-
     try:
-        text = _read_source(args.file)
-        spec = parse_spec(text)
-        report = _dispatch(args, spec)
+        resolved = resolve(parse_spec(_read_source(args.file)))
+        with _unlimited_int_digits():
+            report = _COMMANDS[args.command](args, resolved)
+            out = report.render_json() if args.json else report.render_text()
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
@@ -389,7 +404,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalCheckError as exc:
         sys.stderr.write(f"internal invariant failure: {exc}\n")
         return EXIT_INTERNAL
-    emit(report)
+    sys.stdout.write(out)
     if report.exit_code:
         sys.stderr.write("verification failed\n")
     return report.exit_code

@@ -208,7 +208,7 @@ def parse_euler_value(value: str, section: Section) -> EulerSpec:
                 f"cannot parse euler expression {value!r}", *section.position("euler")
             )
         sign = -1 if m.group(1) == "-" else 1
-        mult = int(m.group(2)) if m.group(2) else 1
+        mult = _parse_int(m.group(2), section, "euler") if m.group(2) else 1
         label = m.group(3)
         coeffs[label] = coeffs.get(label, 0) + sign * mult
         pos = m.end()

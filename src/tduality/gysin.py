@@ -19,12 +19,11 @@ A base's ``CupStructure`` carries one operator ``z -> (z ~ .)`` on its
 degree-2 cocycles, so the Euler model of a class is its generator
 combination ``e`` with the operator of ``e``, on every kind of base.
 
-One verifier, ``triangle_exactness``, checks the long exact sequence of any
-triangle ``X -> Y -> Z -> X`` of cochain maps whose degrees add up to 1.
-``gysin_sequence`` gives it the cone triangle (inclusion, projection, ``mu``)
-of the total, whose first two maps are the pullback and the transfer, and
-``cone_exactness`` gives it the triangle of any mapping cone, which for a
-``borel.mayer_vietoris_glue`` is the Mayer-Vietoris sequence.
+One verifier, ``cone_exactness``, checks the long exact sequence of a
+mapping cone through its inclusion, its projection and the map it cones.
+``gysin_sequence`` gives it the total, whose inclusion and projection are
+the pullback and the transfer; for a ``borel.mayer_vietoris_glue`` it is the
+Mayer-Vietoris sequence.
 Exactness at a node compares the Hermite forms of the image and kernel
 lattices in its coordinates, both found by Hermite forms alone, so the
 certificate shares no elimination with the Smith forms that built the
@@ -38,7 +37,7 @@ bounded LRU caches: ``total_space`` (``maxsize=128``), ``realize_euler_class``
 (``maxsize=64``, through ``_realize_euler_class``) and ``induced_matrix``
 (``maxsize=4096``).  So a warm dualization builds each dual Euler model and
 each induced matrix once.  Exactness verdicts are not cached: every
-``triangle_exactness`` call decides its nodes again, with three Hermite
+``cone_exactness`` call decides its nodes again, with three Hermite
 forms each, and finds a witness only for a node that is not exact.  A cone
 builds its structural maps, and checks that they commute, the first time
 each is read.
@@ -74,6 +73,8 @@ SIGN_CONVENTION = (
 )
 
 NO_CUP_PRODUCT = "base carries no cup structure; only the zero Euler class is realizable"
+
+GYSIN_LABELS = ("H^{}(B)", "H^{}(E)", "H^{}(B) [transfer target]")
 
 
 @hash_once
@@ -199,10 +200,9 @@ def total_space(model: EulerModel) -> MappingCone:
 
 
 def pullback(model: EulerModel, n: int, coords: Vector) -> Vector:
-    """Induced map H^n(B) -> H^n(E) of the bundle projection."""
+    """Induced map H^n(B) -> H^n(E) of the bundle projection; as in
+    ``cohomology``, a degree outside the complexes is the zero group."""
     cone = total_space(model)
-    if n < 0 or n > cone.total.top_degree:
-        raise PreconditionError(f"degree {n} out of range for the total space")
     group = cohomology(model.base, n)
     if len(coords) != group.coord_dim:
         raise PreconditionError(
@@ -213,10 +213,9 @@ def pullback(model: EulerModel, n: int, coords: Vector) -> Vector:
 
 
 def fiber_integration(model: EulerModel, n: int, coords: Vector) -> Vector:
-    """Transfer H^n(E) -> H^{n-1}(B), the projection to the psi component."""
+    """Transfer H^n(E) -> H^{n-1}(B), the projection to the psi component;
+    a degree outside the complexes is the zero group."""
     cone = total_space(model)
-    if n < 0 or n > cone.total.top_degree:
-        raise PreconditionError(f"degree {n} out of range for the total space")
     group = cohomology(cone.total, n)
     if len(coords) != group.coord_dim:
         raise PreconditionError(
@@ -307,34 +306,25 @@ class SequenceReport:
         return all(node.exact for node in self.nodes)
 
 
-def triangle_exactness(
-    f: CochainMap,
-    g: CochainMap,
-    h: CochainMap,
-    labels: tuple[str, str, str],
-    lo: int,
-    hi: int,
+def cone_exactness(
+    cone: MappingCone, labels: tuple[str, str, str], lo: int, hi: int,
 ) -> SequenceReport:
-    """Exactness of the long exact sequence of ``X -f-> Y -g-> Z -h-> X``.
+    """Exactness of the long exact sequence of the cone of ``f : A -> C`` of
+    degree ``d`` and shift ``k`` (``complexes.MappingCone``),
+    ``-> H^n(C) -> H^{n-k}(Cone) -> H^{n+1-d}(A) -> H^{n+1}(C) ->``, through
+    ``inclusion``, ``projection`` and ``f``, for ``n`` in ``lo + k..hi``.
 
-    The degrees of the three maps add up to 1, so for each ``n`` in
-    ``lo..hi`` the nodes are ``H^n(X)``, ``H^{n+|f|}(Y)`` and
-    ``H^{n+|f|+|g|}(Z)``, and ``h`` leads on to ``H^{n+1}(X)``.  Each label
-    is a format string receiving its node's degree; ``lo`` may be -1.
+    Starting at ``n = lo + k`` makes degree ``lo`` of every term a node once
+    ``hi >= lo + d - 1``.  ``labels`` name the ``C``, ``Cone`` and ``A`` nodes,
+    each a format string receiving its node's degree.
     """
-    maps = (f, g, h)
-    if f.target != g.source or g.target != h.source or h.target != f.source:
-        raise PreconditionError("the three maps do not form a triangle")
-    if f.degree + g.degree + h.degree != 1:
-        raise PreconditionError("the degrees of a triangle's maps must add up to 1")
-    if lo < -1 or hi < lo:
+    if lo < 0 or hi < lo:
         raise PreconditionError(f"bad degree range {lo}..{hi}")
-
+    maps = (cone.inclusion, cone.projection, cone.f)
     nodes = []
-    for n in range(lo, hi + 1):
+    for n in range(lo + cone.shift, hi + 1):
         d = n
-        for i, (out, label) in enumerate(zip(maps, labels)):
-            into = maps[i - 1]
+        for into, out, label in zip(maps[-1:] + maps[:-1], maps, labels):
             args = (
                 induced_matrix(into, d - into.degree),
                 cohomology(out.source, d),
@@ -345,29 +335,10 @@ def triangle_exactness(
             witness = None if exact else exactness_witness(*args)
             nodes.append(SequenceNode(label.format(d), exact, witness))
             d += out.degree
-    return SequenceReport((lo, hi), tuple(nodes))
+    return SequenceReport((lo + cone.shift, hi), tuple(nodes))
 
 
 def gysin_sequence(model: EulerModel, lo: int, hi: int) -> SequenceReport:
     """Exactness at every node of the Gysin sequence in degrees ``lo..hi`` of
     the total space: pullback, transfer, then cup with ``e`` unsigned."""
-    cone = total_space(model)
-    return triangle_exactness(
-        cone.inclusion, cone.projection, cone.f,
-        ("H^{}(B)", "H^{}(E)", "H^{}(B) [transfer target]"), lo, hi,
-    )
-
-
-def cone_exactness(cone: MappingCone, lo: int, hi: int) -> SequenceReport:
-    """Exactness of the long exact sequence of the cone of ``f : A -> C`` of
-    degree ``d`` and shift ``k`` (``complexes.MappingCone``),
-    ``-> H^n(Cone) -> H^{n+k+1-d}(A) -> H^{n+k+1}(C) -> H^{n+1}(Cone) ->``.
-
-    It is the triangle of ``gysin_sequence`` read from the cone.  It starts
-    at ``n = lo - k - 1``, where ``H^lo(C)`` is a node, so degree ``lo`` of
-    every term is checked: at ``lo`` itself for ``d = 0`` and one step
-    earlier, with ``H^{lo-1}(Cone)`` and ``H^{lo-2}(A)``, for ``d >= 1``."""
-    return triangle_exactness(
-        cone.projection, cone.f, cone.inclusion,
-        ("H^{}(Cone)", "H^{}(A)", "H^{}(C)"), lo - cone.shift - 1, hi,
-    )
+    return cone_exactness(total_space(model), GYSIN_LABELS, lo, hi)

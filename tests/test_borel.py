@@ -29,6 +29,9 @@ from tduality.matrices import IntMatrix
 from tduality.simplicial import Cochain, cup_operator
 from tduality.tdual import canonical_flux_rep
 
+# the cone of the restriction difference: overlap, union, pieces
+MV_LABELS = ("H^{}(U n V)", "H^{}(U u V)", "H^{}(U (+) V)")
+
 
 def shapes_of(cx, top=None):
     top = cx.top_degree if top is None else top
@@ -151,7 +154,7 @@ def test_glue_two_disks_into_sphere():
     assert shapes_of(glue.total) == [((), 1), ((), 0), ((), 1)]
     sphere = catalog_build("sphere2").complex
     assert shapes_of(glue.total) == shapes_of(sphere)
-    assert cone_exactness(glue, 0, 3).exact
+    assert cone_exactness(glue, MV_LABELS, 0, 3).exact
 
 
 def test_glue_is_the_cone_of_the_restriction_difference():
@@ -181,7 +184,7 @@ def test_glue_two_cones_over_boundary_model():
     assert shapes_of(glue.total) == [
         ((), 1), ((), 0), ((), 1), ((), 0), ((), 2),
     ]
-    assert cone_exactness(glue, 0, 6).exact
+    assert cone_exactness(glue, MV_LABELS, 0, 6).exact
 
 
 def test_glued_base_is_the_block_degree_zero_cone_entry_for_entry(monkeypatch):

@@ -414,16 +414,14 @@ def test_failed_gysin_check_names_its_nodes(capsys, monkeypatch):
 
 def test_failed_gysin_check_gives_each_node_its_witness(capsys, monkeypatch):
     from tduality import gysin
-    from tduality.complexes import CochainMap
+    from tduality.complexes import CochainMap, MappingCone
 
     def doubled(model, lo, hi):
-        # the Gysin triangle of the model with its connecting map doubled
+        # the Gysin sequence of the model with its connecting map doubled
         cone = gysin.total_space(model)
         f = cone.f
         twice = CochainMap(f.source, f.target, f.degree, tuple(m.scale(2) for m in f.mats))
-        return gysin.triangle_exactness(
-            cone.inclusion, cone.projection, twice,
-            ("H^{}(B)", "H^{}(E)", "H^{}(B) [transfer target]"), lo, hi)
+        return gysin.cone_exactness(MappingCone(cone.total, twice), gysin.GYSIN_LABELS, lo, hi)
 
     monkeypatch.setattr("tduality.cli.gysin_sequence", doubled)
     code, out, err = run(capsys, "--json", "verify", str(SAMPLE))
@@ -642,6 +640,42 @@ def test_degree_count_bound_fails_at_parse(tmp_path):
         if code == EXIT_PARSE:
             assert "line 3, column 1" in proc.stderr
             assert f"lists {count} degrees" in proc.stderr and "dsl.MAX_DEGREES" in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int <-> str digit limit")
+def test_results_past_the_int_digit_limit_print_in_full(tmp_path, capsys):
+    # delta0 = (x, 1; 0, x) with x = 10^2400 presents H^1 = Z/10^4800, whose
+    # 4,801 digits exceed Python's default limit of 4,300
+    x = "1" + "0" * 2400
+    model = tmp_path / "wide.tdsl"
+    model.write_text(f"[complex c]\nkind = algebraic\nranks = 2,2\ndelta0 = {x},1;0,{x}\n",
+                     encoding="utf-8")
+    factor = "1" + "0" * 4800
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4400)
+    try:
+        code, out, err = run(capsys, "cohom", "--complex", "c", str(model))
+        assert (code, err) == (EXIT_OK, "")
+        assert f"pretty: Z/{factor}\n" in out and f"- {factor}\n" in out
+        assert sys.get_int_max_str_digits() == 4400
+        code, out, err = run(capsys, "--json", "cohom", "--complex", "c", str(model))
+        assert (code, err) == (EXIT_OK, "")
+        assert f'"pretty": "Z/{factor}"' in out and f"  {factor}\n" in out
+        assert sys.get_int_max_str_digits() == 4400
+        # an error raised while the limit is lifted restores it as well
+        code, _, err = run(capsys, "cohom", "--complex", "nope", str(model))
+        assert code == EXIT_PRECONDITION and "no complex named 'nope'" in err
+        assert sys.get_int_max_str_digits() == 4400
+    finally:
+        sys.set_int_max_str_digits(previous)
+    # literals are still read under the limit: 5,000 digits is a parse error
+    model.write_text("[complex c]\nkind = algebraic\nranks = 2,2\ndelta0 = "
+                     + "9" * 5000 + ",1;0,1\n", encoding="utf-8")
+    proc = _run_module("cohom", "--complex", "c", str(model))
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "line 4, column 1: delta0 in [complex c]" in proc.stderr
 
 
 @pytest.mark.parametrize("name", ["transcript", "sample"])

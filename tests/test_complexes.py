@@ -29,6 +29,8 @@ from tduality.matrices import (
 )
 from tduality.simplicial import cochain_complex_of, from_facets
 
+CONE_LABELS = ("H^{}(C)", "H^{}(Cone)", "H^{}(A)")
+
 
 def circle_model():
     return GradedComplex.with_zero_deltas((1, 1))
@@ -618,7 +620,7 @@ def test_cones_of_degree_one_and_two_are_valid_with_exact_triangles():
     cones += [mapping_cone(CochainMap.zero(a, c, d)) for d in (1, 2)]
     for cone in cones:
         assert validate_complex(cone.total).valid
-        assert cone_exactness(cone, 0, cone.total.top_degree + 1).exact
+        assert cone_exactness(cone, CONE_LABELS, 0, cone.total.top_degree + 1).exact
     assert [cohomology(cones[0].total, n).shape for n in (0, 1)] == [((), 1), ((2,), 0)]
     # B is acyclic, so the cone is the point moved up one degree
     assert [cohomology(cones[1].total, n).shape for n in (0, 1)] == [((), 0), ((), 1)]
@@ -631,18 +633,28 @@ def test_cones_of_degree_one_and_two_are_valid_with_exact_triangles():
 def test_cone_exactness_checks_degree_zero_of_every_term():
     point = GradedComplex.with_zero_deltas((1,))
     b = GradedComplex((1, 1), (IntMatrix.from_rows([[1]]),))
-    # degree 0: H^0 of all three terms is a node of n = 0
-    report = cone_exactness(mapping_cone(CochainMap.zero(point, point, 0)), 0, 1)
-    assert report.exact and [node.label for node in report.nodes] == [
-        "H^0(Cone)", "H^0(A)", "H^0(C)", "H^1(Cone)", "H^1(A)", "H^1(C)",
-    ]
-    # degree 2: H^0(C) follows H^-1(Cone) and H^-2(A), so the check starts a
-    # step below the cone's degree 0
-    report = cone_exactness(mapping_cone(CochainMap.zero(point, b, 2)), 0, 1)
+    # the walk from H^n(C) starts at n = lo + shift, which for every degree d
+    # puts H^lo(C), H^lo(Cone) and H^lo(A) on it once hi >= lo + d - 1
+    for d in range(4):
+        cone = mapping_cone(CochainMap.zero(point, b, d))
+        for lo in (0, 1, 2):
+            report = cone_exactness(cone, CONE_LABELS, lo, lo + 2)
+            assert report.exact and report.degree_range == (lo + cone.shift, lo + 2)
+            labels = [node.label for node in report.nodes]
+            assert {f"H^{lo}(C)", f"H^{lo}(Cone)", f"H^{lo}(A)"} <= set(labels), (d, lo)
+            assert labels[1] == f"H^{lo}(Cone)"
+    # degree 0: H^-1(C) leads into H^0(Cone), so the walk starts a step below
+    report = cone_exactness(mapping_cone(CochainMap.zero(point, point, 0)), CONE_LABELS, 0, 1)
     assert report.exact and report.degree_range == (-1, 1)
     assert [node.label for node in report.nodes] == [
-        "H^-1(Cone)", "H^-2(A)", "H^0(C)", "H^0(Cone)", "H^-1(A)", "H^1(C)",
-        "H^1(Cone)", "H^0(A)", "H^2(C)",
+        "H^-1(C)", "H^0(Cone)", "H^0(A)", "H^0(C)", "H^1(Cone)", "H^1(A)",
+        "H^1(C)", "H^2(Cone)", "H^2(A)",
+    ]
+    # degree 2: H^0(A) follows H^0(C), H^0(Cone) and H^-1(A)
+    report = cone_exactness(mapping_cone(CochainMap.zero(point, b, 2)), CONE_LABELS, 0, 1)
+    assert report.exact and report.degree_range == (0, 1)
+    assert [node.label for node in report.nodes] == [
+        "H^0(C)", "H^0(Cone)", "H^-1(A)", "H^1(C)", "H^1(Cone)", "H^0(A)",
     ]
 
 

@@ -165,6 +165,12 @@ def test_value_errors_point_at_the_key_line():
     with pytest.raises(ParseError, match="euler") as err:
         resolve(parse_spec(text))
     assert (err.value.line, err.value.column) == (8, 1)
+    # a coefficient past Python's 4,300-digit int() limit fails at its key too
+    text = "[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n" \
+        "[bundle b]\nbase = cp2\neuler = " + "9" * 5000 + "*u\n"
+    with pytest.raises(ParseError, match="euler in \\[bundle b\\]") as err:
+        resolve(parse_spec(text))
+    assert (err.value.line, err.value.column) == (7, 1)
     text = "[complex m]\nkind = algebraic\nranks = 2,2\n\ndelta0 = 1,2;3\n"
     with pytest.raises(ParseError, match="delta0") as err:
         resolve(parse_spec(text))

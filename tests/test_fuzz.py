@@ -5,6 +5,9 @@ data), with no exception escaping ``cli.main``; exit 3 is reserved for engine
 bugs.  Model sizes stay small (truncation and levels at most 4, at most four
 charges), so each example runs well inside its deadline; the one long draw is
 an algebraic complex of rank-0 or rank-1 degrees around ``dsl.MAX_DEGREES``.
+One integer literal in four, in every integer slot of the model text and in
+``--max-degree``, has 4,000 to 6,000 digits, on both sides of Python's
+4,300-digit limit on ``int`` <-> ``str`` conversion.
 """
 
 from __future__ import annotations
@@ -23,7 +26,21 @@ from tduality.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
 from tduality.dsl import MAX_DEGREES
 
 small = st.integers(-1, 4)
-int_list = st.lists(small, min_size=0, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+
+
+def long_literal(lengths=st.integers(4000, 6000)):
+    """A repeated digit, sometimes negative, of a length drawn from ``lengths``."""
+    return st.tuples(st.sampled_from(("", "-")), st.sampled_from("123456789"), lengths).map(
+        lambda t: t[0] + t[1] * t[2])
+
+
+def literal(values):
+    """The text of ``values`` three times in four, a long literal otherwise."""
+    text = values.map(str)
+    return st.one_of(text, text, text, long_literal())
+
+
+int_list = st.lists(literal(small), min_size=0, max_size=4).map(",".join)
 garbage = st.sampled_from(("", "x", "1,,2", "3*", "=", "1;2", "-", "1e3", "99999999", " 2 "))
 
 
@@ -44,13 +61,15 @@ KINDS = ("complex", "bundle", "flux", "action")
 def matrix_text(draw):
     rows = draw(st.integers(0, 3))
     cols = draw(st.integers(0, 3))
-    return ";".join(",".join(str(draw(small)) for _ in range(cols)) for _ in range(rows))
+    # long entries only up to 2 x 2, which keeps their Smith forms cheap
+    entry = literal(small) if rows <= 2 and cols <= 2 else small.map(str)
+    return ";".join(",".join(draw(entry) for _ in range(cols)) for _ in range(rows))
 
 
 @st.composite
 def euler_text(draw):
     terms = draw(st.lists(
-        st.tuples(st.integers(-3, 3), st.sampled_from(("u", "vol", "w", "g0", "q"))),
+        st.tuples(literal(st.integers(-3, 3)), st.sampled_from(("u", "vol", "w", "g0", "q"))),
         max_size=2,
     ))
     return draw(mostly(st.one_of(
@@ -66,7 +85,7 @@ def complex_section(draw):
     if kind == "catalog":
         lines.append("name = " + draw(st.sampled_from(
             ("cp", "lens", "circle", "point", "sphere2", "torus2", "rp2", "nope"))))
-        lines.append("params = " + draw(mostly(st.integers(1, 4).map(str) | int_list)))
+        lines.append("params = " + draw(mostly(literal(st.integers(1, 4)) | int_list)))
     elif kind == "algebraic":
         ranks = draw(st.one_of(
             st.lists(st.integers(0, 3), min_size=1, max_size=4),
@@ -91,9 +110,9 @@ def action_section(draw):
         ("point_fixed", "monopole", "multi_monopole", "free_hopf", "free_bundle", "spin")))
     lines = [f"type = {kind}"]
     if draw(st.booleans()):
-        charges = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
-        lines.append("charges = " + ",".join(map(str, charges)))
-    lines.append("truncation = " + draw(mostly(st.integers(1, 4).map(str) | st.just("0"))))
+        charges = draw(st.lists(literal(st.integers(0, 6)), min_size=1, max_size=4))
+        lines.append("charges = " + ",".join(charges))
+    lines.append("truncation = " + draw(mostly(literal(st.integers(1, 4)) | st.just("0"))))
     if draw(st.booleans()):
         lines.append("base = " + draw(name))
     if draw(st.booleans()):
@@ -144,7 +163,7 @@ def command_line(draw):
     if command == "cohom":
         argv += ["--complex", draw(name)]
         if draw(st.booleans()):
-            argv += ["--max-degree", str(draw(st.integers(-2, 6)))]
+            argv += ["--max-degree", draw(literal(st.integers(-2, 6)))]
     elif command == "dualize":
         argv += ["--bundle", draw(name)]
         if draw(st.booleans()):
@@ -191,6 +210,42 @@ def test_generated_models_and_commands_keep_the_exit_contract(argv, text):
 @given(argv=command_line(), text=st.text(max_size=200))
 def test_arbitrary_text_keeps_the_exit_contract(argv, text):
     assert run_main(argv, text) in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)
+
+
+@st.composite
+def long_literal_command(draw):
+    """A command and a well-formed model of the sections it reads, each
+    integer slot a long literal one time in two.  The long literals of one
+    draw lie all below or all above the 4,300-digit limit, so those below
+    reach the engine instead of stopping at the parse error of one above."""
+    lengths = draw(st.sampled_from((st.integers(4000, 4300), st.integers(4301, 6000))))
+
+    def lit(values):
+        return draw(st.one_of(values.map(str), long_literal(lengths)))
+
+    complex_a = ("[complex a]\nkind = algebraic\nranks = 2,2\n"
+                 f"delta0 = {lit(small)},{lit(small)};{lit(small)},{lit(small)}\n")
+    bundle = (f"[complex cp]\nkind = catalog\nname = cp\nparams = {lit(st.integers(1, 3))}\n"
+              f"[bundle b]\nbase = cp\neuler = {lit(st.integers(-3, 3))}*u\n"
+              f"[flux h]\nh = {lit(small)}\n")
+    charges = ",".join(lit(st.integers(1, 6)) for _ in range(draw(st.integers(1, 3))))
+    action = (f"[action m]\ntype = {draw(st.sampled_from(('monopole', 'multi_monopole')))}\n"
+              f"charges = {charges}\ntruncation = {lit(st.integers(1, 3))}\n")
+    max_degree = ["--max-degree", lit(st.integers(1, 3))] if draw(st.booleans()) else []
+    argv, text = draw(st.sampled_from((
+        (["cohom", "--complex", "a", *max_degree], complex_a),
+        (["dualize", "--bundle", "b", "--flux", "h"], bundle),
+        (["borel", "--action", "m", "--route", "both"], action),
+        (["verify"], complex_a + bundle + action),
+    )))
+    return [*argv, "-"] + (["--json"] if draw(st.booleans()) else []), text
+
+
+@FUZZ
+@given(command=long_literal_command())
+def test_long_integer_literals_keep_the_exit_contract(command):
+    # a literal past the limit is a parse error, and a result past it prints
+    assert run_main(*command) in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)
 
 
 @contextlib.contextmanager

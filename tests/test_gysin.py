@@ -10,12 +10,15 @@ from tduality.catalog import catalog_build, euler_model_from_cocycle, euler_mode
 from tduality.complexes import (
     CochainMap,
     CohomologyGroup,
+    GradedComplex,
+    MappingCone,
     class_coordinates,
     cohomology,
     validate_complex,
 )
 from tduality.errors import PreconditionError
 from tduality.gysin import (
+    GYSIN_LABELS,
     PROVENANCE_AW,
     CupStructure,
     EulerModel,
@@ -29,12 +32,13 @@ from tduality.gysin import (
     pullback,
     realize_euler_class,
     total_space,
-    triangle_exactness,
     zero_euler_model,
 )
 from tduality.matrices import IntMatrix, hermite_normal_form, lattice_member
 from tduality.simplicial import Cochain, coboundary
 from tduality.tdual import double_dual_check, triple_from_flux_coords
+
+CONE_LABELS = ("H^{}(C)", "H^{}(Cone)", "H^{}(A)")
 
 
 def cp_bundle(n, k):
@@ -91,8 +95,15 @@ def test_pullback_generator_generates_torsion():
 
 def test_pullback_degree_out_of_range():
     model = cp_bundle(1, 2)
-    with pytest.raises(PreconditionError):
-        pullback(model, 9, ())
+    assert pullback(model, 9, ()) == ()
+    assert pullback(model, -1, ()) == ()
+    # the total over the circle has degrees 0..2, and H^3(E) = 0 is the zero group
+    circle = catalog_build("circle")
+    model = zero_euler_model(circle.complex, circle.cup)
+    assert total_space(model).total.top_degree == 2
+    assert fiber_integration(model, 3, ()) == ()
+    with pytest.raises(PreconditionError, match="expected 0 coordinates in H\\^3\\(E\\)"):
+        fiber_integration(model, 3, (1,))
 
 
 def test_fiber_integration_kills_pullbacks():
@@ -237,9 +248,7 @@ def test_exactness_checker_handles_torsion_nodes():
 
 
 def test_cone_long_exact_sequence_with_torsion():
-    from tduality.complexes import CochainMap, GradedComplex, mapping_cone
-    from tduality.gysin import cone_exactness
-    from tduality.matrices import IntMatrix
+    from tduality.complexes import mapping_cone
 
     lens6 = GradedComplex(
         (1, 1, 1, 1),
@@ -247,7 +256,7 @@ def test_cone_long_exact_sequence_with_torsion():
     )
     times3 = CochainMap(lens6, lens6, 0, tuple(IntMatrix.from_rows([[3]]) for _ in range(4)))
     cone = mapping_cone(times3)
-    report = cone_exactness(cone, 0, len(cone.total.ranks))
+    report = cone_exactness(cone, CONE_LABELS, 0, len(cone.total.ranks))
     assert report.exact
 
 
@@ -280,33 +289,25 @@ def test_sequence_report_carries_generator_matrices():
     assert transfer.shape == (g2_base.coord_dim, cohomology(total_space(model).total, 3).coord_dim)
 
 
-def test_triangle_verifier_names_non_exact_nodes():
-    from tduality.complexes import CochainMap, GradedComplex
-    from tduality.gysin import triangle_exactness
-    from tduality.matrices import IntMatrix
+def test_cone_verifier_names_non_exact_nodes():
+    from tduality.complexes import mapping_cone
 
     point = GradedComplex.with_zero_deltas((1,))  # Z in degree 0 only
-    zero = CochainMap.zero(point, point, 0)
-    shift = CochainMap.zero(point, point, 1)
-    labels = ("H^{}(X)", "H^{}(Y)", "H^{}(Z)")
-    # zero maps through Z: every degree-0 node has kernel Z and image 0
-    report = triangle_exactness(zero, zero, shift, labels, 0, 1)
-    assert [node.label for node in report.nodes if not node.exact] == [
-        "H^0(X)", "H^0(Y)", "H^0(Z)",
-    ]
-    assert [node.label for node in report.nodes if node.exact] == [
-        "H^1(X)", "H^1(Y)", "H^1(Z)",
-    ]
-    # an isomorphism X -> Y makes X and Y exact; only Z is left
     ident = CochainMap(point, point, 0, (IntMatrix.eye(1, 1, 0),))
-    report = triangle_exactness(ident, zero, shift, labels, 0, 0)
-    assert [node.label for node in report.nodes if not node.exact] == ["H^0(Z)"]
-    assert report.degree_range == (0, 0)
-    with pytest.raises(PreconditionError, match="add up to 1"):
-        triangle_exactness(zero, zero, zero, labels, 0, 0)
-    circle = GradedComplex.with_zero_deltas((1, 1))
-    with pytest.raises(PreconditionError, match="triangle"):
-        triangle_exactness(zero, zero, CochainMap.zero(point, circle, 1), labels, 0, 0)
+    cone = mapping_cone(ident)  # acyclic, so every node is exact
+    assert cone_exactness(cone, CONE_LABELS, 0, 1).exact
+    # the zero map in place of the identity: H^0(A) -0-> H^0(C) has kernel Z
+    # where nothing comes in from H^0(Cone) = 0, and nothing leaves H^0(C)
+    # for H^1(Cone) = 0
+    broken = MappingCone(cone.total, CochainMap.zero(point, point, 0))
+    report = cone_exactness(broken, CONE_LABELS, 0, 1)
+    assert [(node.label, node.witness) for node in report.nodes if not node.exact] == [
+        ("H^0(A)", (1,)), ("H^0(C)", (1,)),
+    ]
+    assert report.degree_range == (-1, 1)
+    for lo, hi in ((-1, 1), (1, 0)):
+        with pytest.raises(PreconditionError, match=f"bad degree range {lo}..{hi}"):
+            cone_exactness(cone, CONE_LABELS, lo, hi)
 
 
 # --- caches on the warm duality path and structural maps on first read -----
@@ -514,11 +515,11 @@ def test_hermite_kernel_verdicts_equal_the_smith_kernel_on_every_sequence_node(m
         top = cone.total.top_degree
         assert gysin_sequence(model, 0, top).exact
         # with the connecting map doubled, the sequence of a nonzero class is not exact
-        corrupted = triangle_exactness(cone.inclusion, cone.projection, doubled(cone.f),
-                                       ("a{}", "b{}", "c{}"), 0, top)
+        corrupted = cone_exactness(MappingCone(cone.total, doubled(cone.f)),
+                                   ("a{}", "b{}", "c{}"), 0, top)
         assert corrupted.exact == (not any(model.euler_rep))
     for cone in cones:
-        assert cone_exactness(cone, 0, len(cone.total.ranks)).exact
+        assert cone_exactness(cone, CONE_LABELS, 0, len(cone.total.ranks)).exact
     assert len(cones) == 9 and len(calls) > 900
     assert all(hermite == smith for hermite, smith in calls)
     assert {hermite for hermite, _ in calls} == {True, False}
@@ -543,9 +544,8 @@ def test_a_corrupted_gysin_triangle_names_a_witness_in_one_lattice_only(monkeypa
     for model in models:
         cone = total_space(model)
         nodes.clear()
-        report = triangle_exactness(cone.inclusion, cone.projection, doubled(cone.f),
-                                    ("H^{}(B)", "H^{}(E)", "H^{}(B) [transfer target]"),
-                                    0, cone.total.top_degree)
+        report = cone_exactness(MappingCone(cone.total, doubled(cone.f)), GYSIN_LABELS,
+                                0, cone.total.top_degree)
         assert len(nodes) == len(report.nodes)
         for node, (incoming, group, outgoing, nxt) in zip(report.nodes, nodes):
             assert (node.witness is None) == node.exact
