@@ -50,11 +50,33 @@ EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on the digits of an ``int`` <-> ``str`` conversion
+    (3.10.7 and later) for the block, restoring the previous value on exit.
+
+    Engine results such as invariant factors may exceed the limit.  Literals
+    of the model file are read before the block, under the limit.  ``main``,
+    ``execute`` and the two ``Report`` renderers each run in the block, so a
+    caller of either entry point meets no limit on a result.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 @dataclass(frozen=True)
 class Report:
     payload: dict
     exit_code: int = EXIT_OK
 
+    @_unlimited_int_digits()
     def render_text(self) -> str:
         lines = []
 
@@ -78,6 +100,7 @@ class Report:
         emit(self.payload)
         return "\n".join(lines) + "\n"
 
+    @_unlimited_int_digits()
     def render_json(self) -> str:
         return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
 
@@ -352,26 +375,9 @@ _COMMANDS = {"cohom": _cmd_cohom, "dualize": _cmd_dualize, "borel": _cmd_borel,
 def execute(argv: Sequence[str], spec: SpecFile) -> Report:
     """Run one command against a parsed model file."""
     args = _parser().parse_args(list(argv))
-    return _COMMANDS[args.command](args, resolve(spec))
-
-
-@contextmanager
-def _unlimited_int_digits():
-    """Lift Python's limit on the digits of an ``int`` <-> ``str`` conversion
-    (3.10.7 and later) for the block, restoring the previous value on exit.
-
-    Engine results such as invariant factors may exceed the limit.  Literals
-    of the model file are read before the block, under the limit.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
+    resolved = resolve(spec)
+    with _unlimited_int_digits():
+        return _COMMANDS[args.command](args, resolved)
 
 
 def _read_source(path: str) -> str:

@@ -19,7 +19,11 @@ and runs the Smith routine only on the dense core left; invariant factors
 are unique, so the shapes equal those of the full elimination.  It reads no
 transform and forms no product, so reports that print or compare shapes only
 use it.  ``cohomology`` keeps the full ``smith_normal_form``, whose step logs
-fix the printed generators.  ``first_shape_difference`` compares two
+fix the printed generators.  It builds no whole transform: the kernel of
+``delta[n]`` and its coordinate rows are the column log applied to the
+kernel slab alone (``SNFDecomposition.kernel_columns`` and
+``kernel_coordinate_rows``), and the incoming coboundary's row log is
+applied to those two.  ``first_shape_difference`` compares two
 complexes by their shapes, for the stability and lens certificates.
 ``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``mapping_cone`` builds
 the cone of a cochain map of any degree ``d >= 0``; ``gysin.total_space`` and
@@ -201,18 +205,18 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
     b = c.delta_at(n - 1)    # C^{n-1} -> C^n
 
     snf_a = smith_normal_form(a)
-    r_a = snf_a.rank
-    k = rank_n - r_a
     # kernel basis = last k columns of V; kernel coordinates = last k rows of V^-1
-    reduce_rows = IntMatrix._computed(snf_a.v_inv.entries[r_a:], rank_n)
+    kernel = snf_a.kernel_columns()
+    coordinate_rows = snf_a.kernel_coordinate_rows()
+    k = len(coordinate_rows)
 
     # image of b in kernel coordinates (top coordinates vanish since a @ b == 0)
-    p = reduce_rows @ b
+    p = IntMatrix._computed(coordinate_rows, rank_n) @ b
     snf_p = smith_normal_form(p)
     # generators: the columns of (kernel basis) @ U_p^-1, from snf_p's step log;
-    # their coordinate rows: the rows of U_p @ reduce_rows
-    gens_all = snf_p.times_u_inv([list(col) for col in zip(*snf_a.v.entries)][r_a:])
-    rows_all = snf_p.u_times([list(row) for row in reduce_rows.entries])
+    # their coordinate rows: the rows of U_p @ (kernel coordinates)
+    gens_all = snf_p.times_u_inv(kernel)
+    rows_all = snf_p.u_times(coordinate_rows)
     # the unit factors come first on D and present nothing; the torsion and
     # then the free generators follow in order
     factors = snf_p.invariant_factors()

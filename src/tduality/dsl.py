@@ -42,6 +42,7 @@ structured output is the CLI's --json flag, not the input's job.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Optional
@@ -137,27 +138,37 @@ def parse_spec(text: str) -> SpecFile:
     return SpecFile(tuple(sections))
 
 
+# Python's own grammar of a decimal integer literal, which ``int`` accepts
+# unless it is longer than the interpreter's digit limit.
+_DECIMAL_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _read_int(text: str, section: Section, key: str, expected: str) -> int:
+    """``int(text)``; a ``ParseError`` at ``key`` names the digit limit when
+    ``text`` is a well-formed literal past it, and ``expected`` otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        if _DECIMAL_RE.fullmatch(text):
+            problem = (f"has an integer of more than {sys.get_int_max_str_digits()} digits, "
+                       f"Python's int digit limit")
+        else:
+            problem = f"must be {expected}"
+        raise ParseError(
+            f"{key} in [{section.kind} {section.name}] {problem}", *section.position(key)
+        )
+
+
 def _parse_int_list(value: str, section: Section, key: str) -> tuple[int, ...]:
     value = value.strip()
     if not value:
         return ()
-    try:
-        return tuple(int(x.strip()) for x in value.split(","))
-    except ValueError:
-        raise ParseError(
-            f"{key} in [{section.kind} {section.name}] must be comma-separated integers",
-            *section.position(key),
-        )
+    return tuple(_read_int(x, section, key, "comma-separated integers")
+                 for x in value.split(","))
 
 
 def _parse_int(value: str, section: Section, key: str) -> int:
-    try:
-        return int(value.strip())
-    except ValueError:
-        raise ParseError(
-            f"{key} in [{section.kind} {section.name}] must be an integer",
-            *section.position(key),
-        )
+    return _read_int(value, section, key, "an integer")
 
 
 def _parse_matrix(value: str, rows: int, cols: int, section: Section, key: str) -> IntMatrix:

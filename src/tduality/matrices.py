@@ -23,8 +23,14 @@ Conventions:
   ``times_u_inv`` gives ``X @ U^-1`` on its columns, each step mirrored as
   ``row_j += q row_i`` (swaps and negations are their own inverses), and
   ``v_times`` gives ``V @ X``, each column step, last first, as
-  ``row_j -= q row_i``.  The properties ``u``, ``v``, ``u_inv`` and
-  ``v_inv`` replay a whole transform on the identity, for its readers.
+  ``row_j -= q row_i``.  A kernel reads only the ``k = n - rank`` columns
+  of ``V`` past the rank and the same rows of ``V^-1``:
+  ``kernel_columns`` is ``v_times`` on the ``n x k`` unit slab of those
+  columns, and ``kernel_coordinate_rows`` is ``S @ V^-1`` for the selector
+  ``S = [0 | I_k]``, each column step inverted, last first, on the columns
+  of ``S`` as ``col_i += q col_j``.  No engine path builds a whole
+  transform; the properties ``u``, ``v``, ``u_inv`` and ``v_inv`` replay
+  one on the identity for the test oracles and the benchmark's tracer.
 * ``invariant_factors`` gives the nonzero Smith diagonal alone.  It splits
   off unit pivots on dict rows of the nonzeros, choosing each to limit
   fill-in (Kaczynski-Mrozek-Slusarek; Dumas-Saunders-Villard), and runs
@@ -43,9 +49,12 @@ Conventions:
   ``m[i][k] * v[k]`` only where ``v[k] != 0``, at the rows where column ``k``
   is nonzero.  The arithmetic is exact, so each result equals the dense sum.
 * The two layouts these read, the nonzero columns of each row and the
-  nonzero rows of each column, are ``functools.cached_property`` values
-  built on first use.  Neither is a field, so equality, ``repr`` and
-  pickling ignore them; each costs one index per nonzero entry.
+  nonzero rows of each column, are built on first use and kept in the
+  instance ``__dict__`` by ``_kept``, a ``functools.cached_property``
+  without the per-instance lock it takes before Python 3.12; a later read
+  finds the value there and calls nothing.  Neither is a field, so
+  equality, ``repr`` and pickling ignore them; each costs one index per
+  nonzero entry.
 * Cache keys hash once: ``IntMatrix``, and through ``hash_once`` the complexes,
   cochain maps and Euler models that key the ``lru_cache`` lookups, keep the
   dataclass default hash after its first computation.
@@ -62,7 +71,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Iterable, Optional, Sequence
@@ -96,6 +104,23 @@ def hash_once(cls):
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
+
+
+class _kept:
+    """``functools.cached_property`` without its lock: the first read stores
+    the value in the instance ``__dict__`` under the attribute's name, where
+    every later read finds it before this non-data descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @hash_once
@@ -185,13 +210,13 @@ class IntMatrix:
             return IntMatrix(self.rows, other.cols, tuple(out))
         return self.apply(other)
 
-    @cached_property
+    @_kept
     def _row_cols(self) -> tuple[tuple[int, ...], ...]:
         """Per row, the columns holding a nonzero entry."""
         cols = range(self.cols)
         return tuple(tuple(compress(cols, row)) for row in self.entries)
 
-    @cached_property
+    @_kept
     def _col_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per column, the rows holding a nonzero entry."""
         rows = range(self.rows)
@@ -305,9 +330,11 @@ class SNFDecomposition:
     """``U @ M @ V == D`` from ``smith_normal_form``.
 
     Holds ``d`` and the logs of the row and column steps; ``u_times``,
-    ``times_u_inv`` and ``v_times`` apply a log to an operand in place, and
-    ``u``, ``v``, ``u_inv`` (``U^-1``) and ``v_inv`` (``V^-1``) are each
-    replayed whole when first read (see the module docstring).
+    ``times_u_inv`` and ``v_times`` apply a log to an operand in place,
+    ``kernel_columns`` and ``kernel_coordinate_rows`` apply the column log
+    to the kernel slab alone, and ``u``, ``v``, ``u_inv`` (``U^-1``) and
+    ``v_inv`` (``V^-1``) are each replayed whole when first read (see the
+    module docstring).
     """
 
     d: IntMatrix
@@ -327,19 +354,37 @@ class SNFDecomposition:
         as ``row_j -= q row_i``, last step first."""
         return _apply_steps(rows, ((j, i, q) for i, j, q in reversed(self.col_steps)), False)
 
-    @cached_property
+    def _kernel_slab(self) -> list[list[int]]:
+        """The ``n x k`` unit slab: column ``j`` is ``e_{rank + j}``."""
+        n, r = self.d.cols, self.rank
+        return [[int(i - r == j) for j in range(n - r)] for i in range(n)]
+
+    def kernel_columns(self) -> list[Vector]:
+        """Columns ``rank..`` of ``V``, a basis of the kernel of ``M``:
+        ``v_times`` on the kernel slab."""
+        return list(zip(*self.v_times(self._kernel_slab())))
+
+    def kernel_coordinate_rows(self) -> list[Vector]:
+        """Rows ``rank..`` of ``V^-1``, the kernel coordinates: ``S @ V^-1``
+        for ``S = [0 | I_k]``.  ``V^-1`` is the column steps inverted, last
+        first, so each acts on the columns of ``S`` as ``col_i += q col_j``;
+        a swap is its own inverse."""
+        steps = ((i, j, -q) for i, j, q in reversed(self.col_steps))
+        return list(zip(*_apply_steps(self._kernel_slab(), steps, False)))
+
+    @_kept
     def u(self) -> IntMatrix:
         return _replay(self.d.rows, self.row_steps, mirrored=False, transposed=False)
 
-    @cached_property
+    @_kept
     def u_inv(self) -> IntMatrix:
         return _replay(self.d.rows, self.row_steps, mirrored=True, transposed=True)
 
-    @cached_property
+    @_kept
     def v(self) -> IntMatrix:
         return _replay(self.d.cols, self.col_steps, mirrored=False, transposed=True)
 
-    @cached_property
+    @_kept
     def v_inv(self) -> IntMatrix:
         return _replay(self.d.cols, self.col_steps, mirrored=True, transposed=False)
 
@@ -515,12 +560,9 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 
 
 def kernel_basis(m: IntMatrix) -> tuple[Vector, ...]:
-    """Basis of the lattice ``{x : m @ x == 0}`` (columns of V past the rank),
-    read as ``V`` times the unit slab of those columns."""
-    snf = smith_normal_form(m)
-    r = snf.rank
-    slab = [[int(i - r == j) for j in range(m.cols - r)] for i in range(m.cols)]
-    return tuple(zip(*snf.v_times(slab)))
+    """Basis of the lattice ``{x : m @ x == 0}``, the columns of V past the
+    rank."""
+    return tuple(smith_normal_form(m).kernel_columns())
 
 
 def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:

@@ -678,6 +678,30 @@ def test_results_past_the_int_digit_limit_print_in_full(tmp_path, capsys):
     assert "line 4, column 1: delta0 in [complex c]" in proc.stderr
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int <-> str digit limit")
+def test_execute_and_its_report_lift_the_int_digit_limit():
+    # delta0 = (x, y; y, x) with coprime 2,500-digit x and y presents
+    # H^1 = Z/(x^2 - y^2), whose 5,000 digits exceed Python's default limit
+    x, y = int("9" * 2500), int("1" * 2499 + "2")
+    factor = x * x - y * y
+    spec = parse_spec(f"[complex c]\nkind = algebraic\nranks = 2,2\ndelta0 = {x},{y};{y},{x}\n")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError):
+            str(factor)
+        report = execute(["cohom", "--complex", "c", "-"], spec)
+        assert report.exit_code == EXIT_OK
+        assert report.payload["cohomology"]["1"]["torsion"] == [factor]
+        text, as_json = report.render_text(), report.render_json()
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        assert f"pretty: Z/{factor}\n" in text and f"  {factor}\n" in as_json
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 @pytest.mark.parametrize("name", ["transcript", "sample"])
 def test_reports_match_the_committed_transcript_digest(name):
     # tests/data/NAME.sha256 holds the digest of tests/transcript.py on

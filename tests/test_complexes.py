@@ -406,17 +406,21 @@ def check_step_logs_against_replayed_transforms(a, b, rng):
     """Each operand built from a Smith step log equals the product with the
     transform replayed on the identity: ``U_p @ R`` and ``K @ U_p^-1`` of the
     presentation with outgoing ``a`` and incoming ``b``, ``V[:, r:]`` of
-    ``kernel_basis(a)``, and ``U @ b`` and ``V @ y`` of
-    ``solve_integer_system(a, a @ x)``.  Returns the largest bit size of the
-    replayed transforms."""
+    ``kernel_basis(a)`` and ``kernel_columns``, ``V^-1[r:]`` of
+    ``kernel_coordinate_rows`` (the two multiply to ``I_k``), and ``U @ b``
+    and ``V @ y`` of ``solve_integer_system(a, a @ x)``.  Returns the largest
+    bit size of the replayed transforms."""
     snf_a = smith_normal_form(a)
     r, n = snf_a.rank, a.cols
     reduce_rows = [list(row) for row in snf_a.v_inv.entries[r:]]
     kernel = [list(row[r:]) for row in snf_a.v.entries]
+    k = n - r
+    assert snf_a.kernel_coordinate_rows() == [tuple(row) for row in reduce_rows]
+    assert snf_a.kernel_columns() == list(zip(*kernel))
+    assert mat_mul(reduce_rows, kernel, k) == [[int(i == j) for j in range(k)] for i in range(k)]
     snf_p = smith_normal_form(IntMatrix.from_rows(reduce_rows, cols=n) @ b)
     assert snf_p.u_times([row[:] for row in reduce_rows]) == \
         mat_mul(snf_p.u.entries, reduce_rows, n)
-    k = n - r
     assert snf_p.times_u_inv([list(col) for col in zip(*kernel)]) == \
         [list(col) for col in zip(*mat_mul(kernel, snf_p.u_inv.entries, k))]
     assert kernel_basis(a) == tuple(zip(*snf_a.v.entries))[r:]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tduality.complexes import cohomology
@@ -197,6 +199,44 @@ def test_value_errors_point_at_the_key_line():
         resolve(parse_spec("\n[complex c]\nkind = algebraic\n"))
     assert (err.value.line, err.value.column) == (2, 0)
 
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int <-> str digit limit")
+def test_a_literal_past_the_digit_limit_names_the_limit():
+    # a well-formed literal that int() refuses only for its length is not
+    # called malformed: the error names the limit, at the same key and place
+    from tduality.dsl import _parse_int, _parse_int_list
+
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        section = Section("action", "a", (("charges", "x"), ("truncation", "x")), 1,
+                          ((2, 1), (3, 2)))
+        over, limit = "9" * 5000, "more than 4300 digits"
+        for call, text, key, pos in ((_parse_int, f" {over} ", "truncation", (3, 2)),
+                                     (_parse_int, "-" + over, "truncation", (3, 2)),
+                                     (_parse_int_list, f"1, {over},2", "charges", (2, 1))):
+            with pytest.raises(ParseError, match=f"{key} in \\[action a\\] has an integer of "
+                               f"{limit}, Python's int digit limit") as err:
+                call(text, section, key)
+            assert (err.value.line, err.value.column) == pos
+        # malformed text keeps its message, however long
+        with pytest.raises(ParseError, match="truncation in \\[action a\\] must be an integer"):
+            _parse_int(over + "x", section, "truncation")
+        with pytest.raises(ParseError, match="must be comma-separated integers"):
+            _parse_int_list(f"1,,{over}", section, "charges")
+        assert _parse_int(" 4_300 ", section, "truncation") == 4300
+        assert _parse_int_list("9" * 4300 + ", -1", section, "charges") == (int("9" * 4300), -1)
+        for euler in (f"{over}*u", f"coeffs=1,{over}"):
+            text = "[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n" \
+                f"[bundle b]\nbase = cp2\neuler = {euler}\n"
+            with pytest.raises(ParseError, match=f"euler in \\[bundle b\\] has an integer of "
+                               f"{limit}") as err:
+                resolve(parse_spec(text))
+            assert (err.value.line, err.value.column) == (7, 1)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_algebraic_ranks_are_bounded_before_allocation():
