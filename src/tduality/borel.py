@@ -134,7 +134,7 @@ def mayer_vietoris_glue(
         raise PreconditionError("restriction maps must land in the overlap")
     summed = direct_sum(a, b)
     mats = tuple(
-        r_a.mat_at(n).hstack(r_b.mat_at(n).scale(-1))
+        IntMatrix.from_blocks([[r_a.mat_at(n), r_b.mat_at(n).scale(-1)]])
         for n in range(len(summed.ranks))
     )
     return mapping_cone(CochainMap(summed, overlap, 0, mats))

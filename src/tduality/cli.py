@@ -56,9 +56,9 @@ def _unlimited_int_digits():
     (3.10.7 and later) for the block, restoring the previous value on exit.
 
     Engine results such as invariant factors may exceed the limit.  Literals
-    of the model file are read before the block, under the limit.  ``main``,
-    ``execute`` and the two ``Report`` renderers each run in the block, so a
-    caller of either entry point meets no limit on a result.
+    of the model file are read before the block, under the limit.  Every
+    command runs in the block, and so do the two ``Report`` renderers, so a
+    caller of ``main`` or ``execute`` meets no limit on a result.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -372,12 +372,16 @@ _COMMANDS = {"cohom": _cmd_cohom, "dualize": _cmd_dualize, "borel": _cmd_borel,
              "verify": _cmd_verify}  # the parser admits no other
 
 
-def execute(argv: Sequence[str], spec: SpecFile) -> Report:
-    """Run one command against a parsed model file."""
-    args = _parser().parse_args(list(argv))
+def _run(args: argparse.Namespace, spec: SpecFile) -> Report:
+    """Resolve ``spec`` and run the parsed command on it, digit limit lifted."""
     resolved = resolve(spec)
     with _unlimited_int_digits():
         return _COMMANDS[args.command](args, resolved)
+
+
+def execute(argv: Sequence[str], spec: SpecFile) -> Report:
+    """Run one command against a parsed model file."""
+    return _run(_parser().parse_args(list(argv)), spec)
 
 
 def _read_source(path: str) -> str:
@@ -394,10 +398,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        resolved = resolve(parse_spec(_read_source(args.file)))
-        with _unlimited_int_digits():
-            report = _COMMANDS[args.command](args, resolved)
-            out = report.render_json() if args.json else report.render_text()
+        report = _run(args, parse_spec(_read_source(args.file)))
+        out = report.render_json() if args.json else report.render_text()
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE

@@ -19,11 +19,11 @@ and runs the Smith routine only on the dense core left; invariant factors
 are unique, so the shapes equal those of the full elimination.  It reads no
 transform and forms no product, so reports that print or compare shapes only
 use it.  ``cohomology`` keeps the full ``smith_normal_form``, whose step logs
-fix the printed generators.  It builds no whole transform: the kernel of
-``delta[n]`` and its coordinate rows are the column log applied to the
-kernel slab alone (``SNFDecomposition.kernel_columns`` and
-``kernel_coordinate_rows``), and the incoming coboundary's row log is
-applied to those two.  ``first_shape_difference`` compares two
+fix the printed generators.  It forms no whole transform: the kernel of
+``delta[n]`` and its coordinate rows are the column log of its form
+applied to the kernel slab alone (``SNFDecomposition.kernel_columns`` and
+``kernel_coordinate_rows``), and the row log of the incoming coboundary's
+form is applied to those two.  ``first_shape_difference`` compares two
 complexes by their shapes, for the stability and lens certificates.
 ``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``mapping_cone`` builds
 the cone of a cochain map of any degree ``d >= 0``; ``gysin.total_space`` and
@@ -33,11 +33,11 @@ the cone of a cochain map of any degree ``d >= 0``; ``gysin.total_space`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .matrices import IntMatrix, Vector, hash_once, invariant_factors, smith_normal_form
+from .matrices import IntMatrix, Vector, hash_once, invariant_factors, kept, smith_normal_form
 
 
 @hash_once
@@ -378,7 +378,7 @@ class MappingCone:
     def shift(self) -> int:
         return min(0, self.f.degree - 1)
 
-    @cached_property
+    @kept
     def inclusion(self) -> CochainMap:
         c_cx, k = self.f.target, self.shift
         return CochainMap(c_cx, self.total, -k, tuple(
@@ -386,7 +386,7 @@ class MappingCone:
             for m in range(len(c_cx.ranks))
         ))
 
-    @cached_property
+    @kept
     def projection(self) -> CochainMap:
         a_cx, c_cx, k = self.f.source, self.f.target, self.shift
         d = k + 1 - self.f.degree

@@ -375,8 +375,9 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             _check_keys(section, ("h",))
             fluxes[section.name] = _parse_int_list(_require(section, "h"), section, "h")
         elif section.kind == "action":
-            _check_keys(section, ("type", "charges", "truncation", "base", "euler", "h"))
             kind = _require(section, "type")
+            bundle_keys = ("base", "euler") if kind == "free_bundle" else ()
+            _check_keys(section, ("type", "charges", "truncation", *bundle_keys, "h"))
             charges = _parse_int_list(section.get("charges") or "", section, "charges")
             truncation_value = section.get("truncation")
             truncation = (

@@ -16,21 +16,19 @@ Conventions:
   entry of absolute value 1 in row-major order, which is the entry the rule
   picks, so the early exit leaves the decomposition unchanged.
 * ``smith_normal_form`` eliminates on a copy of ``M`` only and logs each
-  step as ``(i, j, q)``: ``row_i -= q row_j``, a swap when ``q == 0``, a
-  negation when ``i == j``; column steps act on columns.  A transform is the
-  product of its steps (Kannan-Bachem), so callers apply a log to their
-  operand instead: ``u_times`` gives ``U @ X`` on the rows of ``X``,
-  ``times_u_inv`` gives ``X @ U^-1`` on its columns, each step mirrored as
-  ``row_j += q row_i`` (swaps and negations are their own inverses), and
-  ``v_times`` gives ``V @ X``, each column step, last first, as
-  ``row_j -= q row_i``.  A kernel reads only the ``k = n - rank`` columns
-  of ``V`` past the rank and the same rows of ``V^-1``:
-  ``kernel_columns`` is ``v_times`` on the ``n x k`` unit slab of those
-  columns, and ``kernel_coordinate_rows`` is ``S @ V^-1`` for the selector
-  ``S = [0 | I_k]``, each column step inverted, last first, on the columns
-  of ``S`` as ``col_i += q col_j``.  No engine path builds a whole
-  transform; the properties ``u``, ``v``, ``u_inv`` and ``v_inv`` replay
-  one on the identity for the test oracles and the benchmark's tracer.
+  step as a row step ``(i, j, q)``: ``row_i -= q row_j``, a swap when
+  ``q == 0``, a negation when ``i == j``.  A column step ``col_i -= q col_j``
+  is ``M @ E`` for the row step ``E = (j, i, q)`` and is logged as that.  A
+  transform is the product of its steps (Kannan-Bachem), so ``_apply_steps``
+  applies a log to the operand instead: ``U @ X`` is the row log in order on
+  the rows of ``X``, ``V @ X`` the column log last step first, and
+  ``X @ U^-1`` and ``X @ V^-1`` are the same on the columns of ``X`` with
+  each step ``E`` turned into ``E^-T`` by ``_inverse_transpose``.  A kernel
+  reads only the ``k = n - rank`` columns of ``V`` past the rank and the
+  same rows of ``V^-1``: the column log applied to the ``n x k`` unit slab.
+  No engine path forms a whole transform; the properties ``u``, ``v``,
+  ``u_inv`` and ``v_inv`` apply a log to the identity for the test oracles
+  and the benchmark's tracer.
 * ``invariant_factors`` gives the nonzero Smith diagonal alone.  It splits
   off unit pivots on dict rows of the nonzeros, choosing each to limit
   fill-in (Kaczynski-Mrozek-Slusarek; Dumas-Saunders-Villard), and runs
@@ -50,7 +48,7 @@ Conventions:
   is nonzero.  The arithmetic is exact, so each result equals the dense sum.
 * The two layouts these read, the nonzero columns of each row and the
   nonzero rows of each column, are built on first use and kept in the
-  instance ``__dict__`` by ``_kept``, a ``functools.cached_property``
+  instance ``__dict__`` by ``kept``, a ``functools.cached_property``
   without the per-instance lock it takes before Python 3.12; a later read
   finds the value there and calls nothing.  Neither is a field, so
   equality, ``repr`` and pickling ignore them; each costs one index per
@@ -60,7 +58,7 @@ Conventions:
   dataclass default hash after its first computation.
 * Entry types are checked where outside input enters, in
   ``IntMatrix.from_rows``.  Results the engine computes itself (Smith's
-  ``D``, replayed transforms, ``from_blocks``, the matrices of a cohomology
+  ``D``, the transforms, ``from_blocks``, the matrices of a cohomology
   presentation) go through the private ``IntMatrix._computed``, which keeps
   the shape checks only; the other constructors build from integers.
 * Lattices are handled through a unique row-style Hermite normal form:
@@ -106,7 +104,7 @@ def hash_once(cls):
     return cls
 
 
-class _kept:
+class kept:
     """``functools.cached_property`` without its lock: the first read stores
     the value in the instance ``__dict__`` under the attribute's name, where
     every later read finds it before this non-data descriptor."""
@@ -210,13 +208,13 @@ class IntMatrix:
             return IntMatrix(self.rows, other.cols, tuple(out))
         return self.apply(other)
 
-    @_kept
+    @kept
     def _row_cols(self) -> tuple[tuple[int, ...], ...]:
         """Per row, the columns holding a nonzero entry."""
         cols = range(self.cols)
         return tuple(tuple(compress(cols, row)) for row in self.entries)
 
-    @_kept
+    @kept
     def _col_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per column, the rows holding a nonzero entry."""
         rows = range(self.rows)
@@ -264,14 +262,6 @@ class IntMatrix:
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError(f"row mismatch: {self.shape} | {other.shape}")
-        return IntMatrix(
-            self.rows, self.cols + other.cols,
-            tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
-        )
-
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
 
@@ -304,37 +294,34 @@ def _apply_step(rows: list[list[int]], i: int, j: int, q: int) -> None:
         rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
 
 
-def _apply_steps(
-    rows: list[list[int]], steps: Iterable[tuple[int, int, int]], mirrored: bool
-) -> list[list[int]]:
-    """The logged steps applied in order to ``rows`` in place, each as
-    ``row_j += q row_i`` when ``mirrored``; returns ``rows``."""
+def _apply_steps(rows: list[list[int]], steps: Iterable[tuple[int, int, int]]) -> list[list[int]]:
+    """The logged row steps applied in order to ``rows`` in place; returns
+    ``rows``."""
     for i, j, q in steps:
-        if mirrored:
-            i, j, q = j, i, -q
         _apply_step(rows, i, j, q)
     return rows
 
 
-def _replay(
-    n: int, steps: Sequence[tuple[int, int, int]], mirrored: bool, transposed: bool
-) -> IntMatrix:
-    """The logged steps applied to the ``n x n`` identity (see
-    ``_apply_steps``); ``transposed`` returns the columns."""
-    rows = _apply_steps([[int(i == j) for j in range(n)] for i in range(n)], steps, mirrored)
-    return IntMatrix._computed(zip(*rows) if transposed else rows, n)
+def _inverse_transpose(steps: Iterable[tuple[int, int, int]]) -> Iterable[tuple[int, int, int]]:
+    """``E^-T`` of each row step ``E``: ``row_i -= q row_j`` gives ``row_j +=
+    q row_i``; a swap or a negation is its own inverse transpose."""
+    return ((j, i, -q) for i, j, q in steps)
+
+
+def _unit_columns(n: int, start: int) -> list[list[int]]:
+    """Columns ``start..`` of the ``n x n`` identity, as ``n`` rows."""
+    return [[int(i - start == j) for j in range(n - start)] for i in range(n)]
 
 
 @dataclass(frozen=True)
 class SNFDecomposition:
     """``U @ M @ V == D`` from ``smith_normal_form``.
 
-    Holds ``d`` and the logs of the row and column steps; ``u_times``,
-    ``times_u_inv`` and ``v_times`` apply a log to an operand in place,
-    ``kernel_columns`` and ``kernel_coordinate_rows`` apply the column log
-    to the kernel slab alone, and ``u``, ``v``, ``u_inv`` (``U^-1``) and
-    ``v_inv`` (``V^-1``) are each replayed whole when first read (see the
-    module docstring).
+    Holds ``d`` and two logs of row steps: ``U`` is the product of the row
+    log, last step leftmost, and ``V`` of the column log, first step
+    leftmost.  Every product with a transform is one log applied to an
+    operand, as is or through ``_inverse_transpose``; ``u``, ``v``,
+    ``u_inv`` and ``v_inv`` apply it to the identity on each read.
     """
 
     d: IntMatrix
@@ -343,50 +330,45 @@ class SNFDecomposition:
 
     def u_times(self, rows: list[list[int]]) -> list[list[int]]:
         """``U @ X`` on the rows of ``X``."""
-        return _apply_steps(rows, self.row_steps, mirrored=False)
+        return _apply_steps(rows, self.row_steps)
 
     def times_u_inv(self, cols: list[list[int]]) -> list[list[int]]:
         """``X @ U^-1`` on the columns of ``X``."""
-        return _apply_steps(cols, self.row_steps, mirrored=True)
+        return _apply_steps(cols, _inverse_transpose(self.row_steps))
 
     def v_times(self, rows: list[list[int]]) -> list[list[int]]:
-        """``V @ X`` on the rows of ``X``: ``col_i -= q col_j`` of ``V`` acts
-        as ``row_j -= q row_i``, last step first."""
-        return _apply_steps(rows, ((j, i, q) for i, j, q in reversed(self.col_steps)), False)
+        """``V @ X`` on the rows of ``X``."""
+        return _apply_steps(rows, reversed(self.col_steps))
 
-    def _kernel_slab(self) -> list[list[int]]:
-        """The ``n x k`` unit slab: column ``j`` is ``e_{rank + j}``."""
-        n, r = self.d.cols, self.rank
-        return [[int(i - r == j) for j in range(n - r)] for i in range(n)]
+    def times_v_inv(self, cols: list[list[int]]) -> list[list[int]]:
+        """``X @ V^-1`` on the columns of ``X``."""
+        return _apply_steps(cols, _inverse_transpose(reversed(self.col_steps)))
 
     def kernel_columns(self) -> list[Vector]:
-        """Columns ``rank..`` of ``V``, a basis of the kernel of ``M``:
-        ``v_times`` on the kernel slab."""
-        return list(zip(*self.v_times(self._kernel_slab())))
+        """Columns ``rank..`` of ``V``, a basis of the kernel of ``M``."""
+        return list(zip(*self.v_times(_unit_columns(self.d.cols, self.rank))))
 
     def kernel_coordinate_rows(self) -> list[Vector]:
-        """Rows ``rank..`` of ``V^-1``, the kernel coordinates: ``S @ V^-1``
-        for ``S = [0 | I_k]``.  ``V^-1`` is the column steps inverted, last
-        first, so each acts on the columns of ``S`` as ``col_i += q col_j``;
-        a swap is its own inverse."""
-        steps = ((i, j, -q) for i, j, q in reversed(self.col_steps))
-        return list(zip(*_apply_steps(self._kernel_slab(), steps, False)))
+        """Rows ``rank..`` of ``V^-1``, the kernel coordinates."""
+        return list(zip(*self.times_v_inv(_unit_columns(self.d.cols, self.rank))))
 
-    @_kept
+    @property
     def u(self) -> IntMatrix:
-        return _replay(self.d.rows, self.row_steps, mirrored=False, transposed=False)
+        return IntMatrix._computed(self.u_times(_unit_columns(self.d.rows, 0)), self.d.rows)
 
-    @_kept
+    @property
     def u_inv(self) -> IntMatrix:
-        return _replay(self.d.rows, self.row_steps, mirrored=True, transposed=True)
+        n = self.d.rows
+        return IntMatrix._computed(zip(*self.times_u_inv(_unit_columns(n, 0))), n)
 
-    @_kept
+    @property
     def v(self) -> IntMatrix:
-        return _replay(self.d.cols, self.col_steps, mirrored=False, transposed=True)
+        return IntMatrix._computed(self.v_times(_unit_columns(self.d.cols, 0)), self.d.cols)
 
-    @_kept
+    @property
     def v_inv(self) -> IntMatrix:
-        return _replay(self.d.cols, self.col_steps, mirrored=True, transposed=False)
+        n = self.d.cols
+        return IntMatrix._computed(zip(*self.times_v_inv(_unit_columns(n, 0))), n)
 
     @property
     def rank(self) -> int:
@@ -405,8 +387,8 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
 
     Deterministic: the pivot is always the submatrix entry of smallest nonzero
     absolute value, ties broken by lowest row index then lowest column index.
-    Only ``M`` is eliminated; the transforms are replayed from the step logs
-    when read.
+    Only ``M`` is eliminated; a transform is its step log applied to an
+    operand.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -418,8 +400,8 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
         _apply_step(a, i, j, q)
 
     def col_step(i, j, q):
-        # col_i -= q * col_j, a swap when q == 0; columns are never negated
-        col_steps.append((i, j, q))
+        # col_i -= q col_j (a swap when q == 0) is M @ E for the row step (j, i, q)
+        col_steps.append((j, i, q))
         if q == 0:
             for r in a:
                 r[i], r[j] = r[j], r[i]
@@ -556,7 +538,7 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     snf = smith_normal_form(m)
     if snf.d != IntMatrix.eye(m.rows, m.rows, 0):
         raise PreconditionError("matrix is not unimodular")
-    return snf.v @ snf.u
+    return IntMatrix._computed(snf.v_times(snf.u_times(_unit_columns(m.rows, 0))), m.rows)
 
 
 def kernel_basis(m: IntMatrix) -> tuple[Vector, ...]:

@@ -301,7 +301,7 @@ def presentation(c, n):
     selected: ``(torsion, free_rank, generators, coordinates)``.
 
     With ``U_a delta^n V_a = D_a`` of rank ``r`` and ``U_p P V_p = D_p`` for
-    ``P = V_a^-1[r:] delta^{n-1}``, every transform replayed whole, the
+    ``P = V_a^-1[r:] delta^{n-1}``, every transform read whole, the
     kernel generators are the columns of ``V_a[:, r:] U_p^-1`` and their
     coordinate rows the rows of ``U_p V_a^-1[r:]``, plain products.  The
     indices whose factor on the diagonal of ``D_p`` is >= 2 are selected,
@@ -356,8 +356,11 @@ def smith_exact_at(incoming, node, outgoing, nxt):
     image_rows = [incoming.col(j) for j in range(incoming.cols)] + relations
     im_hnf = hermite_normal_form(image_rows, dim)
 
-    rel_cols = IntMatrix.from_rows(nxt.relation_rows(), cols=nxt.coord_dim).transpose()
-    augmented = outgoing.hstack(rel_cols)
+    rel_rows = list(nxt.relation_rows())
+    augmented = IntMatrix.from_rows(
+        [list(row) + [rel[i] for rel in rel_rows] for i, row in enumerate(outgoing.entries)],
+        cols=outgoing.cols + len(rel_rows),
+    )
     ker_rows = [vec[:dim] for vec in kernel_basis(augmented)] + relations
     ker_hnf = hermite_normal_form(ker_rows, dim)
 

@@ -146,6 +146,20 @@ def test_non_integer_truncation_is_a_parse_error(tmp_path):
     assert "truncation in [action m]" in proc.stderr
 
 
+@pytest.mark.parametrize("line", ["base = nowhere", "euler = 7*zzz"])
+def test_base_or_euler_outside_a_free_bundle_action_exits_1(tmp_path, capsys, line):
+    model = tmp_path / "m.tdsl"
+    model.write_text(
+        f"[action a]\ntype = monopole\ncharges = 3\ntruncation = 2\n{line}\n",
+        encoding="utf-8",
+    )
+    for argv in (["borel", "--action", "a", str(model)], ["verify", str(model)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        key = line.split(" ")[0]
+        assert err.startswith(f"parse error: line 5, column 1: unknown key '{key}' in [action a]")
+
+
 def test_missing_file_is_parse_class(capsys):
     code, _, err = run(capsys, "cohom", "--complex", "x", "/nonexistent.tdsl")
     assert code == EXIT_PARSE

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from generators import random_complex, random_sparse_candidate
-from oracles import canonical_shape, cohom_shape, group_direct_sum, mat_mul, presentation
+from oracles import (
+    bareiss_det, canonical_shape, cohom_shape, eye_rows, group_direct_sum, mat_mul, presentation,
+)
 from tduality.complexes import (
     CochainMap,
     GradedComplex,
@@ -402,59 +404,61 @@ def glued_total(charges, n):
     return bundle.base_model, total_space(bundle.euler_s1).total
 
 
-def check_step_logs_against_replayed_transforms(a, b, rng):
-    """Each operand built from a Smith step log equals the product with the
-    transform replayed on the identity: ``U_p @ R`` and ``K @ U_p^-1`` of the
-    presentation with outgoing ``a`` and incoming ``b``, ``V[:, r:]`` of
-    ``kernel_basis(a)`` and ``kernel_columns``, ``V^-1[r:]`` of
-    ``kernel_coordinate_rows`` (the two multiply to ``I_k``), and ``U @ b``
-    and ``V @ y`` of ``solve_integer_system(a, a @ x)``.  Returns the largest
-    bit size of the replayed transforms."""
-    snf_a = smith_normal_form(a)
-    r, n = snf_a.rank, a.cols
-    reduce_rows = [list(row) for row in snf_a.v_inv.entries[r:]]
-    kernel = [list(row[r:]) for row in snf_a.v.entries]
-    k = n - r
-    assert snf_a.kernel_coordinate_rows() == [tuple(row) for row in reduce_rows]
-    assert snf_a.kernel_columns() == list(zip(*kernel))
-    assert mat_mul(reduce_rows, kernel, k) == [[int(i == j) for j in range(k)] for i in range(k)]
-    snf_p = smith_normal_form(IntMatrix.from_rows(reduce_rows, cols=n) @ b)
-    assert snf_p.u_times([row[:] for row in reduce_rows]) == \
-        mat_mul(snf_p.u.entries, reduce_rows, n)
-    assert snf_p.times_u_inv([list(col) for col in zip(*kernel)]) == \
-        [list(col) for col in zip(*mat_mul(kernel, snf_p.u_inv.entries, k))]
-    assert kernel_basis(a) == tuple(zip(*snf_a.v.entries))[r:]
+def check_transforms(m):
+    """The transforms of ``smith_normal_form(m)`` against the oracles:
+    ``U M V == D`` with ``|det U| == |det V| == 1`` (Bareiss),
+    ``U^-1 U == I`` and ``V V^-1 == I``.  Returns the form and the largest
+    bit size of its transforms."""
+    snf = smith_normal_form(m)
+    u, v, u_inv, v_inv = (t.entries for t in (snf.u, snf.v, snf.u_inv, snf.v_inv))
+    assert mat_mul(mat_mul(u, m.entries, m.cols), v, m.cols) == [list(r) for r in snf.d.entries]
+    assert abs(bareiss_det(u)) == abs(bareiss_det(v)) == 1
+    assert mat_mul(u_inv, u, m.rows) == eye_rows(m.rows, m.rows, 0)
+    assert mat_mul(v, v_inv, m.cols) == eye_rows(m.cols, m.cols, 0)
+    return snf, max((abs(x).bit_length() for t in (u, v, u_inv, v_inv) for row in t for x in row),
+                    default=0)
+
+
+def check_step_logs(a, b, rng):
+    """Checks of the Smith forms ``cohomology`` reads that share no step log
+    with what they check: the transforms of the outgoing ``a`` and of the
+    presentation matrix ``R b`` (``check_transforms``), ``R K == I_k`` and
+    ``a K == 0`` for the kernel columns ``K`` and coordinate rows ``R`` of
+    ``a``, and a solution from ``solve_integer_system(a, a x)``.  Returns
+    the largest bit size of the transforms."""
+    snf_a, bits_a = check_transforms(a)
+    n = a.cols
+    k = n - snf_a.rank
+    rows = snf_a.kernel_coordinate_rows()
+    kernel = [list(row) for row in zip(*snf_a.kernel_columns())] or [[] for _ in range(n)]
+    assert mat_mul(rows, kernel, k) == eye_rows(k, k, 0)
+    assert mat_mul(a.entries, kernel, k) == [[0] * k for _ in range(a.rows)]
+    _, bits_p = check_transforms(IntMatrix.from_rows(rows, cols=n) @ b)
 
     x = [rng.randint(-9, 9) for _ in range(n)]
     rhs = a.apply(x)
-    c = [row[0] for row in mat_mul(snf_a.u.entries, [[v] for v in rhs], 1)]
-    assert snf_a.u_times([[v] for v in rhs]) == [[v] for v in c]
-    y = [ci // di for ci, di in zip(c, snf_a.invariant_factors())] + [0] * k
-    assert snf_a.v_times([[v] for v in y]) == mat_mul(snf_a.v.entries, [[v] for v in y], 1)
-    assert solve_integer_system(a, rhs) == snf_a.v.apply(y)
-    transforms = (snf_a.u, snf_a.v, snf_a.v_inv, snf_p.u, snf_p.u_inv)
-    return max((abs(v).bit_length() for t in transforms for row in t.entries for v in row),
-               default=0)
+    y = solve_integer_system(a, rhs)
+    assert y is not None and mat_mul(a.entries, [[v] for v in y], 1) == [[v] for v in rhs]
+    return max(bits_a, bits_p)
 
 
-def test_step_logs_equal_replayed_products_on_random_matrices():
+def test_step_log_products_pass_the_oracles_on_random_matrices():
     rng = random.Random(67)
     for _ in range(60):
         rows, cols, width = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 5)
         bound = rng.choice((1, 3, 2**40))
         a, b = ([[rng.randint(-bound, bound) if rng.random() < 0.6 else 0 for _ in range(w)]
                  for _ in range(h)] for h, w in ((rows, cols), (cols, width)))
-        check_step_logs_against_replayed_transforms(
-            IntMatrix.from_rows(a, cols=cols), IntMatrix.from_rows(b, cols=width), rng)
+        check_step_logs(IntMatrix.from_rows(a, cols=cols), IntMatrix.from_rows(b, cols=width), rng)
     for _ in range(20):
         cx = random_complex(rng)
         for d in range(cx.top_degree + 1):
-            check_step_logs_against_replayed_transforms(cx.delta_at(d), cx.delta_at(d - 1), rng)
+            check_step_logs(cx.delta_at(d), cx.delta_at(d - 1), rng)
 
 
-def test_step_logs_equal_replayed_products_on_the_wide_glued_total():
+def test_step_log_products_pass_the_oracles_on_the_wide_glued_total():
     rng = random.Random(71)
-    bits = [check_step_logs_against_replayed_transforms(cx.delta_at(d), cx.delta_at(d - 1), rng)
+    bits = [check_step_logs(cx.delta_at(d), cx.delta_at(d - 1), rng)
             for cx in glued_total(WIDE_CHARGES, 2) for d in range(cx.top_degree + 1)]
     assert max(bits) > 100
 
@@ -526,7 +530,8 @@ def test_cohomology_shapes_read_no_transform_and_form_no_product(monkeypatch):
     for cx in fresh:
         validate_complex(cx)  # checking the complex multiplies coboundaries
     _coboundary_factors.cache_clear()  # building the glued base read its shapes
-    monkeypatch.setattr(matrices, "_replay", forbidden)
+    for name in ("u", "v", "u_inv", "v_inv"):
+        monkeypatch.setattr(matrices.SNFDecomposition, name, property(forbidden))
     monkeypatch.setattr(matrices.IntMatrix, "__matmul__", forbidden)
     assert cohomology_shapes(fresh[0], 2) == (((), 1), ((), 0), ((2,), 0))
     cohomology_shapes(fresh[1], fresh[1].top_degree)

@@ -304,12 +304,15 @@ def test_unknown_and_repeated_keys_are_parse_errors():
     ("[flux f]\nh = 1\n", "base = cp2"),
     ("[action a]\ntype = monopole\ncharges = 2\ntruncation = 2\n", "truncation = 3"),
     ("[action a]\ntype = monopole\ncharges = 2\ntruncation = 2\n", "charge = 2"),
+    # only a free_bundle action reads these two
+    ("[action a]\ntype = monopole\ncharges = 3\ntruncation = 2\n", "base = nowhere"),
+    ("[action a]\ntype = monopole\ncharges = 3\ntruncation = 2\n", "euler = 7*zzz"),
 ])
 def test_every_section_kind_checks_its_keys(section, extra):
     text = section + extra + "\n"
     with pytest.raises(ParseError, match="given twice|unknown key") as err:
         resolve(parse_spec(text))
-    assert err.value.line == text.count("\n")
+    assert (err.value.line, err.value.column) == (text.count("\n"), 1)
     # without the extra line the same text resolves
     resolve(parse_spec(section))
 
