@@ -39,7 +39,6 @@ from .complexes import (
     CochainMap,
     GradedComplex,
     MappingCone,
-    cohomology,
     direct_sum,
     first_shape_difference,
     mapping_cone,
@@ -52,7 +51,7 @@ from .gysin import (
     total_space,
 )
 from .matrices import IntMatrix, Vector
-from .tdual import TDualResult, TDualityTriple, dualize, triple
+from .tdual import TDualResult, dualize, triple, triple_from_flux_coords
 
 KINDS = ("point_fixed", "monopole", "free_hopf", "multi_monopole", "free_bundle")
 
@@ -282,22 +281,11 @@ def _borel_bundle(space: SemiFreeSpace, n: int) -> BorelBundle:
     return BorelBundle(n, euler_model_from_label_coeffs(catalog_build("cp", (n,)), {"u": k}))
 
 
-def _triple_for(bundle: BorelBundle, flux: Optional[Vector]) -> TDualityTriple:
-    if flux is None:
-        return triple(bundle.euler_s1)
-    group = cohomology(total_space(bundle.euler_s1).total, 3)
-    if len(flux) != group.coord_dim:
-        raise PreconditionError(
-            f"flux has {len(flux)} coordinates but H^3 of the total model has "
-            f"{group.coord_dim} generators at truncation {bundle.truncation}"
-        )
-    return TDualityTriple(bundle.euler_s1, group.rep_from_coords(flux))
-
-
 def mathai_wu_dual(space: SemiFreeSpace, n: int) -> TDualResult:
     """Dualize the truncated Borel bundle of the action."""
-    bundle = truncated_borel(space, n)
-    return dualize(_triple_for(bundle, space.flux))
+    model = truncated_borel(space, n).euler_s1
+    flux = space.flux
+    return dualize(triple(model) if flux is None else triple_from_flux_coords(model, flux))
 
 
 # The lens(k, N) parameters whose twisted-cone shapes certify each kind that

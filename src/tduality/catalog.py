@@ -103,7 +103,7 @@ def _cp_cup(cx: GradedComplex, z: Vector) -> CochainMap:
 def _lens_complex(k: int, n: int) -> GradedComplex:
     ranks = (1,) * (2 * n + 2)
     deltas = tuple(
-        IntMatrix.from_rows([[k if d % 2 == 1 else 0]]) for d in range(2 * n + 1)
+        IntMatrix._computed([[k if d % 2 == 1 else 0]], 1) for d in range(2 * n + 1)
     )
     return GradedComplex(ranks, deltas)
 

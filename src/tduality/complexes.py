@@ -27,7 +27,8 @@ form is applied to those two.  ``first_shape_difference`` compares two
 complexes by their shapes, for the stability and lens certificates.
 ``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``mapping_cone`` builds
 the cone of a cochain map of any degree ``d >= 0``; ``gysin.total_space`` and
-``borel.mayer_vietoris_glue`` return such cones.
+``borel.mayer_vietoris_glue`` return such cones.  Cones and ``tensor_product``
+assemble their coboundaries with ``IntMatrix.from_blocks``.
 """
 
 from __future__ import annotations
@@ -142,7 +143,10 @@ class CohomologyGroup:
         return (self.torsion, self.free_rank)
 
     def coordinates(self, cocycle: Sequence[int]) -> Vector:
-        w = self._coord_rows.apply(cocycle)
+        return self.reduce(self._coord_rows.apply(cocycle))
+
+    def reduce(self, w: Vector) -> Vector:
+        """Coordinates ``w`` with each torsion entry reduced into ``[0, factor)``."""
         return tuple(x % f for x, f in zip(w, self.torsion)) + w[len(self.torsion):]
 
     def rep_from_coords(self, coords: Sequence[int]) -> Vector:
@@ -426,45 +430,36 @@ def direct_sum(*parts: GradedComplex) -> GradedComplex:
     return GradedComplex(ranks, deltas)
 
 
-def tensor_basis(a: GradedComplex, b: GradedComplex, n: int) -> tuple[tuple[int, int, int], ...]:
-    """Ordered basis of ``(A (x) B)^n`` as triples ``(p, i, j)``."""
-    out = []
-    for p in range(n + 1):
-        q = n - p
-        for i in range(a.rank_at(p)):
-            for j in range(b.rank_at(q)):
-                out.append((p, i, j))
-    return tuple(out)
+def _kron(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """Kronecker product, ``x[i][j] * y[k][l]`` at ``(i * y.rows + k, j * y.cols + l)``."""
+    return IntMatrix._computed(
+        (tuple(s * t for s in xrow for t in yrow) for xrow in x.entries for yrow in y.entries),
+        x.cols * y.cols,
+    )
 
 
 def tensor_product(a: GradedComplex, b: GradedComplex) -> GradedComplex:
-    """Graded tensor product with Koszul signs.
+    """Graded tensor product with Koszul signs, ``(A (x) B)^n`` the sum of
+    ``A^p (x) B^{n-p}`` over ``p = 0..n`` in order.
 
-    ``delta(x (x) y) = delta x (x) y + (-1)^{|x|} x (x) delta y``.
+    ``delta(x (x) y) = delta x (x) y + (-1)^{|x|} x (x) delta y``, assembled
+    by ``IntMatrix.from_blocks`` from the blocks ``delta_A (x) I`` and
+    ``(-1)^p I (x) delta_B``.
     """
     if a.top_degree < 0 or b.top_degree < 0:
         return GradedComplex.empty()
+
+    def block(n: int, p2: int, p: int) -> IntMatrix:  # A^p B^{n-p} -> A^p2 B^{n+1-p2}
+        ra, rb = a.rank_at(p), b.rank_at(n - p)
+        if p2 == p + 1:
+            return _kron(a.delta_at(p), IntMatrix.eye(rb, rb, 0))
+        if p2 == p:
+            return _kron(IntMatrix.eye(ra, ra, 0), b.delta_at(n - p)).scale(-1 if p % 2 else 1)
+        return IntMatrix.zeros(a.rank_at(p2) * b.rank_at(n + 1 - p2), ra * rb)
+
     top = a.top_degree + b.top_degree
-    bases = [tensor_basis(a, b, n) for n in range(top + 1)]
-    index = [
-        {key: pos for pos, key in enumerate(basis)} for basis in bases
-    ]
-    ranks = tuple(len(basis) for basis in bases)
-    deltas = []
-    for n in range(top):
-        rows = [[0] * ranks[n] for _ in range(ranks[n + 1])]
-        for col, (p, i, j) in enumerate(bases[n]):
-            q = n - p
-            da = a.delta_at(p)
-            for i2 in range(a.rank_at(p + 1)):
-                coeff = da.entries[i2][i]
-                if coeff:
-                    rows[index[n + 1][(p + 1, i2, j)]][col] += coeff
-            db = b.delta_at(q)
-            sign = -1 if p % 2 else 1
-            for j2 in range(b.rank_at(q + 1)):
-                coeff = db.entries[j2][j]
-                if coeff:
-                    rows[index[n + 1][(p, i, j2)]][col] += sign * coeff
-        deltas.append(IntMatrix.from_rows(rows, cols=ranks[n]))
-    return GradedComplex(ranks, tuple(deltas))
+    ranks = [sum(a.rank_at(p) * b.rank_at(n - p) for p in range(n + 1)) for n in range(top + 1)]
+    return GradedComplex(tuple(ranks), tuple(
+        IntMatrix.from_blocks([[block(n, p2, p) for p in range(n + 1)] for p2 in range(n + 2)])
+        for n in range(top)
+    ))

@@ -22,8 +22,9 @@ combination ``e`` with the operator of ``e``, on every kind of base.
 One verifier, ``cone_exactness``, checks the long exact sequence of a
 mapping cone through its inclusion, its projection and the map it cones.
 ``gysin_sequence`` gives it the total, whose inclusion and projection are
-the pullback and the transfer; for a ``borel.mayer_vietoris_glue`` it is the
-Mayer-Vietoris sequence.
+the pullback and the transfer; ``pullback`` and ``fiber_integration`` apply
+their ``induced_matrix`` to coordinates.  For a ``borel.mayer_vietoris_glue``
+it is the Mayer-Vietoris sequence.
 Exactness at a node compares the Hermite forms of the image and kernel
 lattices in its coordinates, both found by Hermite forms alone, so the
 certificate shares no elimination with the Smith forms that built the
@@ -199,30 +200,26 @@ def total_space(model: EulerModel) -> MappingCone:
     return cone
 
 
-def pullback(model: EulerModel, n: int, coords: Vector) -> Vector:
-    """Induced map H^n(B) -> H^n(E) of the bundle projection; as in
-    ``cohomology``, a degree outside the complexes is the zero group."""
-    cone = total_space(model)
-    group = cohomology(model.base, n)
+def _induced_class(f: CochainMap, n: int, coords: Vector, space: str) -> Vector:
+    """``f`` on the class with ``coords`` in ``H^n(space)``, by ``induced_matrix``."""
+    group = cohomology(f.source, n)
     if len(coords) != group.coord_dim:
         raise PreconditionError(
-            f"expected {group.coord_dim} coordinates in H^{n}(B), got {len(coords)}"
+            f"expected {group.coord_dim} coordinates in H^{n}({space}), got {len(coords)}"
         )
-    rep = group.rep_from_coords(coords)
-    return class_coordinates(cone.total, n, cone.inclusion.apply(n, rep))
+    return cohomology(f.target, n + f.degree).reduce(induced_matrix(f, n).apply(coords))
+
+
+def pullback(model: EulerModel, n: int, coords: Vector) -> Vector:
+    """Induced map H^n(B) -> H^n(E) of the bundle projection, the total's
+    ``inclusion``; a degree outside the complexes is the zero group."""
+    return _induced_class(total_space(model).inclusion, n, coords, "B")
 
 
 def fiber_integration(model: EulerModel, n: int, coords: Vector) -> Vector:
-    """Transfer H^n(E) -> H^{n-1}(B), the projection to the psi component;
-    a degree outside the complexes is the zero group."""
-    cone = total_space(model)
-    group = cohomology(cone.total, n)
-    if len(coords) != group.coord_dim:
-        raise PreconditionError(
-            f"expected {group.coord_dim} coordinates in H^{n}(E), got {len(coords)}"
-        )
-    rep = group.rep_from_coords(coords)
-    return class_coordinates(model.base, n - 1, cone.projection.apply(n, rep))
+    """Transfer H^n(E) -> H^{n-1}(B), the total's ``projection`` to the psi
+    component; a degree outside the complexes is the zero group."""
+    return _induced_class(total_space(model).projection, n, coords, "E")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +241,8 @@ def induced_matrix(f: CochainMap, n: int) -> IntMatrix:
     m = n + f.degree
     src, dst = cohomology(f.source, n), cohomology(f.target, m)
     cols = [class_coordinates(f.target, m, f.apply(n, gen)) for gen in src.generators]
-    return IntMatrix.from_rows(cols, cols=dst.coord_dim).transpose()
+    rows = (tuple(col[i] for col in cols) for i in range(dst.coord_dim))
+    return IntMatrix._computed(rows, src.coord_dim)
 
 
 def _lattices(incoming: IntMatrix, node: CohomologyGroup, outgoing: IntMatrix,

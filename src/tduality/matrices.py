@@ -37,10 +37,11 @@ Conventions:
   the full elimination whatever the pivot order.  Only shapes use it: a
   presentation's generators are read off the transforms, and another pivot
   order would print other generators.
-* Structural maps of cones, totals and gluings are built from two
+* Structural maps and assembled coboundaries are built from three
   constructors: ``IntMatrix.eye(rows, cols, offset)``, ones at
-  ``(i, i + offset)``, and ``IntMatrix.block_diag(blocks)``, the blocks along
-  the diagonal.
+  ``(i, i + offset)``, ``IntMatrix.block_diag(blocks)``, the blocks along
+  the diagonal, and ``IntMatrix.from_blocks``, a grid of blocks (the
+  coboundaries of cones and tensor products).
 * Products skip zeros: ``a @ b`` adds ``a[i][k] * (row k of b)`` only where
   ``a[i][k] != 0``, and only at that row's nonzero columns, so a structural
   map or a coboundary costs what its nonzeros cost.  ``m @ v`` adds
@@ -57,10 +58,11 @@ Conventions:
   cochain maps and Euler models that key the ``lru_cache`` lookups, keep the
   dataclass default hash after its first computation.
 * Entry types are checked where outside input enters, in
-  ``IntMatrix.from_rows``.  Results the engine computes itself (Smith's
-  ``D``, the transforms, ``from_blocks``, the matrices of a cohomology
-  presentation) go through the private ``IntMatrix._computed``, which keeps
-  the shape checks only; the other constructors build from integers.
+  ``IntMatrix.from_rows``, which in the engine only ``dsl`` calls.  Every
+  result the engine computes itself (Smith's ``D``, presentations, induced
+  matrices, cup operators, coboundaries) goes through the private
+  ``IntMatrix._computed``, which keeps the shape checks only, or through the
+  integer constructors.
 * Lattices are handled through a unique row-style Hermite normal form:
   positive pivots, entries in the pivot column of earlier rows reduced into
   ``[0, pivot)``, rows ordered by pivot column.
@@ -251,12 +253,6 @@ class IntMatrix:
             return self
         return IntMatrix(
             self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries)
-        )
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
         )
 
     def col(self, j: int) -> Vector:

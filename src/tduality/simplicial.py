@@ -6,9 +6,11 @@ use the Alexander-Whitney front-face/back-face formula
 
     (f ~ g)(v_0 .. v_{p+q}) = f(v_0 .. v_p) * g(v_p .. v_{p+q}),
 
-which satisfies the Leibniz rule exactly at the cochain level.  Cochain-level
-representatives depend on the vertex order; only cohomology-level outputs are
-contractual.
+which satisfies the Leibniz rule exactly at the cochain level.  One routine
+applies it, as the matrix of ``g -> f ~ g``: ``cup_product`` applies that
+matrix to ``g`` and ``cup_operator`` is that matrix in every degree.
+Cochain-level representatives depend on the vertex order; only
+cohomology-level outputs are contractual.
 """
 
 from __future__ import annotations
@@ -148,20 +150,23 @@ def _same_complex(a: Cochain, b: Cochain):
         raise PreconditionError("cochains live on different complexes")
 
 
+def _cup_matrix(f: Cochain, n: int) -> IntMatrix:
+    """Matrix of ``g -> f ~ g`` from degree ``n``, the Alexander-Whitney
+    rule: row ``sigma`` holds ``f(sigma[:p+1])`` at the column of its back
+    face ``sigma[p:]``, ``p`` the degree of ``f``."""
+    k, p = f.complex, f.degree
+    rows = [[0] * k.n_faces(n) for _ in range(k.n_faces(p + n))]
+    if rows and rows[0]:
+        front, back = _face_index(k, p), _face_index(k, n)
+        for row, sigma in zip(rows, k.faces[p + n]):
+            row[back[sigma[p:]]] += f.values[front[sigma[:p + 1]]]
+    return IntMatrix._computed(rows, k.n_faces(n))
+
+
 def cup_product(f: Cochain, g: Cochain) -> Cochain:
     """Alexander-Whitney product of cochains on one complex."""
     _same_complex(f, g)
-    k = f.complex
-    p, q = f.degree, g.degree
-    n = p + q
-    fi = _face_index(k, p)
-    gi = _face_index(k, q)
-    values = []
-    for sigma in (k.faces[n] if n <= k.dim else ()):
-        front = sigma[: p + 1]
-        back = sigma[p:]
-        values.append(f.values[fi[front]] * g.values[gi[back]])
-    return Cochain(k, n, tuple(values))
+    return Cochain(f.complex, f.degree + g.degree, _cup_matrix(f, g.degree).apply(g.values))
 
 
 def cup_operator(e: Cochain) -> CochainMap:
@@ -174,19 +179,5 @@ def cup_operator(e: Cochain) -> CochainMap:
         raise PreconditionError(f"cup operator needs a 2-cochain, got degree {e.degree}")
     if any(v != 0 for v in coboundary(e).values):
         raise PreconditionError("cup operator needs a cocycle: delta e != 0")
-    k = e.complex
-    cx = cochain_complex_of(k)
-    ei = _face_index(k, 2)
-    mats = []
-    for n in range(len(cx.ranks)):
-        rows_n = cx.rank_at(n + 2)
-        cols_n = cx.rank_at(n)
-        rows = [[0] * cols_n for _ in range(rows_n)]
-        if rows_n and cols_n:
-            src_idx = _face_index(k, n)
-            for r, sigma in enumerate(k.faces[n + 2]):
-                front = sigma[:3]
-                back = sigma[2:]
-                rows[r][src_idx[back]] += e.values[ei[front]]
-        mats.append(IntMatrix.from_rows(rows, cols=cols_n))
-    return CochainMap(cx, cx, 2, tuple(mats))
+    cx = cochain_complex_of(e.complex)
+    return CochainMap(cx, cx, 2, tuple(_cup_matrix(e, n) for n in range(len(cx.ranks))))

@@ -74,6 +74,9 @@ def triple(model: EulerModel, flux_rep: Optional[Vector] = None) -> TDualityTrip
 def triple_from_flux_coords(model: EulerModel, coords: Vector) -> TDualityTriple:
     """Triple whose flux is the H^3 class with the given coordinates."""
     group = cohomology(total_space(model).total, 3)
+    if len(coords) != group.coord_dim:
+        raise PreconditionError(f"flux has {len(coords)} coordinates but H^3 of the total "
+                                f"model has {group.coord_dim} generators")
     return TDualityTriple(model, group.rep_from_coords(coords))
 
 

@@ -10,7 +10,8 @@ import importlib.util
 from pathlib import Path
 
 from tduality.catalog import catalog_build, euler_model_from_label_coeffs
-from tduality.matrices import IntMatrix
+from oracles import mat_mul
+from tduality.matrices import IntMatrix, smith_normal_form
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -33,6 +34,16 @@ def test_traced_functions_resolve():
 def test_traced_methods_exist():
     for name in _tracing().METHODS:
         assert callable(getattr(IntMatrix, name, None)), f"IntMatrix.{name}"
+
+
+def test_smith_form_attributes_read_by_the_tracer():
+    # ``Tracer._after_snf`` reads ``u``, ``d`` and ``v`` of every Smith form
+    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    snf = smith_normal_form(m)
+    u, d, v = (getattr(snf, name) for name in ("u", "d", "v"))
+    assert all(isinstance(x, IntMatrix) for x in (u, d, v))
+    assert mat_mul(mat_mul(u.entries, m.entries, m.cols), v.entries, v.cols) == \
+        [list(row) for row in d.entries]
 
 
 def test_gysin_report_fields_read_by_the_benchmark():

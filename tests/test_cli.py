@@ -716,7 +716,7 @@ def test_execute_and_its_report_lift_the_int_digit_limit():
         sys.set_int_max_str_digits(previous)
 
 
-@pytest.mark.parametrize("name", ["transcript", "sample"])
+@pytest.mark.parametrize("name", ["transcript", "sample", "user"])
 def test_reports_match_the_committed_transcript_digest(name):
     # tests/data/NAME.sha256 holds the digest of tests/transcript.py on
     # tests/data/NAME.tdsl; an engine change that alters any report byte

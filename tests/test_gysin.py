@@ -120,6 +120,33 @@ def test_fiber_integration_kills_pullbacks():
             assert all(c == 0 for c in image)
 
 
+def cochain_level_image(f, n, coords):
+    """Coordinates of ``f`` on the class with ``coords``, through a cocycle
+    representative and its image: the oracle for ``pullback`` and
+    ``fiber_integration``, which read ``induced_matrix`` instead."""
+    rep = cohomology(f.source, n).rep_from_coords(coords)
+    return class_coordinates(f.target, n + f.degree, f.apply(n, rep))
+
+
+def test_pullback_and_transfer_match_the_cochain_level_oracle():
+    rng = random.Random(24)
+    with_torsion = 0
+    for _ in range(40):
+        model = random_euler_model(rng)
+        cone = total_space(model)
+        top = cone.total.top_degree
+        with_torsion += any(cohomology(cx, n).torsion
+                            for cx in (model.base, cone.total) for n in range(top + 1))
+        # -1 and top + 1 lie outside both complexes, top outside the base
+        for n in range(-1, top + 2):
+            for induced, f in ((pullback, cone.inclusion), (fiber_integration, cone.projection)):
+                dim = cohomology(f.source, n).coord_dim
+                for _ in range(3):
+                    coords = tuple(rng.randint(-9, 9) for _ in range(dim))
+                    assert induced(model, n, coords) == cochain_level_image(f, n, coords)
+    assert with_torsion >= 10
+
+
 def test_fiber_integration_torus_volume_times_fiber():
     torus = catalog_build("torus2")
     model = zero_euler_model(torus.complex, torus.cup)

@@ -247,3 +247,28 @@ def test_cup_operator_unit_law_on_sphere():
     op = cup_operator(Cochain(k, 2, e))
     image = op.apply(0, (1,) * k.n_faces(0))
     assert image == e
+
+
+def test_cup_operator_matches_the_brute_force_cup_in_every_degree():
+    # the operator and cup_product share one Alexander-Whitney routine, so
+    # both are checked against brute_force_cup, which shares none of it; the
+    # last complex is 3-dimensional, a sphere beside a solid tetrahedron
+    rng = random.Random(23)
+    solid = SPHERE2_FACETS + ((4, 5, 6, 7),)
+    for facets in (SPHERE2_FACETS, TORUS7_FACETS, RP2_FACETS, solid):
+        k = from_facets(facets)
+        cx = cochain_complex_of(k)
+        gens = cohomology(cx, 2).generators
+        for _ in range(4):
+            # a generator combination plus a coboundary is a cocycle
+            e = coboundary(random_cochain(rng, k, 1)).values
+            for gen in gens:
+                c = rng.randint(-3, 3)
+                e = tuple(x + c * y for x, y in zip(e, gen))
+            e = Cochain(k, 2, e)
+            op = cup_operator(e)
+            for n in range(k.dim + 1):
+                g = random_cochain(rng, k, n)
+                want = brute_force_cup(k, e, g) if n + 2 <= k.dim else ()
+                assert op.mats[n].apply(g.values) == want
+                assert cup_product(e, g).values == want
