@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .complexes import CochainMap, GradedComplex, class_coordinates, cohomology
+from .complexes import CochainMap, GradedComplex, cohomology, require_cocycle
 from .errors import PreconditionError
 from .gysin import (
     PROVENANCE_ALGEBRAIC,
@@ -180,15 +180,16 @@ def euler_model_from_label_coeffs(
 
 
 def euler_model_from_cocycle(model: CatalogModel, rep: Vector) -> EulerModel:
-    """Euler model for an explicit 2-cocycle representative.
+    """Euler model for an explicit 2-cocycle representative, gated by ``require_cocycle``.
 
     Simplicial models keep any cocycle (Alexander-Whitney operator);
     algebraic models replace it by the generator combination of its class.
     """
+    require_cocycle(model.complex, 2, rep, "Euler representative")
     if model.simplicial is not None:
         mu = model.cup.operator(rep)
         return EulerModel(model.complex, tuple(rep), mu, model.provenance, model.cup)
-    coords = class_coordinates(model.complex, 2, rep)
+    coords = cohomology(model.complex, 2).coordinates(rep)
     return realize_euler_class(model.complex, model.cup, coords, model.provenance)
 
 

@@ -235,12 +235,14 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
             (f"complex {name}: coboundary squares to zero", rep.valid, rep.detail or "", False)
         )
 
+    h3_counts = {}  # bundle -> generators of H^3 of its total, for the flux checks
     for name, model in resolved.bundles.items():
         try:
             total = total_space(model).total
         except PreconditionError as exc:
             checks.append((f"bundle {name}: total complex builds", False, str(exc), False))
             continue
+        h3_counts[name] = cohomology(total, 3).coord_dim
         rep = validate_complex(total)
         checks.append((f"bundle {name}: total complex valid", rep.valid, rep.detail or "", True))
         seq = gysin_sequence(model, 0, total.top_degree)
@@ -253,8 +255,11 @@ def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
             (f"bundle {name}: Gysin sequence exact at all nodes", seq.exact, detail, True)
         )
 
-    for name in resolved.fluxes:
-        checks.append((f"flux {name}: coordinate vector well-formed", True, "", False))
+    counts = "generators: " + (", ".join(f"{b} {k}" for b, k in h3_counts.items()) or "none")
+    for name, coords in resolved.fluxes.items():
+        fits = len(coords) in h3_counts.values()
+        detail = "" if fits else f"{len(coords)} coordinates fit no bundle's H^3 ({counts})"
+        checks.append((f"flux {name}: coordinate vector well-formed", fits, detail, False))
 
     for name, spec in resolved.actions.items():
         try:

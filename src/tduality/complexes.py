@@ -25,10 +25,13 @@ applied to the kernel slab alone (``SNFDecomposition.kernel_columns`` and
 ``kernel_coordinate_rows``), and the row log of the incoming coboundary's
 form is applied to those two.  ``first_shape_difference`` compares two
 complexes by their shapes, for the stability and lens certificates.
-``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``mapping_cone`` builds
-the cone of a cochain map of any degree ``d >= 0``; ``gysin.total_space`` and
-``borel.mayer_vietoris_glue`` return such cones.  Cones and ``tensor_product``
-assemble their coboundaries with ``IntMatrix.from_blocks``.
+``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``require_cocycle``
+checks a given cochain (length, then the first nonzero entry of its
+coboundary) and ``CohomologyGroup.require_coords`` a class's coordinate
+count, for every engine caller.  ``mapping_cone`` builds the cone of a
+cochain map of any degree ``d >= 0``; ``gysin.total_space`` and
+``borel.mayer_vietoris_glue`` return such cones.  Cones and
+``tensor_product`` assemble their coboundaries with ``IntMatrix.from_blocks``.
 """
 
 from __future__ import annotations
@@ -149,16 +152,18 @@ class CohomologyGroup:
         """Coordinates ``w`` with each torsion entry reduced into ``[0, factor)``."""
         return tuple(x % f for x, f in zip(w, self.torsion)) + w[len(self.torsion):]
 
-    def rep_from_coords(self, coords: Sequence[int]) -> Vector:
+    def require_coords(self, coords: Sequence[int], what: str, space: str) -> None:
+        """Raise ``PreconditionError`` naming both counts unless ``coords`` fits the generators."""
         if len(coords) != self.coord_dim:
-            raise PreconditionError(
-                f"expected {self.coord_dim} coordinates, got {len(coords)}"
-            )
-        n = self._coord_rows.cols  # rank C^n
-        out = [0] * n
-        for c, gen in zip(coords, self.generators):
-            for k in range(n):
-                out[k] += c * gen[k]
+            raise PreconditionError(f"{what} has {len(coords)} coordinates but H^{self.degree} "
+                                    f"of {space} has {self.coord_dim} generators")
+
+    def rep_from_coords(self, coords: Sequence[int]) -> Vector:
+        """The generator combination with ``coords`` (``require_coords`` first)."""
+        out = [0] * self._coord_rows.cols  # rank C^n
+        for c, gen in zip(coords, self.generators, strict=True):
+            for k, g in enumerate(gen):
+                out[k] += c * g
         return tuple(out)
 
     def relation_rows(self) -> tuple[Vector, ...]:
@@ -277,21 +282,21 @@ def first_shape_difference(
     return next(((d, x, y) for d, (x, y) in enumerate(pairs) if x != y), None)
 
 
-def class_coordinates(c: GradedComplex, n: int, z: Sequence[int]) -> Vector:
-    """Coordinates of the class ``[z]`` in the generator basis of ``H^n``.
-
-    Raises naming the first failing entry when ``z`` is not a cocycle.
-    """
+def require_cocycle(c: GradedComplex, n: int, z: Sequence[int], what: str) -> None:
+    """Raise ``PreconditionError`` naming ``what`` unless ``z`` is a cocycle in degree ``n``."""
     if len(z) != c.rank_at(n):
-        raise PreconditionError(
-            f"cochain of length {len(z)} in degree {n} of rank {c.rank_at(n)}"
-        )
-    dz = c.delta_at(n).apply(z)
-    for i, x in enumerate(dz):
-        if x != 0:
+        raise PreconditionError(f"{what} of length {len(z)} in degree {n} of rank {c.rank_at(n)}")
+    for i, x in enumerate(c.delta_at(n).apply(z)):
+        if x:
             raise PreconditionError(
-                f"not a cocycle: (delta z)[{i}] = {x} in degree {n + 1}"
+                f"{what} is not a cocycle: (delta z)[{i}] = {x} in degree {n + 1}"
             )
+
+
+def class_coordinates(c: GradedComplex, n: int, z: Sequence[int]) -> Vector:
+    """Coordinates of the class ``[z]`` in the generator basis of ``H^n``;
+    ``require_cocycle`` checks ``z`` first."""
+    require_cocycle(c, n, z, "cochain")
     return cohomology(c, n).coordinates(z)
 
 

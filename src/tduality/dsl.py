@@ -313,10 +313,11 @@ def _resolve_complex(section: Section) -> CatalogModel:
             raise ParseError(
                 f"negative rank in [complex {section.name}]", *section.position("ranks")
             )
-        # A rank r gets r x r dense matrices (the Smith transforms of its
-        # coboundaries, a zero block of the twisted total), and a command
-        # works through those of every degree, so their sum of r * r is held
-        # to the dense coboundary bound; each rank and coboundary then is too.
+        # A rank r gets dense matrices of at most r x r entries: the kernel
+        # slab of its coboundary's Smith form with its coordinate rows, and a
+        # zero block of the twisted total.  A command works through those of
+        # every degree, so their sum of r * r is held to the dense coboundary
+        # bound; each rank and coboundary then is too.
         if sum(r * r for r in ranks) > MAX_COBOUNDARY_ENTRIES:
             raise ParseError(
                 f"ranks of [complex {section.name}] give r x r matrices of more than "

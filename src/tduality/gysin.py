@@ -18,6 +18,8 @@ is ``(-1)^{m+1} (e ~ .)`` on ``H^m(B)``; the transfer orientation is the
 A base's ``CupStructure`` carries one operator ``z -> (z ~ .)`` on its
 degree-2 cocycles, so the Euler model of a class is its generator
 combination ``e`` with the operator of ``e``, on every kind of base.
+``complexes.require_cocycle`` checks an ``EulerModel``'s representative, and
+``CohomologyGroup.require_coords`` the coordinates of every class given.
 
 One verifier, ``cone_exactness``, checks the long exact sequence of a
 mapping cone through its inclusion, its projection and the map it cones.
@@ -58,6 +60,7 @@ from .complexes import (
     class_coordinates,
     cohomology,
     mapping_cone,
+    require_cocycle,
     validate_complex,
 )
 from .errors import InternalCheckError, PreconditionError
@@ -125,14 +128,7 @@ class EulerModel:
     def __post_init__(self):
         if self.provenance not in (PROVENANCE_AW, PROVENANCE_ALGEBRAIC):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if len(self.euler_rep) != self.base.rank_at(2):
-            raise PreconditionError(
-                f"Euler representative of length {len(self.euler_rep)} on a base "
-                f"of rank {self.base.rank_at(2)} in degree 2"
-            )
-        dz = self.base.delta_at(2).apply(self.euler_rep)
-        if any(dz):
-            raise PreconditionError("Euler representative is not a cocycle")
+        require_cocycle(self.base, 2, self.euler_rep, "Euler representative")
         if self.mu.source != self.base or self.mu.target != self.base:
             raise PreconditionError("mu must be an endomap of the base")
         if self.mu.degree != 2:
@@ -172,10 +168,7 @@ def _realize_euler_class(
     provenance: str,
 ) -> EulerModel:
     group = cohomology(base, 2)
-    if len(coords) != group.coord_dim:
-        raise PreconditionError(
-            f"expected {group.coord_dim} coordinates in H^2, got {len(coords)}"
-        )
+    group.require_coords(coords, "Euler class", "the base")
     if all(c == 0 for c in coords):
         return zero_euler_model(base, cup, provenance)
     if cup is None:
@@ -201,25 +194,21 @@ def total_space(model: EulerModel) -> MappingCone:
 
 
 def _induced_class(f: CochainMap, n: int, coords: Vector, space: str) -> Vector:
-    """``f`` on the class with ``coords`` in ``H^n(space)``, by ``induced_matrix``."""
-    group = cohomology(f.source, n)
-    if len(coords) != group.coord_dim:
-        raise PreconditionError(
-            f"expected {group.coord_dim} coordinates in H^{n}({space}), got {len(coords)}"
-        )
+    """``f`` on the class with ``coords`` in ``H^n`` of ``space``, by ``induced_matrix``."""
+    cohomology(f.source, n).require_coords(coords, "class", space)
     return cohomology(f.target, n + f.degree).reduce(induced_matrix(f, n).apply(coords))
 
 
 def pullback(model: EulerModel, n: int, coords: Vector) -> Vector:
     """Induced map H^n(B) -> H^n(E) of the bundle projection, the total's
     ``inclusion``; a degree outside the complexes is the zero group."""
-    return _induced_class(total_space(model).inclusion, n, coords, "B")
+    return _induced_class(total_space(model).inclusion, n, coords, "the base")
 
 
 def fiber_integration(model: EulerModel, n: int, coords: Vector) -> Vector:
     """Transfer H^n(E) -> H^{n-1}(B), the total's ``projection`` to the psi
     component; a degree outside the complexes is the zero group."""
-    return _induced_class(total_space(model).projection, n, coords, "E")
+    return _induced_class(total_space(model).projection, n, coords, "the total model")
 
 
 # ---------------------------------------------------------------------------

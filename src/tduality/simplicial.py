@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .complexes import CochainMap, GradedComplex
+from .complexes import CochainMap, GradedComplex, require_cocycle
 from .errors import PreconditionError
 from .matrices import IntMatrix, Vector
 
@@ -177,7 +177,6 @@ def cup_operator(e: Cochain) -> CochainMap:
     """
     if e.degree != 2:
         raise PreconditionError(f"cup operator needs a 2-cochain, got degree {e.degree}")
-    if any(v != 0 for v in coboundary(e).values):
-        raise PreconditionError("cup operator needs a cocycle: delta e != 0")
     cx = cochain_complex_of(e.complex)
+    require_cocycle(cx, 2, e.values, "cup operator's 2-cochain")
     return CochainMap(cx, cx, 2, tuple(_cup_matrix(e, n) for n in range(len(cx.ranks))))

@@ -14,6 +14,8 @@ The transform:
 The dual flux is determined only modulo the pullback of H^3(base); that coset
 (the ambiguity lattice) is reported explicitly, and a separate operation
 picks the canonical representative, so nothing is silently chosen.
+``complexes.require_cocycle`` checks a given flux and ``require_coords`` its
+coordinates; the dual flux ``dualize`` builds fails as an engine fault.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import class_coordinates, cohomology, cohomology_shapes
+from .complexes import class_coordinates, cohomology, cohomology_shapes, require_cocycle
 from .errors import InternalCheckError, PreconditionError
 from .gysin import (
     EulerModel,
@@ -46,19 +48,7 @@ class TDualityTriple:
     flux_rep: Vector  # vector in T^3 = B^3 (+) B^2
 
     def __post_init__(self):
-        total = total_space(self.model).total
-        want = total.rank_at(3)
-        if len(self.flux_rep) != want:
-            raise PreconditionError(
-                f"flux vector of length {len(self.flux_rep)}, expected {want}"
-            )
-        dz = total.delta_at(3).apply(self.flux_rep)
-        for i, x in enumerate(dz):
-            if x != 0:
-                raise PreconditionError(
-                    f"flux is not a cocycle of the twisted complex: entry {i} of its "
-                    f"coboundary is {x}"
-                )
+        require_cocycle(total_space(self.model).total, 3, self.flux_rep, "flux")
 
     @property
     def psi2(self) -> Vector:
@@ -74,9 +64,7 @@ def triple(model: EulerModel, flux_rep: Optional[Vector] = None) -> TDualityTrip
 def triple_from_flux_coords(model: EulerModel, coords: Vector) -> TDualityTriple:
     """Triple whose flux is the H^3 class with the given coordinates."""
     group = cohomology(total_space(model).total, 3)
-    if len(coords) != group.coord_dim:
-        raise PreconditionError(f"flux has {len(coords)} coordinates but H^3 of the total "
-                                f"model has {group.coord_dim} generators")
+    group.require_coords(coords, "flux", "the total model")
     return TDualityTriple(model, group.rep_from_coords(coords))
 
 

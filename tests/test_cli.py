@@ -217,6 +217,64 @@ def test_precondition_for_non_cocycle_flux(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
 
 
+# Two bases with one coboundary out of degree 2, the row (-1, 1, -1, 1): the
+# solid tetrahedron and an algebraic complex.  The cochain on the first
+# generator is not closed, and an Euler cocycle of length 2 is short.
+USER_BASES = {
+    "simplicial": "[complex s]\nkind = simplicial\nfacets = 0,1,2,3\n",
+    "algebraic": "[complex s]\nkind = algebraic\nranks = 1,1,4,1\ndelta2 = -1,1,-1,1\n",
+}
+BAD_EULER_COCYCLES = {
+    "1,0,0,0": "Euler representative is not a cocycle: (delta z)[0] = -1 in degree 3",
+    "1,0": "Euler representative of length 2 in degree 2 of rank 4",
+}
+
+
+@pytest.mark.parametrize("coeffs", BAD_EULER_COCYCLES)
+@pytest.mark.parametrize("base", USER_BASES)
+def test_a_bad_euler_cocycle_exits_2_alike_on_every_kind_of_base(tmp_path, capsys, base, coeffs):
+    message = BAD_EULER_COCYCLES[coeffs]
+    model = tmp_path / "bundle.tdsl"
+    model.write_text(USER_BASES[base] + f"[bundle b]\nbase = s\neuler = coeffs={coeffs}\n",
+                     encoding="utf-8")
+    code, out, err = run(capsys, "dualize", "--bundle", "b", str(model))
+    assert (code, out, err) == (EXIT_PRECONDITION, "", f"precondition violated: {message}\n")
+    # inside a free_bundle action, verify prints the message as the action's detail
+    model = tmp_path / "action.tdsl"
+    model.write_text(USER_BASES[base] + "[action a]\ntype = free_bundle\nbase = s\n"
+                     f"euler = coeffs={coeffs}\ntruncation = 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "--json", "verify", str(model))
+    assert code == EXIT_PRECONDITION
+    failing = [check for check in json.loads(out)["checks"] if not check["ok"]]
+    assert failing == [{"name": f"action a: {message}", "ok": False, "detail": message}]
+
+
+def test_verify_checks_each_flux_against_the_bundle_totals(tmp_path, capsys):
+    # H^3 of the total has no generator over cp(2) with e = 2u and one over
+    # the torus with e = 0, so a 1-coordinate flux fits and a 2-coordinate
+    # one fits no bundle
+    bundles = (
+        "[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n"
+        "[complex torus]\nkind = catalog\nname = torus2\n"
+        "[bundle b]\nbase = cp2\neuler = 2*u\n[bundle flat]\nbase = torus\neuler = 0\n"
+    )
+    fluxes = "[flux one]\nh = 1\n[flux two]\nh = 1,2\n"
+    model = tmp_path / "m.tdsl"
+    for text, detail in ((bundles, "b 0, flat 1"), ("", "none")):
+        model.write_text(text + fluxes, encoding="utf-8")
+        code, out, _ = run(capsys, "--json", "verify", str(model))
+        assert code == EXIT_PRECONDITION
+        flux_checks = [c for c in json.loads(out)["checks"] if c["name"].startswith("flux ")]
+        two = {"name": "flux two: coordinate vector well-formed", "ok": False,
+               "detail": f"2 coordinates fit no bundle's H^3 (generators: {detail})"}
+        one = {"name": "flux one: coordinate vector well-formed", "ok": bool(text)}
+        if not text:
+            one["detail"] = "1 coordinates fit no bundle's H^3 (generators: none)"
+        assert flux_checks == [one, two]
+    model.write_text(bundles + "[flux one]\nh = 1\n", encoding="utf-8")
+    assert run(capsys, "verify", str(model))[0] == EXIT_OK
+
+
 def test_execute_api(capsys):
     spec = parse_spec(SAMPLE.read_text(encoding="utf-8"))
     report = execute(["cohom", "--complex", "circle", str(SAMPLE)], spec)
@@ -716,7 +774,7 @@ def test_execute_and_its_report_lift_the_int_digit_limit():
         sys.set_int_max_str_digits(previous)
 
 
-@pytest.mark.parametrize("name", ["transcript", "sample", "user"])
+@pytest.mark.parametrize("name", sorted(path.stem for path in DATA.glob("*.sha256")))
 def test_reports_match_the_committed_transcript_digest(name):
     # tests/data/NAME.sha256 holds the digest of tests/transcript.py on
     # tests/data/NAME.tdsl; an engine change that alters any report byte
@@ -725,3 +783,9 @@ def test_reports_match_the_committed_transcript_digest(name):
 
     digest, _ = transcript(str(DATA / f"{name}.tdsl"))
     assert digest == (DATA / f"{name}.sha256").read_text(encoding="utf-8").strip()
+
+
+def test_every_model_file_has_a_transcript_digest():
+    # the digest test and the CI step both take their list from the digests,
+    # so a model file without one would go unchecked
+    assert {p.stem for p in DATA.glob("*.tdsl")} == {p.stem for p in DATA.glob("*.sha256")}

@@ -20,8 +20,14 @@ from tduality.complexes import (
     tensor_product,
     validate_complex,
 )
+from tduality.catalog import (
+    CatalogModel, catalog_build, euler_model_from_cocycle, euler_model_from_label_coeffs,
+)
 from tduality.errors import PreconditionError
-from tduality.gysin import cone_exactness
+from tduality.gysin import (
+    PROVENANCE_ALGEBRAIC, CupStructure, EulerModel, cone_exactness, fiber_integration, pullback,
+    realize_euler_class, zero_euler_model,
+)
 from tduality.matrices import (
     IntMatrix,
     kernel_basis,
@@ -29,7 +35,8 @@ from tduality.matrices import (
     solve_integer_system,
     unimodular_inverse,
 )
-from tduality.simplicial import cochain_complex_of, from_facets
+from tduality.simplicial import Cochain, cochain_complex_of, cup_operator, from_facets
+from tduality.tdual import TDualityTriple, triple_from_flux_coords
 
 CONE_LABELS = ("H^{}(C)", "H^{}(Cone)", "H^{}(A)")
 
@@ -158,6 +165,82 @@ def test_class_coordinates_additive_mod_torsion():
                 assert (both[i] - summed[i]) % f == 0
             else:
                 assert both[i] == summed[i]
+
+
+# The solid tetrahedron: C^2 has rank 4 and delta[2] is the row (-1, 1, -1, 1)
+# over the triangles 012, 013, 023, 123, so the cochain on 012 has
+# (delta z)[0] = -1.  An algebraic base with that coboundary answers alike.
+SOLID = from_facets([(0, 1, 2, 3)])
+SOLID_ALGEBRAIC = GradedComplex((1, 1, 4, 1), (
+    IntMatrix.zeros(1, 1), IntMatrix.zeros(4, 1), IntMatrix.from_rows([[-1, 1, -1, 1]])))
+NOT_CLOSED = (1, 0, 0, 0)
+
+
+def gate_callers():
+    """Each caller of ``require_cocycle`` and ``CohomologyGroup.require_coords``
+    with an input that fails, and the whole message it must raise."""
+    solid = cochain_complex_of(SOLID)
+    user = {"simplicial": CatalogModel("user:s", (), solid, CupStructure((), (), (), SOLID)),
+            "algebraic": CatalogModel("user:a", (), SOLID_ALGEBRAIC, CupStructure((), (), ()))}
+    cp2 = catalog_build("cp", (2,))
+    # cp(2) with e = 2u: T^3 = B^3 + B^2 = 0 + Z and D(0, psi) = -2 psi u, so H^3 = 0
+    bundle = euler_model_from_label_coeffs(cp2, {"u": 2})
+    circle = catalog_build("circle")
+    zero = CochainMap.zero(solid, solid, 2)
+    open_rep = "Euler representative is not a cocycle: (delta z)[0] = -1 in degree 3"
+    short_rep = "Euler representative of length 2 in degree 2 of rank 4"
+    return [
+        ("class_coordinates", lambda: class_coordinates(solid, 2, NOT_CLOSED),
+         "cochain is not a cocycle: (delta z)[0] = -1 in degree 3"),
+        ("class_coordinates length", lambda: class_coordinates(solid, 2, (1,)),
+         "cochain of length 1 in degree 2 of rank 4"),
+        ("cup_operator", lambda: cup_operator(Cochain(SOLID, 2, NOT_CLOSED)),
+         "cup operator's 2-cochain is not a cocycle: (delta z)[0] = -1 in degree 3"),
+        ("EulerModel", lambda: EulerModel(solid, NOT_CLOSED, zero, PROVENANCE_ALGEBRAIC),
+         open_rep),
+        ("EulerModel length", lambda: EulerModel(solid, (1, 0), zero, PROVENANCE_ALGEBRAIC),
+         short_rep),
+        *((f"euler_model_from_cocycle {kind}{suffix}",
+           lambda model=model, rep=rep: euler_model_from_cocycle(model, rep), message)
+          for kind, model in user.items()
+          for suffix, rep, message in (("", NOT_CLOSED, open_rep), (" length", (1, 0), short_rep))),
+        ("TDualityTriple", lambda: TDualityTriple(bundle, (1,)),
+         "flux is not a cocycle: (delta z)[0] = -2 in degree 4"),
+        ("TDualityTriple length", lambda: TDualityTriple(bundle, (1, 0)),
+         "flux of length 2 in degree 3 of rank 1"),
+        ("realize_euler_class",
+         lambda: realize_euler_class(cp2.complex, cp2.cup, (1, 0), PROVENANCE_ALGEBRAIC),
+         "Euler class has 2 coordinates but H^2 of the base has 1 generators"),
+        ("pullback", lambda: pullback(bundle, 2, (1, 0)),
+         "class has 2 coordinates but H^2 of the base has 1 generators"),
+        ("fiber_integration",
+         lambda: fiber_integration(zero_euler_model(circle.complex, circle.cup), 3, (1,)),
+         "class has 1 coordinates but H^3 of the total model has 0 generators"),
+        ("triple_from_flux_coords", lambda: triple_from_flux_coords(bundle, (1,)),
+         "flux has 1 coordinates but H^3 of the total model has 0 generators"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(gate_callers())),
+                         ids=[name for name, _, _ in gate_callers()])
+def test_every_gate_caller_names_the_object_and_a_witness(index):
+    # a cochain's message names the object, the degree and the length or the
+    # first nonzero entry of delta z; a coordinate count's names the space and
+    # both counts
+    _, call, message = gate_callers()[index]
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_rep_from_coords_raises_on_a_count_mismatch():
+    group = cohomology(cochain_complex_of(SOLID), 1)  # contractible: H^1 = 0
+    assert group.rep_from_coords(()) == (0,) * 6
+    with pytest.raises(ValueError):
+        group.rep_from_coords((1,))
+    circle = cohomology(GradedComplex.with_zero_deltas((1, 1)), 1)
+    with pytest.raises(ValueError):
+        circle.rep_from_coords((1, 2))
 
 
 def test_euler_characteristic_on_filtered_random_complexes():
