@@ -26,9 +26,9 @@ Conventions:
   each step ``E`` turned into ``E^-T`` by ``_inverse_transpose``.  A kernel
   reads only the ``k = n - rank`` columns of ``V`` past the rank and the
   same rows of ``V^-1``: the column log applied to the ``n x k`` unit slab.
-  No engine path forms a whole transform; the properties ``u``, ``v``,
-  ``u_inv`` and ``v_inv`` apply a log to the identity for the test oracles
-  and the benchmark's tracer.
+  No engine path forms a whole transform or ``D``: the properties ``u``,
+  ``v``, ``u_inv``, ``v_inv`` and ``d`` build them on read for the test
+  oracles and the benchmark's tracer.
 * ``invariant_factors`` gives the nonzero Smith diagonal alone.  It splits
   off unit pivots on dict rows of the nonzeros, choosing each to limit
   fill-in (Kaczynski-Mrozek-Slusarek; Dumas-Saunders-Villard), and runs
@@ -313,14 +313,16 @@ def _unit_columns(n: int, start: int) -> list[list[int]]:
 class SNFDecomposition:
     """``U @ M @ V == D`` from ``smith_normal_form``.
 
-    Holds ``d`` and two logs of row steps: ``U`` is the product of the row
-    log, last step leftmost, and ``V`` of the column log, first step
-    leftmost.  Every product with a transform is one log applied to an
-    operand, as is or through ``_inverse_transpose``; ``u``, ``v``,
-    ``u_inv`` and ``v_inv`` apply it to the identity on each read.
+    Holds the shape of ``M``, the invariant factors (the nonzero diagonal
+    of ``D``, which comes first) and two logs of row steps: ``U`` is the
+    product of the row log, last step leftmost, and ``V`` of the column
+    log, first step leftmost.  Every product with a transform is one log
+    applied to an operand, as is or through ``_inverse_transpose``; ``u``,
+    ``v``, ``u_inv``, ``v_inv`` and the dense ``d`` are built on each read.
     """
 
-    d: IntMatrix
+    shape: tuple[int, int]
+    factors: Vector
     row_steps: tuple[tuple[int, int, int], ...]
     col_steps: tuple[tuple[int, int, int], ...]
 
@@ -342,40 +344,42 @@ class SNFDecomposition:
 
     def kernel_columns(self) -> list[Vector]:
         """Columns ``rank..`` of ``V``, a basis of the kernel of ``M``."""
-        return list(zip(*self.v_times(_unit_columns(self.d.cols, self.rank))))
+        return list(zip(*self.v_times(_unit_columns(self.shape[1], self.rank))))
 
     def kernel_coordinate_rows(self) -> list[Vector]:
         """Rows ``rank..`` of ``V^-1``, the kernel coordinates."""
-        return list(zip(*self.times_v_inv(_unit_columns(self.d.cols, self.rank))))
+        return list(zip(*self.times_v_inv(_unit_columns(self.shape[1], self.rank))))
+
+    @property
+    def d(self) -> IntMatrix:
+        (rows, cols), r = self.shape, self.rank
+        blocks = [IntMatrix.column((f,)) for f in self.factors]
+        return IntMatrix.block_diag(blocks + [IntMatrix.zeros(rows - r, cols - r)])
 
     @property
     def u(self) -> IntMatrix:
-        return IntMatrix._computed(self.u_times(_unit_columns(self.d.rows, 0)), self.d.rows)
+        return IntMatrix._computed(self.u_times(_unit_columns(self.shape[0], 0)), self.shape[0])
 
     @property
     def u_inv(self) -> IntMatrix:
-        n = self.d.rows
+        n = self.shape[0]
         return IntMatrix._computed(zip(*self.times_u_inv(_unit_columns(n, 0))), n)
 
     @property
     def v(self) -> IntMatrix:
-        return IntMatrix._computed(self.v_times(_unit_columns(self.d.cols, 0)), self.d.cols)
+        return IntMatrix._computed(self.v_times(_unit_columns(self.shape[1], 0)), self.shape[1])
 
     @property
     def v_inv(self) -> IntMatrix:
-        n = self.d.cols
+        n = self.shape[1]
         return IntMatrix._computed(zip(*self.times_v_inv(_unit_columns(n, 0))), n)
 
     @property
     def rank(self) -> int:
-        return len(self.invariant_factors())
+        return len(self.factors)
 
     def invariant_factors(self) -> Vector:
-        return tuple(
-            self.d.entries[i][i]
-            for i in range(min(self.d.rows, self.d.cols))
-            if self.d.entries[i][i] != 0
-        )
+        return self.factors
 
 
 def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
@@ -460,7 +464,8 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
             best = pivot(t)
         t += 1
 
-    return SNFDecomposition(IntMatrix._computed(a, nc), tuple(row_steps), tuple(col_steps))
+    pivots = tuple(a[i][i] for i in range(t))  # the nonzero diagonal; all else is zero
+    return SNFDecomposition((nr, nc), pivots, tuple(row_steps), tuple(col_steps))
 
 
 def invariant_factors(m: IntMatrix) -> Vector:
@@ -532,7 +537,7 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     if m.rows != m.cols:
         raise PreconditionError("only square matrices can be unimodular")
     snf = smith_normal_form(m)
-    if snf.d != IntMatrix.eye(m.rows, m.rows, 0):
+    if snf.factors != (1,) * m.rows:
         raise PreconditionError("matrix is not unimodular")
     return IntMatrix._computed(snf.v_times(snf.u_times(_unit_columns(m.rows, 0))), m.rows)
 

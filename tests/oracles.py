@@ -315,12 +315,9 @@ def presentation(c, n):
     def rows_of(m):
         return [list(row) for row in m.entries]
 
-    def diagonal(d):
-        return [d.entries[i][i] for i in range(min(d.rows, d.cols))]
-
     rank_n, b = c.rank_at(n), c.delta_at(n - 1)
     snf_a = smith_normal_form(c.delta_at(n))
-    r = sum(1 for x in diagonal(snf_a.d) if x)
+    r = len(snf_a.invariant_factors())
     k = rank_n - r
     kernel = [row[r:] for row in rows_of(snf_a.v)]
     reduce_rows = rows_of(snf_a.v_inv)[r:]
@@ -328,7 +325,7 @@ def presentation(c, n):
         IntMatrix.from_rows(mat_mul(reduce_rows, rows_of(b), b.cols), cols=b.cols))
     gens = [list(col) for col in zip(*mat_mul(kernel, rows_of(snf_p.u_inv), k))]
     coord_rows = mat_mul(rows_of(snf_p.u), reduce_rows, rank_n)
-    factors = (diagonal(snf_p.d) + [0] * k)[:k]
+    factors = (list(snf_p.invariant_factors()) + [0] * k)[:k]
     selection = [i for i in range(k) if factors[i] >= 2] + [i for i in range(k) if factors[i] == 0]
     for i in selection:
         if next(x for x in gens[i] if x) < 0:

@@ -831,7 +831,7 @@ def package_caches():
 
 def test_every_cache_is_bounded():
     caches = package_caches()
-    assert {"cohomology", "validate_complex", "_coboundary_factors", "total_space",
+    assert {"cohomology", "_smith", "validate_complex", "_coboundary_factors", "total_space",
             "catalog_build", "cochain_complex_of",
             "_multi_monopole_bundle", "_realize_euler_class", "induced_matrix"} <= set(caches)
     for name, cache in caches.items():
@@ -839,13 +839,61 @@ def test_every_cache_is_bounded():
 
 
 def test_caches_stay_within_their_bound_past_it():
-    from tduality.complexes import _coboundary_factors
+    from tduality.complexes import _coboundary_factors, _smith
 
-    bound = max(f.cache_info().maxsize for f in (cohomology, validate_complex, _coboundary_factors))
+    bounded = (cohomology, _smith, validate_complex, _coboundary_factors)
+    bound = max(f.cache_info().maxsize for f in bounded)
     for k in range(bound + 10):
         cx = GradedComplex((1, 1), (IntMatrix.from_rows([[k]]),))
         cohomology(cx, 1)
         cohomology_shapes(cx, 1)
-    for f in (cohomology, validate_complex, _coboundary_factors):
+    for f in bounded:
         info = f.cache_info()
         assert info.currsize == info.maxsize, f.__name__
+
+
+# --- one elimination per coboundary ------------------------------------------
+
+
+def clear_package_caches():
+    for cache in package_caches().values():
+        cache.cache_clear()
+
+
+def test_cohomology_eliminates_each_coboundary_once(monkeypatch):
+    import tduality.complexes as complexes_module
+
+    cx = cochain_complex_of(from_facets([tuple(sorted(f)) for f in torus_facets(3)]))
+    assert cx.ranks == (9, 27, 18)
+    clear_package_caches()
+    shapes = []
+    eliminate = complexes_module.smith_normal_form
+
+    def counted(m):
+        shapes.append(m.shape)
+        return eliminate(m)
+
+    monkeypatch.setattr(complexes_module, "smith_normal_form", counted)
+    assert [cohomology(cx, n).describe() for n in range(3)] == ["Z", "Z^2", "Z"]
+    # delta0, delta1 and the empty delta2 once each, and the images of
+    # delta[-1] and delta0 in kernel coordinates; H^2 reuses delta1's form
+    assert len(shapes) == 5
+    assert shapes.count((18, 27)) == 1
+
+
+def test_presentations_do_not_depend_on_evaluation_order():
+    rng = random.Random(2626)
+    cases = [random_complex(rng) for _ in range(200)]
+    cases += [GradedComplex.with_zero_deltas((2, 0, 3, 1)), catalog_build("cp", (3,)).complex]
+    for cx in cases:
+        degrees = range(-1, cx.top_degree + 2)
+        runs = []
+        for order, clear_between in ((degrees, False), (degrees[::-1], False), (degrees, True)):
+            clear_package_caches()
+            groups = {}
+            for n in order:
+                if clear_between:
+                    clear_package_caches()
+                groups[n] = cohomology(cx, n)
+            runs.append(groups)
+        assert runs[0] == runs[1] == runs[2], cx

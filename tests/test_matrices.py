@@ -32,6 +32,7 @@ from tduality.matrices import (
 
 def check_snf_invariants(m: IntMatrix):
     snf = smith_normal_form(m)
+    assert snf.d.shape == (m.rows, m.cols)
     assert snf.u @ m @ snf.v == snf.d
     assert abs(bareiss_det(snf.u.entries)) == 1
     assert abs(bareiss_det(snf.v.entries)) == 1
@@ -42,6 +43,7 @@ def check_snf_invariants(m: IntMatrix):
                 assert snf.d.entries[i][j] == 0
     assert all(d >= 0 for d in diag)
     nonzero = [d for d in diag if d]
+    assert snf.invariant_factors() == tuple(nonzero)
     assert diag[: len(nonzero)] == nonzero, "zeros must come last"
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
@@ -132,6 +134,12 @@ def test_snf_inverses_mirror_the_transforms(rows, cols, data):
     entries = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
     m = IntMatrix.from_rows(entries, cols=cols)
     snf = smith_normal_form(m)
+    # the decomposition keeps the diagonal alone; d is built on read
+    d = snf.d
+    assert d.shape == (rows, cols)
+    assert snf.invariant_factors() == tuple(
+        d.entries[i][i] for i in range(min(rows, cols)) if d.entries[i][i])
+    assert snf.u @ m @ snf.v == d
     assert snf.u_inv.shape == (rows, rows) and snf.v_inv.shape == (cols, cols)
     assert mat_mul(snf.u_inv.entries, snf.u.entries, rows) == _identity_rows(rows)
     assert mat_mul(snf.v.entries, snf.v_inv.entries, cols) == _identity_rows(cols)
