@@ -20,13 +20,14 @@ are unique, so the shapes equal those of the full elimination.  It reads no
 transform and forms no product, so reports that print or compare shapes only
 use it.  ``cohomology`` keeps the full ``smith_normal_form``, whose step logs
 fix the printed generators, and eliminates each coboundary once per complex
-(``_smith``).  It forms no whole transform: the kernel of ``delta[n]`` and
-its coordinate rows are the column log of its form applied to the kernel
-slab alone (``SNFDecomposition.kernel_columns`` and
-``kernel_coordinate_rows``), and the row log of the form of ``delta[n-1]``
-in kernel coordinates is applied to those two.  A degree whose outgoing
-coboundary is zero (every top degree, every degree of ``cp(N)``) has the
-identity as its slab, so it reuses the form of degree ``n-1``.
+(``_smith``; ``solve_coboundary`` solves on the same form).  It forms no
+whole transform: the kernel of ``delta[n]`` and its coordinate rows are the
+column log of its form applied to the kernel slab alone
+(``SNFDecomposition.kernel_columns`` and ``kernel_coordinate_rows``), and
+the row log of the form of ``delta[n-1]`` in kernel coordinates is applied
+to those two.  A degree whose outgoing coboundary is zero (every top
+degree, every degree of ``cp(N)``) has the identity as its slab, so it
+reuses the form of degree ``n-1``.
 ``first_shape_difference`` compares two complexes by their shapes, for the
 stability and lens certificates.
 ``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``require_cocycle``
@@ -47,6 +48,8 @@ from typing import Optional, Sequence
 from .errors import PreconditionError
 from .matrices import (IntMatrix, SNFDecomposition, Vector, hash_once, invariant_factors, kept,
                        smith_normal_form)
+
+_ZERO_BY_ZERO = IntMatrix.zeros(0, 0)  # delta_at beyond both edges, shared by every complex
 
 
 @hash_once
@@ -87,7 +90,13 @@ class GradedComplex:
     def delta_at(self, n: int) -> IntMatrix:
         if 0 <= n < len(self.deltas):
             return self.deltas[n]
-        return IntMatrix.zeros(self.rank_at(n + 1), self.rank_at(n))
+        return self._edge_deltas.get(n, _ZERO_BY_ZERO)
+
+    @kept
+    def _edge_deltas(self) -> dict[int, IntMatrix]:
+        """The zero maps into degree 0 and out of the top degree ``t``, built once."""
+        t = self.top_degree
+        return {-1: IntMatrix.zeros(self.rank_at(0), 0), t: IntMatrix.zeros(0, self.rank_at(t))}
 
     @staticmethod
     def with_zero_deltas(ranks: Sequence[int]) -> "GradedComplex":
@@ -206,12 +215,17 @@ def _require_valid(c: GradedComplex) -> None:
         raise PreconditionError(f"invalid complex: {report.detail}")
 
 
-# Forms read from empty caches: a Gysin check over cp(200) 809, ``verify --all``
-# on the sample 43, ``verify`` of the 498-triangle strip 12.
+# Forms read from empty caches, dualize's delta[3] included: a double dual and Gysin
+# check over cp(200) 811, ``verify --all`` on the sample 45, the 498-triangle strip 12.
 @lru_cache(maxsize=2048)
 def _smith(c: GradedComplex, n: int) -> SNFDecomposition:
     """``smith_normal_form(c.delta_at(n))``, eliminated once per complex."""
     return smith_normal_form(c.delta_at(n))
+
+
+def solve_coboundary(c: GradedComplex, n: int, b: Sequence[int]) -> Optional[Vector]:
+    """``solve_integer_system(c.delta_at(n), b)`` on the form ``_smith`` keeps."""
+    return _smith(c, n).solve(b)
 
 
 # A Gysin check over cp(200) presents 807 groups.

@@ -40,10 +40,10 @@ bounded LRU caches: ``total_space`` (``maxsize=128``), ``realize_euler_class``
 (``maxsize=64``, through ``_realize_euler_class``) and ``induced_matrix``
 (``maxsize=4096``).  So a warm dualization builds each dual Euler model and
 each induced matrix once.  Exactness verdicts are not cached: every
-``cone_exactness`` call decides its nodes again, with three Hermite
-forms each, and finds a witness only for a node that is not exact.  A cone
-builds its structural maps, and checks that they commute, the first time
-each is read.
+``cone_exactness`` call decides its nodes again, with three Hermite forms
+at each nonzero node (a zero node is exact at once), and finds a witness
+only for a node that is not exact.  A cone builds its structural maps, and
+checks that they commute, the first time each is read.
 """
 
 from __future__ import annotations
@@ -255,8 +255,8 @@ def _lattices(incoming: IntMatrix, node: CohomologyGroup, outgoing: IntMatrix,
 
 def exact_at(incoming: IntMatrix, node: CohomologyGroup, outgoing: IntMatrix,
              nxt: CohomologyGroup) -> bool:
-    """Check ``im(incoming) == ker(outgoing)`` inside ``node``."""
-    image, kernel = _lattices(incoming, node, outgoing, nxt)
+    """Check ``im(incoming) == ker(outgoing)`` inside ``node``; a zero ``node`` is exact."""
+    image, kernel = _lattices(incoming, node, outgoing, nxt) if node.coord_dim else ((), ())
     return image == kernel
 
 

@@ -26,6 +26,7 @@ Conventions:
   each step ``E`` turned into ``E^-T`` by ``_inverse_transpose``.  A kernel
   reads only the ``k = n - rank`` columns of ``V`` past the rank and the
   same rows of ``V^-1``: the column log applied to the ``n x k`` unit slab.
+  ``solve`` applies the row log to ``b`` and the column log to ``D^+ U b``.
   No engine path forms a whole transform or ``D``: the properties ``u``,
   ``v``, ``u_inv``, ``v_inv`` and ``d`` build them on read for the test
   oracles and the benchmark's tracer.
@@ -381,6 +382,18 @@ class SNFDecomposition:
     def invariant_factors(self) -> Vector:
         return self.factors
 
+    def solve(self, b: Sequence[int]) -> Optional[Vector]:
+        """An integer ``x`` with ``M @ x == b``, ``b`` of length ``rows``, or ``None``."""
+        c = [row[0] for row in self.u_times([[x] for x in b])]
+        if any(c[self.rank:]):
+            return None
+        y = [0] * self.shape[1]
+        for i, d in enumerate(self.factors):  # the nonzero entries come first on D
+            if c[i] % d:
+                return None
+            y[i] = c[i] // d
+        return tuple(row[0] for row in self.v_times([[x] for x in y]))
+
 
 def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     """Smith normal form ``U @ M @ V == D`` with unimodular transforms.
@@ -557,17 +570,7 @@ def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     """
     if len(b) != m.rows:
         raise PreconditionError(f"right-hand side length {len(b)} against {m.shape} matrix")
-    snf = smith_normal_form(m)
-    c = [row[0] for row in snf.u_times([[x] for x in b])]
-    factors = snf.invariant_factors()  # the nonzero entries come first on D
-    if any(c[len(factors):]):
-        return None
-    y = [0] * m.cols
-    for i, d in enumerate(factors):
-        if c[i] % d:
-            return None
-        y[i] = c[i] // d
-    return tuple(row[0] for row in snf.v_times([[x] for x in y]))
+    return smith_normal_form(m).solve(b)
 
 
 def hermite_normal_form(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:

@@ -6,10 +6,10 @@ The transform:
 
 * dual Euler class  ``e_hat = [psi_2]``, the fiber integration of ``[H]``;
 * dual flux         ``H_hat = (phi_hat_3, e_rep)`` on the dual total space,
-  where ``delta phi_hat_3 = e_hat ~ e_rep`` is solved exactly over the
-  integers.  Solvability is a consequence of Gysin exactness whenever
-  ``e_hat`` is the pushforward of an honest flux class, and failure is
-  reported as the obstruction ``[e_hat ~ e] != 0``.
+  where ``delta phi_hat_3 = e_hat ~ e_rep`` is solved over the integers on
+  the base's kept Smith form of ``delta[3]``.  Solvability follows from Gysin
+  exactness whenever ``e_hat`` is the pushforward of an honest flux class;
+  failure is reported as the obstruction ``[e_hat ~ e] != 0``.
 
 The dual flux is determined only modulo the pullback of H^3(base); that coset
 (the ambiguity lattice) is reported explicitly, and a separate operation
@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import class_coordinates, cohomology, cohomology_shapes, require_cocycle
+from .complexes import (class_coordinates, cohomology, cohomology_shapes, require_cocycle,
+                        solve_coboundary)
 from .errors import InternalCheckError, PreconditionError
 from .gysin import (
     EulerModel,
@@ -36,7 +37,6 @@ from .matrices import (
     hermite_normal_form,
     lattice_member,
     reduce_mod_lattice,
-    solve_integer_system,
 )
 
 
@@ -101,7 +101,7 @@ def dualize(t: TDualityTriple) -> TDualResult:
     # cocycle condition in the dual twisted complex: delta phi_hat = e_hat ~ psi_hat
     psi_hat = t.model.euler_rep
     rhs = dual_model.mu.apply(2, psi_hat)
-    phi_hat = solve_integer_system(base.delta_at(3), rhs)
+    phi_hat = solve_coboundary(base, 3, rhs)
     if phi_hat is None:
         raise PreconditionError(
             "obstruction [e_hat ~ e] != 0: the dual flux equation has no integer solution"
@@ -115,7 +115,7 @@ def dualize(t: TDualityTriple) -> TDualResult:
 
     dual_h3 = cohomology(dual_cone.total, 3)
     amb = ()
-    if cohomology_shapes(base, 3)[3] != ((), 0):  # else the pullback is never built
+    if base.rank_at(3) and cohomology_shapes(base, 3)[3] != ((), 0):  # else H^3(B) = 0
         pulled = induced_matrix(dual_cone.inclusion, 3)
         amb = tuple(pulled.col(j) for j in range(pulled.cols))
     relations = dual_h3.relation_rows()

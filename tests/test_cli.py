@@ -513,30 +513,42 @@ def test_broken_twisted_total_fails_its_line_and_the_report_goes_on(capsys, monk
 
     one = IntMatrix.from_rows([[1]])
     broken_total = GradedComplex((1, 1, 1), (one, one))  # delta[1] @ delta[0] = 1
-    code, good, _ = run(capsys, "--json", "verify", str(SAMPLE))
-    assert code == EXIT_OK
+    broken = "twisted total complex broken: delta[1] @ delta[0] != 0"
 
-    gysin.total_space.cache_clear()
-    monkeypatch.setattr(gysin, "mapping_cone", lambda f: MappingCone(broken_total, f))
-    code, out, err = run(capsys, "--json", "verify", str(SAMPLE))
-    gysin.total_space.cache_clear()
-    assert code == EXIT_INTERNAL and err == "verification failed\n"
-    checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    for bundle in ("b", "flat"):
-        assert checks[f"bundle {bundle}: total complex valid"] == {
-            "name": f"bundle {bundle}: total complex valid", "ok": False,
-            "detail": "twisted total complex broken: delta[1] @ delta[0] != 0"}
-        assert f"bundle {bundle}: Gysin sequence exact at all nodes" not in checks
-    # the rest of the report follows: the complex lines as on the unbroken
-    # engine, then a line for the flux and for every action
     def lines(report, kind):
         return [c for c in json.loads(report)["checks"] if c["name"].startswith(kind)]
 
-    assert lines(out, "complex") == lines(good, "complex") != []
-    assert [c["name"] for c in lines(out, "flux")] == [c["name"] for c in lines(good, "flux")]
-    actions = {c["name"].split(":")[0] for c in lines(good, "action")}
-    assert {c["name"].split(":")[0] for c in lines(out, "action")} == actions
-    assert len(actions) == 4
+    for flags in ((), ("--all",)):
+        code, good, _ = run(capsys, "--json", "verify", *flags, str(SAMPLE))
+        assert code == EXIT_OK
+
+        gysin.total_space.cache_clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(gysin, "mapping_cone", lambda f: MappingCone(broken_total, f))
+            code, out, err = run(capsys, "--json", "verify", *flags, str(SAMPLE))
+        gysin.total_space.cache_clear()
+        assert code == EXIT_INTERNAL and err == "verification failed\n", flags
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for bundle in ("b", "flat"):
+            assert checks[f"bundle {bundle}: total complex valid"] == {
+                "name": f"bundle {bundle}: total complex valid", "ok": False, "detail": broken}
+            assert f"bundle {bundle}: Gysin sequence exact at all nodes" not in checks
+        # the rest of the report follows: the complex lines as on the unbroken
+        # engine, then a line for the flux and for every action
+        assert lines(out, "complex") == lines(good, "complex") != []
+        assert [c["name"] for c in lines(out, "flux")] == [c["name"] for c in lines(good, "flux")]
+        actions = {c["name"].split(":")[0] for c in lines(good, "action")}
+        assert {c["name"].split(":")[0] for c in lines(out, "action")} == actions
+        assert len(actions) == 4
+        # with --all, the catalog lines follow too: the complexes as before, and
+        # each twisted cone over cp(n) fails as internal with the certificate's error
+        catalog = lines(good, "catalog")
+        assert len(catalog) == (22 if flags else 0)
+        assert [c["name"] for c in lines(out, "catalog")] == [c["name"] for c in catalog]
+        for before, after in zip(catalog, lines(out, "catalog")):
+            twisted = "twisted cone over" in before["name"]
+            assert after == (dict(before, ok=False, detail=broken) if twisted else before)
+        assert sum("twisted cone over" in c["name"] for c in catalog) == (15 if flags else 0)
 
 
 def test_failed_stability_check_names_its_degree(capsys, monkeypatch):

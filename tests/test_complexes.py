@@ -897,3 +897,24 @@ def test_presentations_do_not_depend_on_evaluation_order():
                 groups[n] = cohomology(cx, n)
             runs.append(groups)
         assert runs[0] == runs[1] == runs[2], cx
+
+
+def test_coboundaries_outside_the_complex_are_zero_and_built_once():
+    import pickle
+
+    rng = random.Random(2727)
+    cases = [random_complex(rng) for _ in range(100)]
+    cases += [catalog_build("cp", (3,)).complex, GradedComplex.with_zero_deltas((2,)),
+              GradedComplex.empty()]
+    for cx in cases:
+        inside = range(len(cx.deltas))
+        for n in range(-3, cx.top_degree + 3):
+            delta = cx.delta_at(n)
+            assert delta is cx.delta_at(n), (cx, n)
+            if n in inside:
+                assert delta is cx.deltas[n]
+            else:
+                assert delta == IntMatrix.zeros(cx.rank_at(n + 1), cx.rank_at(n)), (cx, n)
+        # the edge maps are kept on the instance, not in its fields
+        copy = pickle.loads(pickle.dumps(cx))
+        assert copy == cx and hash(copy) == hash(cx) and "_edge_deltas" not in vars(copy)

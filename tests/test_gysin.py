@@ -473,6 +473,7 @@ def test_hermite_kernel_verdicts_equal_the_smith_kernel_on_random_nodes():
             [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
     verdicts, witnesses = {True: 0, False: 0}, {"kernel": 0, "image": 0}
+    zero_nodes = 0  # exact at once, between nonzero groups on both sides
     for draw in range(2400):
         node, nxt = group(), group()
         incoming = matrix(node.coord_dim, rng.randint(0, 3))
@@ -483,6 +484,7 @@ def test_hermite_kernel_verdicts_equal_the_smith_kernel_on_random_nodes():
         exact = exact_at(incoming, node, outgoing, nxt)
         assert exact == smith_exact_at(incoming, node, outgoing, nxt), draw
         verdicts[exact] += 1
+        zero_nodes += not node.coord_dim and incoming.cols > 0 and nxt.coord_dim > 0
         witness = exactness_witness(incoming, node, outgoing, nxt)
         assert (witness is None) == exact
         if witness is not None:
@@ -492,6 +494,7 @@ def test_hermite_kernel_verdicts_equal_the_smith_kernel_on_random_nodes():
             assert kernel != image, draw
             witnesses["kernel" if kernel else "image"] += 1
     assert min(verdicts.values()) > 300 and min(witnesses.values()) > 100
+    assert zero_nodes > 100
 
 
 def doubled(f):

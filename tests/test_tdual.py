@@ -204,3 +204,32 @@ def test_result_carries_the_hermite_form_of_its_ambiguity():
         assert result.ambiguity_lattice == want
         rel_only = hermite_normal_form(group.relation_rows(), group.coord_dim)
         assert result.ambiguity_rank == len(want) - len(rel_only)
+
+
+def test_a_second_dualize_of_a_triple_eliminates_nothing(monkeypatch):
+    # the flux equation delta phi_hat = e_hat ~ e is solved on the base's
+    # Smith form of delta3, which the first dualize leaves in the cache
+    import tduality.complexes as complexes_module
+    import tduality.matrices as matrices_module
+    from tduality.gysin import CupStructure
+    from tduality.simplicial import cochain_complex_of, from_facets
+
+    simplex = from_facets([(0, 1, 2, 3, 4)])  # delta3 : C^3 -> C^4 is 1 x 5 and nonzero
+    four_simplex = zero_euler_model(cochain_complex_of(simplex),
+                                    CupStructure((), (), (), simplicial=simplex))
+    assert not four_simplex.base.delta_at(3).is_zero()
+    cases = [triple(cp_bundle(2, 3)), torus_flux_triple(2), triple(four_simplex)]
+    for t in cases:
+        first = dualize(t)
+        calls = []
+        with monkeypatch.context() as patched:
+            for module in (matrices_module, complexes_module):
+                eliminate = module.smith_normal_form
+
+                def counted(m, eliminate=eliminate):
+                    calls.append(m.shape)
+                    return eliminate(m)
+
+                patched.setattr(module, "smith_normal_form", counted)
+            assert dualize(t) == first
+        assert calls == [], t.model.base.ranks
