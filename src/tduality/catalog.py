@@ -82,9 +82,12 @@ class CatalogModel:
 
     @property
     def display_name(self) -> str:
-        if self.params:
-            return f"{self.name}({', '.join(map(str, self.params))})"
-        return self.name
+        return display_name(self.name, self.params)
+
+
+def display_name(name: str, params: tuple[int, ...] = ()) -> str:
+    """``name(p1, p2)`` of a model and its parameters, ``name`` without any."""
+    return f"{name}({', '.join(map(str, params))})" if params else name
 
 
 def _cp_complex(n: int) -> GradedComplex:

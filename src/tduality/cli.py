@@ -13,10 +13,16 @@ same numeric content as the text report.  Output is byte-identical across
 re-runs for identical input.
 
 Exit codes: 0 success, 1 parse error, 2 precondition violation,
-3 internal invariant failure (always a bug).  A failed ``verify`` still
-prints its report: the report carries the exit code, 2 when a check fails on
-user data and 3 when any failing check is internal, and :func:`execute`
-returns it like any other report rather than raising.
+3 internal invariant failure (always a bug).  ``verify`` runs a table of
+sections, one per complex, bundle, flux and action and, under ``--all``, per
+catalog check.  A row ``(name, witness, internal)`` has its name fixed by the
+table; ``witness()`` returns "" or the failing detail, which ``internal``
+marks as an engine bug.  One runner calls the witnesses: a
+``PreconditionError`` fails the row as user data, an ``InternalCheckError`` as
+internal, each with its message as the detail, and a failed first row skips
+the rest of its section.  A failed ``verify`` still prints its report, which
+carries the exit code, 2 when a check fails on user data and 3 when any
+failing check is internal; :func:`execute` returns it rather than raising.
 
 The argument parser is built once per process, on the first call to
 :func:`main` or :func:`execute`, and reused after that: importing this module
@@ -31,11 +37,12 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 from . import borel as borel_mod
 from . import tdual as tdual_mod
-from .catalog import CATALOG_NAMES, SHIPPED_LENS_PARAMETERS, catalog_build
+from .catalog import CATALOG_NAMES, SHIPPED_LENS_PARAMETERS, catalog_build, display_name
 from .complexes import cohomology, cohomology_shapes, describe_shape, validate_complex
 from .dsl import (
     ActionSpec, EulerSpec, ResolvedSpec, SpecFile, build_euler_model, parse_spec, resolve,
@@ -225,93 +232,82 @@ def _cmd_borel(args, resolved: ResolvedSpec) -> Report:
     return Report(payload)
 
 
-def _verify_checks(resolved: ResolvedSpec, include_catalog: bool):
-    checks: list[tuple[str, bool, str, bool]] = []
-    # entries: (name, ok, detail, internal) where internal marks engine bugs
+def _holds(build: Callable, *args) -> str:
+    build(*args)  # the witness of a check that fails only by raising
+    return ""
 
-    for name, entry in resolved.complexes.items():
-        rep = validate_complex(entry.complex)
-        checks.append(
-            (f"complex {name}: coboundary squares to zero", rep.valid, rep.detail or "", False)
-        )
 
-    h3_counts = {}  # bundle -> generators of H^3 of its total, for the flux checks
-    for name, model in resolved.bundles.items():
-        try:
-            total = total_space(model).total
-        except PreconditionError as exc:
-            checks.append((f"bundle {name}: total complex builds", False, str(exc), False))
-            continue
-        except InternalCheckError as exc:  # total_space validates the total it builds
-            checks.append((f"bundle {name}: total complex valid", False, str(exc), True))
-            continue
-        checks.append((f"bundle {name}: total complex valid", True, "", True))
-        h3_counts[name] = cohomology(total, 3).coord_dim
-        seq = gysin_sequence(model, 0, total.top_degree)
-        failing = [
-            node.label if node.witness is None else f"{node.label} (witness {list(node.witness)})"
-            for node in seq.nodes if not node.exact
-        ]
-        detail = "not exact at " + ", ".join(failing) if failing else ""
-        checks.append(
-            (f"bundle {name}: Gysin sequence exact at all nodes", seq.exact, detail, True)
-        )
+def _valid(cx) -> str:
+    return validate_complex(cx).detail or ""
 
-    counts = "generators: " + (", ".join(f"{b} {k}" for b, k in h3_counts.items()) or "none")
-    for name, coords in resolved.fluxes.items():
-        fits = len(coords) in h3_counts.values()
-        detail = "" if fits else f"{len(coords)} coordinates fit no bundle's H^3 ({counts})"
-        checks.append((f"flux {name}: coordinate vector well-formed", fits, detail, False))
 
-    for name, spec in resolved.actions.items():
-        try:
-            space = _action_space(spec, resolved)
-            n = spec.truncation
-            borel_mod.truncated_borel(space, n)
-            checks.append((f"action {name}: Borel model builds", True, "", False))
-            failure = borel_mod.stability_check(space, n)
-            checks.append((f"action {name}: stable under N -> N+1", not failure, failure, True))
-            borel_mod.mathai_wu_dual(space, n)  # a dualization error fails as user data
-            if spec.kind in borel_mod._SIMPLICIAL_ROUTE:
-                failure = borel_mod.lens_certificate(space, n)
-                checks.append((f"action {name}: dualization routes agree", not failure,
-                               failure, True))
-        except (PreconditionError, InternalCheckError) as exc:
-            internal = isinstance(exc, InternalCheckError)
-            checks.append((f"action {name}: {exc}", False, str(exc), internal))
+def _exact(model) -> str:
+    seq = gysin_sequence(model, 0, total_space(model).total.top_degree)
+    failing = [node.label + ("" if node.witness is None else f" (witness {list(node.witness)})")
+               for node in seq.nodes if not node.exact]
+    return "not exact at " + ", ".join(failing) if failing else ""
 
+
+def _fits(coords: Vector, bundles: dict) -> str:
+    # a bundle whose total does not build fails this line with its own error
+    counts = {b: cohomology(total_space(m).total, 3).coord_dim for b, m in bundles.items()}
+    listed = ", ".join(f"{b} {k}" for b, k in counts.items()) or "none"
+    return "" if len(coords) in counts.values() else (
+        f"{len(coords)} coordinates fit no bundle's H^3 (generators: {listed})")
+
+
+def _action_rows(name: str, spec: ActionSpec, resolved: ResolvedSpec) -> list:
+    space = cache(lambda: _action_space(spec, resolved))  # built once, by the first row
+    rows = [(f"action {name}: Borel model builds",
+             lambda: _holds(borel_mod.mathai_wu_dual, space(), spec.truncation), False),
+            (f"action {name}: stable under N -> N+1",
+             lambda: borel_mod.stability_check(space(), spec.truncation), True)]
+    if spec.kind in borel_mod._SIMPLICIAL_ROUTE:
+        rows.append((f"action {name}: dualization routes agree",
+                     lambda: borel_mod.lens_certificate(space(), spec.truncation), True))
+    return rows
+
+
+def _verify_table(resolved: ResolvedSpec, include_catalog: bool) -> list:
+    table = [[(f"complex {name}: coboundary squares to zero",
+               lambda cx=entry.complex: _valid(cx), False)]
+             for name, entry in resolved.complexes.items()]
+    table += [[(f"bundle {b}: total complex valid", lambda m=m: _holds(total_space, m), True),
+               (f"bundle {b}: Gysin sequence exact at all nodes", lambda m=m: _exact(m), True)]
+              for b, m in resolved.bundles.items()]
+    table += [[(f"flux {name}: coordinate vector well-formed",
+                lambda v=coords: _fits(v, resolved.bundles), False)]
+              for name, coords in resolved.fluxes.items()]
+    table += [_action_rows(name, spec, resolved) for name, spec in resolved.actions.items()]
     if include_catalog:
-        for cname in CATALOG_NAMES:
-            params = {"cp": (2,), "lens": (5, 1)}.get(cname, ())
-            model = catalog_build(cname, params)
-            rep = validate_complex(model.complex)
-            checks.append(
-                (f"catalog {model.display_name}: valid complex", rep.valid, rep.detail or "", True)
-            )
-        for k, n in SHIPPED_LENS_PARAMETERS:
-            # the twisted cone over cp(n) with Euler class k*u is the monopole's total
-            monopole = borel_mod.SemiFreeSpace("monopole", charges=(k,))
-            try:
-                failure = borel_mod.lens_certificate(monopole, n)
-            except InternalCheckError as exc:  # total_space validates the total it builds
-                failure = str(exc)
-            checks.append((f"catalog: twisted cone over cp({n}) with k={k} matches the "
-                           "explicit rank-one model", not failure, failure, True))
-    return checks
+        params = {"cp": (2,), "lens": (5, 1)}
+        table += [[(f"catalog {display_name(c, params.get(c, ()))}: valid complex",
+                    lambda c=c: _valid(catalog_build(c, params.get(c, ())).complex), True)]
+                  for c in CATALOG_NAMES]
+        # the twisted cone over cp(n) with Euler class k*u is the monopole's total
+        table += [[(f"catalog: twisted cone over cp({n}) with k={k} matches the explicit "
+                    "rank-one model", lambda k=k, n=n: borel_mod.lens_certificate(
+                        borel_mod.SemiFreeSpace("monopole", charges=(k,)), n), True)]
+                  for k, n in SHIPPED_LENS_PARAMETERS]
+    return table
 
 
 def _cmd_verify(args, resolved: ResolvedSpec) -> Report:
-    checks = _verify_checks(resolved, include_catalog=args.all)
-    payload = {
-        "command": "verify" + (" --all" if args.all else ""),
-        "checks": [
-            {"name": name, "ok": ok, **({"detail": detail} if detail else {})}
-            for name, ok, detail, _ in checks
-        ],
-        "failures": sum(1 for _, ok, _, _ in checks if not ok),
-        "sign_convention": SIGN_CONVENTION,
-    }
-    failed = [internal for _, ok, _, internal in checks if not ok]
+    checks, failed = [], []
+    for section in _verify_table(resolved, include_catalog=args.all):
+        for k, (name, witness, internal) in enumerate(section):
+            try:
+                detail = witness()
+                ok = not detail
+            except (PreconditionError, InternalCheckError) as exc:
+                ok, detail, internal = False, str(exc), isinstance(exc, InternalCheckError)
+            checks.append({"name": name, "ok": ok, **({"detail": detail} if detail else {})})
+            if not ok:
+                failed.append(internal)
+                if k == 0:
+                    break
+    payload = {"command": "verify" + (" --all" if args.all else ""), "checks": checks,
+               "failures": len(failed), "sign_convention": SIGN_CONVENTION}
     code = EXIT_INTERNAL if any(failed) else EXIT_PRECONDITION if failed else EXIT_OK
     return Report(payload, code)
 

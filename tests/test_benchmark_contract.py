@@ -1,26 +1,37 @@
-"""The names the benchmark's tracer looks up in the engine.
+"""What the benchmark reads of the engine.
 
 ``perfbench/tracing.py`` patches engine functions by name with ``getattr``,
 so a rename there would only show when the benchmark runs.  These tests load
-the tracer by path and fail on such a rename instead.
+the tracer by path and fail on such a rename instead.  Likewise the count of
+``verify --all`` lines that ``perfbench/inputs.py`` expects for its model
+text is checked here, so a new verify check fails these tests rather than the
+benchmark's answer check.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
+
 from tduality.catalog import catalog_build, euler_model_from_label_coeffs
+from tduality.cli import main
 from oracles import mat_mul
 from tduality.matrices import IntMatrix, smith_normal_form
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("tracing")
 
 
 def test_traced_functions_resolve():
@@ -73,3 +84,19 @@ def test_one_product_makes_exactly_one_intmatrix(monkeypatch):
     prod = a @ b
     assert len(calls) == 1
     assert prod.entries == ((0, 1, 0, 2), (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("params", [
+    dict(cp_level=2, euler=2, flux=1, charge=2, pair=1, truncation=2),
+    dict(cp_level=2, euler=9, flux=9, charge=9, pair=5, truncation=2),
+    dict(cp_level=3, euler=5, flux=4, charge=3, pair=2, truncation=1),
+])
+def test_verify_prints_the_check_count_the_benchmark_expects(tmp_path, capsys, params):
+    text, expected = _load("inputs").verify_model_text(**params)
+    model = tmp_path / "verify.tdsl"
+    model.write_text(text, encoding="utf-8")
+    code = main(["--json", "verify", "--all", str(model)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["failures"] == 0
+    assert len(payload["checks"]) == expected
+    assert all(check["ok"] for check in payload["checks"])

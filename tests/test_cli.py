@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def names(report):
+    return [c["name"] for c in json.loads(report)["checks"]]
+
+
+BROKEN_TOTAL = "twisted total complex broken: delta[1] @ delta[0] != 0"
+
+
+@contextmanager
+def broken_totals(monkeypatch):
+    """Every twisted total built in the block has ``delta[1] @ delta[0] = 1``."""
+    from tduality import gysin
+    from tduality.complexes import GradedComplex, MappingCone
+    from tduality.matrices import IntMatrix
+
+    one = IntMatrix.from_rows([[1]])
+    total = GradedComplex((1, 1, 1), (one, one))
+    gysin.total_space.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(gysin, "mapping_cone", lambda f: MappingCone(total, f))
+            yield
+    finally:
+        gysin.total_space.cache_clear()
 
 
 def test_cohom_circle(capsys):
@@ -201,7 +227,7 @@ def test_verify_fails_an_action_whose_dualization_borel_rejects(tmp_path, capsys
     code, out, _ = run(capsys, "--json", "verify", str(model))
     assert code == EXIT_PRECONDITION
     failing = [check for check in json.loads(out)["checks"] if not check["ok"]]
-    assert failing == [{"name": f"action a: {message}", "ok": False, "detail": message}]
+    assert failing == [{"name": "action a: Borel model builds", "ok": False, "detail": message}]
 
 
 def test_precondition_for_non_cocycle_flux(tmp_path, capsys):
@@ -239,17 +265,17 @@ def test_a_bad_euler_cocycle_exits_2_alike_on_every_kind_of_base(tmp_path, capsy
                      encoding="utf-8")
     code, out, err = run(capsys, "dualize", "--bundle", "b", str(model))
     assert (code, out, err) == (EXIT_PRECONDITION, "", f"precondition violated: {message}\n")
-    # inside a free_bundle action, verify prints the message as the action's detail
+    # inside a free_bundle action, verify fails the action's first line with the message
     model = tmp_path / "action.tdsl"
     model.write_text(USER_BASES[base] + "[action a]\ntype = free_bundle\nbase = s\n"
                      f"euler = coeffs={coeffs}\ntruncation = 1\n", encoding="utf-8")
     code, out, _ = run(capsys, "--json", "verify", str(model))
     assert code == EXIT_PRECONDITION
     failing = [check for check in json.loads(out)["checks"] if not check["ok"]]
-    assert failing == [{"name": f"action a: {message}", "ok": False, "detail": message}]
+    assert failing == [{"name": "action a: Borel model builds", "ok": False, "detail": message}]
 
 
-def test_verify_checks_each_flux_against_the_bundle_totals(tmp_path, capsys):
+def test_verify_checks_each_flux_against_the_bundle_totals(tmp_path, capsys, monkeypatch):
     # H^3 of the total has no generator over cp(2) with e = 2u and one over
     # the torus with e = 0, so a 1-coordinate flux fits and a 2-coordinate
     # one fits no bundle
@@ -273,6 +299,23 @@ def test_verify_checks_each_flux_against_the_bundle_totals(tmp_path, capsys):
         assert flux_checks == [one, two]
     model.write_text(bundles + "[flux one]\nh = 1\n", encoding="utf-8")
     assert run(capsys, "verify", str(model))[0] == EXIT_OK
+
+    # when no bundle's total builds, each flux line fails with that error:
+    # internal for a broken total, user data for a base that is no cochain complex
+    non_cochain = ("[complex bad]\nkind = algebraic\nranks = 1,1,1,1\ndelta0 = 1\ndelta1 = 1\n"
+                   "[bundle b]\nbase = bad\neuler = 0\n")
+    not_a_complex = "base is not a cochain complex at degree 0: delta[1] @ delta[0] != 0"
+    model.write_text(bundles + fluxes, encoding="utf-8")
+    with broken_totals(monkeypatch):
+        broken = run(capsys, "--json", "verify", str(model))
+    model.write_text(non_cochain + fluxes, encoding="utf-8")
+    bad_base = run(capsys, "--json", "verify", str(model))
+    for (code, out, _), expected, detail in ((broken, EXIT_INTERNAL, BROKEN_TOTAL),
+                                             (bad_base, EXIT_PRECONDITION, not_a_complex)):
+        assert code == expected
+        flux_checks = [c for c in json.loads(out)["checks"] if c["name"].startswith("flux ")]
+        assert flux_checks == [{"name": f"flux {flux}: coordinate vector well-formed",
+                                "ok": False, "detail": detail} for flux in ("one", "two")]
 
 
 def test_execute_api(capsys):
@@ -507,14 +550,6 @@ def test_failed_gysin_check_gives_each_node_its_witness(capsys, monkeypatch):
 
 
 def test_broken_twisted_total_fails_its_line_and_the_report_goes_on(capsys, monkeypatch):
-    from tduality import gysin
-    from tduality.complexes import GradedComplex, MappingCone
-    from tduality.matrices import IntMatrix
-
-    one = IntMatrix.from_rows([[1]])
-    broken_total = GradedComplex((1, 1, 1), (one, one))  # delta[1] @ delta[0] = 1
-    broken = "twisted total complex broken: delta[1] @ delta[0] != 0"
-
     def lines(report, kind):
         return [c for c in json.loads(report)["checks"] if c["name"].startswith(kind)]
 
@@ -522,32 +557,33 @@ def test_broken_twisted_total_fails_its_line_and_the_report_goes_on(capsys, monk
         code, good, _ = run(capsys, "--json", "verify", *flags, str(SAMPLE))
         assert code == EXIT_OK
 
-        gysin.total_space.cache_clear()
-        with monkeypatch.context() as patched:
-            patched.setattr(gysin, "mapping_cone", lambda f: MappingCone(broken_total, f))
+        with broken_totals(monkeypatch):
             code, out, err = run(capsys, "--json", "verify", *flags, str(SAMPLE))
-        gysin.total_space.cache_clear()
         assert code == EXIT_INTERNAL and err == "verification failed\n", flags
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
-        for bundle in ("b", "flat"):
-            assert checks[f"bundle {bundle}: total complex valid"] == {
-                "name": f"bundle {bundle}: total complex valid", "ok": False, "detail": broken}
-            assert f"bundle {bundle}: Gysin sequence exact at all nodes" not in checks
-        # the rest of the report follows: the complex lines as on the unbroken
-        # engine, then a line for the flux and for every action
+        # every bundle and action fails its first line, which skips the rest of
+        # its section: the report prints the unbroken one's names in order,
+        # minus those lines, and no name carries the error
+        for first in ("bundle b: total complex valid", "bundle flat: total complex valid",
+                      "action m: Borel model builds", "action hopf: Borel model builds",
+                      "action pair: Borel model builds", "action flat_t2: Borel model builds"):
+            assert checks[first] == {"name": first, "ok": False, "detail": BROKEN_TOTAL}
+        skipped = [name for name in names(good) if name.startswith(("bundle ", "action "))
+                   and not name.endswith(("total complex valid", "Borel model builds"))]
+        assert len(skipped) == 2 + 6
+        assert names(out) == [name for name in names(good) if name not in skipped]
+        # the complex lines read as on the unbroken engine, and each flux line
+        # carries the totals' error
         assert lines(out, "complex") == lines(good, "complex") != []
-        assert [c["name"] for c in lines(out, "flux")] == [c["name"] for c in lines(good, "flux")]
-        actions = {c["name"].split(":")[0] for c in lines(good, "action")}
-        assert {c["name"].split(":")[0] for c in lines(out, "action")} == actions
-        assert len(actions) == 4
+        assert lines(out, "flux") == [{"name": "flux j2: coordinate vector well-formed",
+                                       "ok": False, "detail": BROKEN_TOTAL}]
         # with --all, the catalog lines follow too: the complexes as before, and
         # each twisted cone over cp(n) fails as internal with the certificate's error
         catalog = lines(good, "catalog")
         assert len(catalog) == (22 if flags else 0)
-        assert [c["name"] for c in lines(out, "catalog")] == [c["name"] for c in catalog]
         for before, after in zip(catalog, lines(out, "catalog")):
             twisted = "twisted cone over" in before["name"]
-            assert after == (dict(before, ok=False, detail=broken) if twisted else before)
+            assert after == (dict(before, ok=False, detail=BROKEN_TOTAL) if twisted else before)
         assert sum("twisted cone over" in c["name"] for c in catalog) == (15 if flags else 0)
 
 
@@ -562,6 +598,40 @@ def test_failed_stability_check_names_its_degree(capsys, monkeypatch):
     check = checks["action m: stable under N -> N+1"]
     assert not check["ok"]
     assert check["detail"] == witness
+
+
+def test_a_raising_check_keeps_its_name_and_fails_by_the_error_class(capsys, monkeypatch):
+    from tduality import borel
+    from tduality.errors import InternalCheckError, PreconditionError
+
+    def raises(error):
+        def check(*args):
+            raise error("no data for this check")
+        return check
+
+    code, good, _ = run(capsys, "--json", "verify", "--all", str(SAMPLE))
+    assert code == EXIT_OK
+    # user data: the stability line fails under its own name, exit 2
+    with monkeypatch.context() as patched:
+        patched.setattr(borel, "stability_check", raises(PreconditionError))
+        code, out, err = run(capsys, "--json", "verify", "--all", str(SAMPLE))
+    assert code == EXIT_PRECONDITION and err == "verification failed\n"
+    assert names(out) == names(good)
+    assert [c for c in json.loads(out)["checks"] if not c["ok"]] == [
+        {"name": f"action {a}: stable under N -> N+1", "ok": False,
+         "detail": "no data for this check"} for a in ("m", "hopf", "pair", "flat_t2")]
+    # internal: every catalog complex line fails under its own name, exit 3,
+    # and the report is printed whole
+    with monkeypatch.context() as patched:
+        patched.setattr("tduality.cli.catalog_build", raises(InternalCheckError))
+        code, out, err = run(capsys, "--json", "verify", "--all", str(SAMPLE))
+    assert code == EXIT_INTERNAL and err == "verification failed\n"
+    assert names(out) == names(good)
+    failing = [c for c in json.loads(out)["checks"] if not c["ok"]]
+    assert [c["name"] for c in failing] == [
+        f"catalog {m}: valid complex"
+        for m in ("cp(2)", "lens(5, 1)", "circle", "point", "sphere2", "torus2", "rp2")]
+    assert all(c["detail"] == "no data for this check" for c in failing)
 
 
 def test_failed_lens_certificate_names_its_degree(capsys, monkeypatch):
