@@ -250,11 +250,11 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
              if snf_a.rank else _smith(c, n - 1))
     # generators: the columns of (kernel basis) @ U_p^-1, from snf_p's step log;
     # their coordinate rows: the rows of U_p @ (kernel coordinates)
-    gens_all = snf_p.times_u_inv(kernel)
+    gens_all = snf_p.times_inverse_u(kernel)
     rows_all = snf_p.u_times(coordinate_rows)
     # the unit factors come first on D and present nothing; the torsion and
     # then the free generators follow in order
-    factors = snf_p.invariant_factors()
+    factors = snf_p.factors
     units = factors.count(1)
 
     # normalize: first nonzero entry of each generator positive, coordinate

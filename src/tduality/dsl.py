@@ -238,7 +238,6 @@ class ActionSpec:
 
 @dataclass(frozen=True)
 class ResolvedSpec:
-    source: SpecFile
     complexes: dict[str, CatalogModel]
     bundles: dict[str, EulerModel]
     fluxes: dict[str, Vector]
@@ -406,4 +405,4 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             actions[section.name] = ActionSpec(
                 kind, charges, truncation, base_name, euler_spec, flux
             )
-    return ResolvedSpec(spec, complexes, bundles, fluxes, actions)
+    return ResolvedSpec(complexes, bundles, fluxes, actions)

@@ -117,13 +117,14 @@ class CupStructure:
 @hash_once
 @dataclass(frozen=True)
 class EulerModel:
-    """Base complex plus a 2-cocycle and the cup operator it induces."""
+    """Base complex plus a 2-cocycle and the cup operator it induces; the
+    default, empty ``cup`` declares no cup product."""
 
     base: GradedComplex
     euler_rep: Vector
     mu: CochainMap
     provenance: str
-    cup: Optional[CupStructure] = None
+    cup: CupStructure = CupStructure((), (), ())
 
     def __post_init__(self):
         if self.provenance not in (PROVENANCE_AW, PROVENANCE_ALGEBRAIC):
@@ -136,7 +137,7 @@ class EulerModel:
         # chain-map identity is enforced by CochainMap itself
 
 
-def zero_euler_model(base: GradedComplex, cup: Optional[CupStructure] = None,
+def zero_euler_model(base: GradedComplex, cup: CupStructure = CupStructure((), (), ()),
                      provenance: str = PROVENANCE_ALGEBRAIC) -> EulerModel:
     zeros = (0,) * base.rank_at(2)
     return EulerModel(base, zeros, CochainMap.zero(base, base, 2), provenance, cup)
@@ -144,7 +145,7 @@ def zero_euler_model(base: GradedComplex, cup: Optional[CupStructure] = None,
 
 def realize_euler_class(
     base: GradedComplex,
-    cup: Optional[CupStructure],
+    cup: CupStructure,
     coords: Sequence[int],
     provenance: str,
 ) -> EulerModel:
@@ -163,7 +164,7 @@ def realize_euler_class(
 @lru_cache(maxsize=64)
 def _realize_euler_class(
     base: GradedComplex,
-    cup: Optional[CupStructure],
+    cup: CupStructure,
     coords: Vector,
     provenance: str,
 ) -> EulerModel:
@@ -171,8 +172,6 @@ def _realize_euler_class(
     group.require_coords(coords, "Euler class", "the base")
     if all(c == 0 for c in coords):
         return zero_euler_model(base, cup, provenance)
-    if cup is None:
-        raise PreconditionError(NO_CUP_PRODUCT)
     rep = group.rep_from_coords(coords)
     return EulerModel(base, rep, cup.operator(rep), provenance, cup)
 

@@ -28,8 +28,8 @@ Conventions:
   same rows of ``V^-1``: the column log applied to the ``n x k`` unit slab.
   ``solve`` applies the row log to ``b`` and the column log to ``D^+ U b``.
   No engine path forms a whole transform or ``D``: the properties ``u``,
-  ``v``, ``u_inv``, ``v_inv`` and ``d`` build them on read for the test
-  oracles and the benchmark's tracer.
+  ``v`` and ``d`` build them on read for the test oracles and the
+  benchmark's tracer.
 * ``invariant_factors`` gives the nonzero Smith diagonal alone.  It splits
   off unit pivots on dict rows of the nonzeros, choosing each to limit
   fill-in (Kaczynski-Mrozek-Slusarek; Dumas-Saunders-Villard), and runs
@@ -319,7 +319,7 @@ class SNFDecomposition:
     product of the row log, last step leftmost, and ``V`` of the column
     log, first step leftmost.  Every product with a transform is one log
     applied to an operand, as is or through ``_inverse_transpose``; ``u``,
-    ``v``, ``u_inv``, ``v_inv`` and the dense ``d`` are built on each read.
+    ``v`` and the dense ``d`` are built on each read.
     """
 
     shape: tuple[int, int]
@@ -331,7 +331,7 @@ class SNFDecomposition:
         """``U @ X`` on the rows of ``X``."""
         return _apply_steps(rows, self.row_steps)
 
-    def times_u_inv(self, cols: list[list[int]]) -> list[list[int]]:
+    def times_inverse_u(self, cols: list[list[int]]) -> list[list[int]]:
         """``X @ U^-1`` on the columns of ``X``."""
         return _apply_steps(cols, _inverse_transpose(self.row_steps))
 
@@ -339,7 +339,7 @@ class SNFDecomposition:
         """``V @ X`` on the rows of ``X``."""
         return _apply_steps(rows, reversed(self.col_steps))
 
-    def times_v_inv(self, cols: list[list[int]]) -> list[list[int]]:
+    def times_inverse_v(self, cols: list[list[int]]) -> list[list[int]]:
         """``X @ V^-1`` on the columns of ``X``."""
         return _apply_steps(cols, _inverse_transpose(reversed(self.col_steps)))
 
@@ -349,7 +349,7 @@ class SNFDecomposition:
 
     def kernel_coordinate_rows(self) -> list[Vector]:
         """Rows ``rank..`` of ``V^-1``, the kernel coordinates."""
-        return list(zip(*self.times_v_inv(_unit_columns(self.shape[1], self.rank))))
+        return list(zip(*self.times_inverse_v(_unit_columns(self.shape[1], self.rank))))
 
     @property
     def d(self) -> IntMatrix:
@@ -362,25 +362,12 @@ class SNFDecomposition:
         return IntMatrix._computed(self.u_times(_unit_columns(self.shape[0], 0)), self.shape[0])
 
     @property
-    def u_inv(self) -> IntMatrix:
-        n = self.shape[0]
-        return IntMatrix._computed(zip(*self.times_u_inv(_unit_columns(n, 0))), n)
-
-    @property
     def v(self) -> IntMatrix:
         return IntMatrix._computed(self.v_times(_unit_columns(self.shape[1], 0)), self.shape[1])
 
     @property
-    def v_inv(self) -> IntMatrix:
-        n = self.shape[1]
-        return IntMatrix._computed(zip(*self.times_v_inv(_unit_columns(n, 0))), n)
-
-    @property
     def rank(self) -> int:
         return len(self.factors)
-
-    def invariant_factors(self) -> Vector:
-        return self.factors
 
     def solve(self, b: Sequence[int]) -> Optional[Vector]:
         """An integer ``x`` with ``M @ x == b``, ``b`` of length ``rows``, or ``None``."""
@@ -482,7 +469,7 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
 
 
 def invariant_factors(m: IntMatrix) -> Vector:
-    """``smith_normal_form(m).invariant_factors()`` without transforms.
+    """``smith_normal_form(m).factors`` without transforms.
 
     Unit pivots are eliminated on dict rows of the nonzeros first: a unit
     splits off as a direct summand ``(1)``.  The pivot is the unit entry in
@@ -542,7 +529,7 @@ def invariant_factors(m: IntMatrix) -> Vector:
     core = IntMatrix._computed(
         ([r.get(j, 0) for j in core_cols] for _, r in sorted(rows.items())), len(core_cols)
     )
-    return (1,) * units + smith_normal_form(core).invariant_factors()
+    return (1,) * units + smith_normal_form(core).factors
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

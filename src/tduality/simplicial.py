@@ -140,11 +140,6 @@ class Cochain:
             )
 
 
-def coboundary(c: Cochain) -> Cochain:
-    cx = cochain_complex_of(c.complex)
-    return Cochain(c.complex, c.degree + 1, cx.delta_at(c.degree).apply(c.values))
-
-
 def _same_complex(a: Cochain, b: Cochain):
     if a.complex != b.complex:
         raise PreconditionError("cochains live on different complexes")

@@ -21,7 +21,6 @@ coordinates; the dual flux ``dualize`` builds fails as an engine fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .complexes import (class_coordinates, cohomology, cohomology_shapes, require_cocycle,
                         solve_coboundary)
@@ -55,10 +54,9 @@ class TDualityTriple:
         return self.flux_rep[self.model.base.rank_at(3):]
 
 
-def triple(model: EulerModel, flux_rep: Optional[Vector] = None) -> TDualityTriple:
-    if flux_rep is None:
-        flux_rep = (0,) * total_space(model).total.rank_at(3)
-    return TDualityTriple(model, tuple(flux_rep))
+def triple(model: EulerModel) -> TDualityTriple:
+    """Triple with the zero flux."""
+    return TDualityTriple(model, (0,) * total_space(model).total.rank_at(3))
 
 
 def triple_from_flux_coords(model: EulerModel, coords: Vector) -> TDualityTriple:

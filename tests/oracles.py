@@ -9,10 +9,12 @@ results are checked against these, never the other way around.
 
 Two exceptions read the package's Smith forms.  ``presentation``: the
 printed generators are fixed by the package's pivot rule, so it reads the
-package's Smith transforms, but multiplies them out and selects the
-generators on plain lists.  ``smith_exact_at``: the exactness test over the
-Smith kernel ``kernel_basis``, against which the Hermite-only
-``gysin.exact_at`` is checked.
+package's Smith step logs, but multiplies them out itself
+(``step_log_transforms``) and selects the generators on plain lists.
+``smith_exact_at``: the exactness test over the Smith kernel
+``kernel_basis``, its two lattices compared by mutual membership through
+a Smith form's ``solve``, against which the Hermite-only ``gysin.exact_at``
+is checked.
 """
 
 from __future__ import annotations
@@ -296,36 +298,82 @@ def degree0_cone(a_ranks, a_deltas, c_ranks, c_deltas, f):
     return [ra(n) + rc(n - 1) for n in range(top + 1)], out
 
 
+def _row_step(x, i, j, q):
+    """``x <- E x`` for the step ``E``: ``row_i -= q row_j``, a swap when
+    ``q == 0``, a negation when ``i == j``."""
+    if i == j:
+        x[i] = [-a for a in x[i]]
+    elif q == 0:
+        x[i], x[j] = x[j], x[i]
+    else:
+        x[i] = [a - q * b for a, b in zip(x[i], x[j])]
+
+
+def _col_step(x, i, j, q):
+    """``x <- x E`` for the same step ``E = I - q e_i e_j^T``: ``col_j -= q
+    col_i``, a swap of columns ``i`` and ``j`` when ``q == 0``, a negation of
+    column ``i`` when ``i == j``."""
+    for row in x:
+        if i == j:
+            row[i] = -row[i]
+        elif q == 0:
+            row[i], row[j] = row[j], row[i]
+        else:
+            row[j] -= q * row[i]
+
+
+def step_log_transforms(snf):
+    """``(U, U^-1, V, V^-1)`` of a Smith form as row lists, multiplied out
+    here from its step logs alone.
+
+    ``U`` is the product of the row log, last step leftmost, and ``V`` of the
+    column log, first step leftmost.  The inverse of the step ``(i, j, q)``
+    is ``(i, j, -q)`` (a swap or a negation is its own inverse), so ``U^-1``
+    is the inverses in log order, each multiplied on the right, and ``V^-1``
+    the same multiplied on the left.
+    """
+    rows, cols = snf.shape
+    u, u_inv = eye_rows(rows, rows, 0), eye_rows(rows, rows, 0)
+    v, v_inv = eye_rows(cols, cols, 0), eye_rows(cols, cols, 0)
+    for i, j, q in snf.row_steps:
+        _row_step(u, i, j, q)
+        _col_step(u_inv, i, j, -q)
+    for i, j, q in snf.col_steps:
+        _col_step(v, i, j, q)
+        _row_step(v_inv, i, j, -q)
+    return u, u_inv, v, v_inv
+
+
 def presentation(c, n):
     """``H^n(c)`` presented over the whole kernel of ``delta^n``, then
     selected: ``(torsion, free_rank, generators, coordinates)``.
 
     With ``U_a delta^n V_a = D_a`` of rank ``r`` and ``U_p P V_p = D_p`` for
-    ``P = V_a^-1[r:] delta^{n-1}``, every transform read whole, the
-    kernel generators are the columns of ``V_a[:, r:] U_p^-1`` and their
-    coordinate rows the rows of ``U_p V_a^-1[r:]``, plain products.  The
-    indices whose factor on the diagonal of ``D_p`` is >= 2 are selected,
-    then those whose factor is 0; a selected generator whose first nonzero
-    entry is negative is negated with its row.  ``coordinates`` maps a
-    cocycle to its selected coordinates, torsion ones reduced modulo their
-    factor.
+    ``P = V_a^-1[r:] delta^{n-1}``, every transform multiplied out whole
+    by ``step_log_transforms``, the kernel generators are the columns of
+    ``V_a[:, r:] U_p^-1`` and their coordinate rows the rows of
+    ``U_p V_a^-1[r:]``, plain products.  The indices whose factor on the
+    diagonal of ``D_p`` is >= 2 are selected, then those whose factor is 0;
+    a selected generator whose first nonzero entry is negative is negated
+    with its row.  ``coordinates`` maps a cocycle to its selected
+    coordinates, torsion ones reduced modulo their factor.
     """
     from tduality.matrices import IntMatrix, smith_normal_form
 
-    def rows_of(m):
-        return [list(row) for row in m.entries]
-
     rank_n, b = c.rank_at(n), c.delta_at(n - 1)
     snf_a = smith_normal_form(c.delta_at(n))
-    r = len(snf_a.invariant_factors())
+    r = len(snf_a.factors)
     k = rank_n - r
-    kernel = [row[r:] for row in rows_of(snf_a.v)]
-    reduce_rows = rows_of(snf_a.v_inv)[r:]
+    _, _, v_a, v_a_inv = step_log_transforms(snf_a)
+    kernel = [row[r:] for row in v_a]
+    reduce_rows = v_a_inv[r:]
     snf_p = smith_normal_form(
-        IntMatrix.from_rows(mat_mul(reduce_rows, rows_of(b), b.cols), cols=b.cols))
-    gens = [list(col) for col in zip(*mat_mul(kernel, rows_of(snf_p.u_inv), k))]
-    coord_rows = mat_mul(rows_of(snf_p.u), reduce_rows, rank_n)
-    factors = (list(snf_p.invariant_factors()) + [0] * k)[:k]
+        IntMatrix.from_rows(mat_mul(reduce_rows, [list(row) for row in b.entries], b.cols),
+                            cols=b.cols))
+    u_p, u_p_inv, _, _ = step_log_transforms(snf_p)
+    gens = [list(col) for col in zip(*mat_mul(kernel, u_p_inv, k))]
+    coord_rows = mat_mul(u_p, reduce_rows, rank_n)
+    factors = (list(snf_p.factors) + [0] * k)[:k]
     selection = [i for i in range(k) if factors[i] >= 2] + [i for i in range(k) if factors[i] == 0]
     for i in selection:
         if next(x for x in gens[i] if x) < 0:
@@ -344,14 +392,15 @@ def presentation(c, n):
 
 def smith_exact_at(incoming, node, outgoing, nxt):
     """``im(incoming) == ker(outgoing)`` inside ``node``, the kernel read from
-    ``kernel_basis`` of ``[outgoing | relation columns of nxt]``."""
-    from tduality.matrices import IntMatrix, hermite_normal_form, kernel_basis
+    ``kernel_basis`` of ``[outgoing | relation columns of nxt]``.  The two
+    lattices are equal when each spanning vector of one is an integer
+    combination of the spanning vectors of the other, as the ``solve`` of
+    one Smith form per lattice decides; no Hermite form is taken."""
+    from tduality.matrices import IntMatrix, kernel_basis, smith_normal_form
 
     dim = node.coord_dim
     relations = list(node.relation_rows())
-
     image_rows = [incoming.col(j) for j in range(incoming.cols)] + relations
-    im_hnf = hermite_normal_form(image_rows, dim)
 
     rel_rows = list(nxt.relation_rows())
     augmented = IntMatrix.from_rows(
@@ -359,6 +408,12 @@ def smith_exact_at(incoming, node, outgoing, nxt):
         cols=outgoing.cols + len(rel_rows),
     )
     ker_rows = [vec[:dim] for vec in kernel_basis(augmented)] + relations
-    ker_hnf = hermite_normal_form(ker_rows, dim)
 
-    return im_hnf == ker_hnf
+    def inside(vectors, spanning):
+        # the spanning vectors as the columns of a dim x len(spanning) matrix
+        span = IntMatrix.from_rows([[v[i] for v in spanning] for i in range(dim)],
+                                   cols=len(spanning))
+        solve = smith_normal_form(span).solve
+        return all(solve(vec) is not None for vec in vectors)
+
+    return inside(image_rows, ker_rows) and inside(ker_rows, image_rows)

@@ -507,6 +507,58 @@ def test_bundle_over_non_cochain_base_is_user_data(tmp_path):
     assert "not a cochain complex at degree 0" in proc.stderr
 
 
+# One user input per branch of the exit-code contract: the model text (None
+# reads tests/data/sample.tdsl), the command, its exit code and a fragment
+# of what it prints on stderr.
+USER_INPUT_ERRORS = {
+    "invalid complex": (
+        "[complex a]\nkind = algebraic\nranks = 1,1,1\ndelta0 = 1\ndelta1 = 1\n",
+        ["cohom", "--complex", "a"], EXIT_PRECONDITION, "complex 'a' is invalid"),
+    "unknown flux": (
+        None, ["dualize", "--bundle", "b", "--flux", "nope"], EXIT_PRECONDITION,
+        "no flux named 'nope'"),
+    "short coboundary": (
+        "[complex a]\nkind = algebraic\nranks = 1,1\ndelta0 =\n",
+        ["cohom", "--complex", "a"], EXIT_PARSE,
+        "line 4, column 1: delta0 in [complex a] needs 1 rows"),
+    "negative rank": (
+        "[complex a]\nkind = algebraic\nranks = 1,-1\n",
+        ["cohom", "--complex", "a"], EXIT_PARSE, "line 3, column 1: negative rank"),
+    "free bundle without base": (
+        "[action a]\ntype = free_bundle\ntruncation = 1\n",
+        ["borel", "--action", "a"], EXIT_PARSE, "free_bundle action 'a' needs a base"),
+    "free bundle over undeclared base": (
+        "[action a]\ntype = free_bundle\nbase = nowhere\ntruncation = 1\n",
+        ["borel", "--action", "a"], EXIT_PARSE,
+        "line 3, column 1: action 'a' references undeclared complex 'nowhere'"),
+    "empty facet": (
+        "[complex a]\nkind = simplicial\nfacets = 0,1;;2\n",
+        ["cohom", "--complex", "a"], EXIT_PARSE, "line 3, column 1: empty facet"),
+    "negative vertex": (
+        "[complex a]\nkind = simplicial\nfacets = -1,0\n",
+        ["cohom", "--complex", "a"], EXIT_PARSE, "line 3, column 1: negative vertex"),
+    "Euler class without cup": (
+        "[complex a]\nkind = algebraic\nranks = 1,0,1\n[bundle b]\nbase = a\neuler = coeffs=1\n",
+        ["dualize", "--bundle", "b"], EXIT_PRECONDITION, "base carries no cup structure"),
+    "cp without params": (
+        "[complex a]\nkind = catalog\nname = cp\n",
+        ["cohom", "--complex", "a"], EXIT_PARSE, "line 1, column 0: cp requires one parameter"),
+}
+
+
+@pytest.mark.parametrize("case", USER_INPUT_ERRORS)
+def test_each_user_input_error_exits_with_its_code_and_message(tmp_path, case):
+    text, argv, code, fragment = USER_INPUT_ERRORS[case]
+    model = SAMPLE
+    if text is not None:
+        model = tmp_path / "m.tdsl"
+        model.write_text(text, encoding="utf-8")
+    proc = _run_module(*argv, str(model))
+    assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+    assert fragment in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_failed_gysin_check_names_its_nodes(capsys, monkeypatch):
     from tduality.gysin import SequenceNode, SequenceReport
 

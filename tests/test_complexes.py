@@ -5,6 +5,7 @@ import pytest
 from generators import random_complex, random_sparse_candidate
 from oracles import (
     bareiss_det, canonical_shape, cohom_shape, eye_rows, group_direct_sum, mat_mul, presentation,
+    step_log_transforms,
 )
 from tduality.complexes import (
     CochainMap,
@@ -490,10 +491,12 @@ def glued_total(charges, n):
 def check_transforms(m):
     """The transforms of ``smith_normal_form(m)`` against the oracles:
     ``U M V == D`` with ``|det U| == |det V| == 1`` (Bareiss),
-    ``U^-1 U == I`` and ``V V^-1 == I``.  Returns the form and the largest
+    ``U^-1 U == I`` and ``V V^-1 == I`` for the inverses the oracle
+    multiplies out from the step logs.  Returns the form and the largest
     bit size of its transforms."""
     snf = smith_normal_form(m)
-    u, v, u_inv, v_inv = (t.entries for t in (snf.u, snf.v, snf.u_inv, snf.v_inv))
+    u, v = snf.u.entries, snf.v.entries
+    _, u_inv, _, v_inv = step_log_transforms(snf)
     assert mat_mul(mat_mul(u, m.entries, m.cols), v, m.cols) == [list(r) for r in snf.d.entries]
     assert abs(bareiss_det(u)) == abs(bareiss_det(v)) == 1
     assert mat_mul(u_inv, u, m.rows) == eye_rows(m.rows, m.rows, 0)
@@ -596,7 +599,7 @@ def test_invariant_factors_equal_the_smith_diagonal_on_engine_coboundaries():
     complexes += [cochain_complex_of(from_facets(relabelled(f, rng))) for f in ladder]
     for cx in complexes:
         for delta in cx.deltas:
-            assert invariant_factors(delta) == smith_normal_form(delta).invariant_factors()
+            assert invariant_factors(delta) == smith_normal_form(delta).factors
 
 
 def test_cohomology_shapes_read_no_transform_and_form_no_product(monkeypatch):
@@ -613,7 +616,7 @@ def test_cohomology_shapes_read_no_transform_and_form_no_product(monkeypatch):
     for cx in fresh:
         validate_complex(cx)  # checking the complex multiplies coboundaries
     _coboundary_factors.cache_clear()  # building the glued base read its shapes
-    for name in ("u", "v", "u_inv", "v_inv"):
+    for name in ("u", "v", "d"):
         monkeypatch.setattr(matrices.SNFDecomposition, name, property(forbidden))
     monkeypatch.setattr(matrices.IntMatrix, "__matmul__", forbidden)
     assert cohomology_shapes(fresh[0], 2) == (((), 1), ((), 0), ((2,), 0))

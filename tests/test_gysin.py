@@ -35,7 +35,6 @@ from tduality.gysin import (
     zero_euler_model,
 )
 from tduality.matrices import IntMatrix, hermite_normal_form, lattice_member
-from tduality.simplicial import Cochain, coboundary
 from tduality.tdual import double_dual_check, triple_from_flux_coords
 
 CONE_LABELS = ("H^{}(C)", "H^{}(Cone)", "H^{}(A)")
@@ -206,11 +205,8 @@ def test_euler_representative_change_by_coboundary_keeps_totals():
     reference_flux = canonical_flux_rep(dualize(triple(model)))
     rng = random.Random(71)
     for _ in range(5):
-        w = Cochain(
-            sphere.simplicial, 1,
-            tuple(rng.randint(-2, 2) for _ in range(sphere.complex.rank_at(1))),
-        )
-        shifted = tuple(a + b for a, b in zip(base_rep, coboundary(w).values))
+        w = tuple(rng.randint(-2, 2) for _ in range(sphere.complex.rank_at(1)))
+        shifted = tuple(a + b for a, b in zip(base_rep, sphere.complex.delta_at(1).apply(w)))
         shifted_model = euler_model_from_cocycle(sphere, shifted)
         assert shapes_of(total_space(shifted_model).total) == reference
         # downstream duality outputs are representative-independent too
@@ -220,14 +216,15 @@ def test_euler_representative_change_by_coboundary_keeps_totals():
 def test_realize_euler_class_requires_cup_data():
     base = catalog_build("lens", (2, 1)).complex
     group = cohomology(base, 2)
-    zero = realize_euler_class(base, None, (0,) * group.coord_dim, "catalog-algebraic")
+    no_cup = CupStructure((), (), ())
+    zero = realize_euler_class(base, no_cup, (0,) * group.coord_dim, "catalog-algebraic")
     assert all(x == 0 for x in zero.euler_rep)
     # lens H^2 = Z/k has a nonzero class but no cup table; the failure is
     # not cached, so it is raised on every call
     entries = _realize_euler_class.cache_info().currsize
     for _ in range(2):
-        with pytest.raises(PreconditionError):
-            realize_euler_class(base, None, (1,), "catalog-algebraic")
+        with pytest.raises(PreconditionError, match="base carries no cup structure"):
+            realize_euler_class(base, no_cup, (1,), "catalog-algebraic")
     assert _realize_euler_class.cache_info().currsize == entries
 
 

@@ -13,6 +13,7 @@ from oracles import (
     mat_mul,
     matrix_rank,
     snf_diag,
+    step_log_transforms,
 )
 from tduality.complexes import direct_sum
 from tduality.errors import PreconditionError
@@ -43,7 +44,7 @@ def check_snf_invariants(m: IntMatrix):
                 assert snf.d.entries[i][j] == 0
     assert all(d >= 0 for d in diag)
     nonzero = [d for d in diag if d]
-    assert snf.invariant_factors() == tuple(nonzero)
+    assert snf.factors == tuple(nonzero)
     assert diag[: len(nonzero)] == nonzero, "zeros must come last"
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
@@ -94,7 +95,7 @@ def test_snf_matches_gcd_reduction_oracle(rows, cols, data):
     ]
     m = IntMatrix.from_rows(entries, cols=cols)
     snf = check_snf_invariants(m)
-    assert list(snf.invariant_factors()) == snf_diag(entries)
+    assert list(snf.factors) == snf_diag(entries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,7 +111,7 @@ def test_invariant_factors_equal_the_smith_diagonal(rows, cols, percent, wide, r
         for _ in range(rows)
     ]
     m = IntMatrix.from_rows(entries, cols=cols)
-    assert invariant_factors(m) == smith_normal_form(m).invariant_factors()
+    assert invariant_factors(m) == smith_normal_form(m).factors
 
 
 def test_invariant_factors_split_off_units_and_leave_the_torsion_core():
@@ -137,12 +138,16 @@ def test_snf_inverses_mirror_the_transforms(rows, cols, data):
     # the decomposition keeps the diagonal alone; d is built on read
     d = snf.d
     assert d.shape == (rows, cols)
-    assert snf.invariant_factors() == tuple(
+    assert snf.factors == tuple(
         d.entries[i][i] for i in range(min(rows, cols)) if d.entries[i][i])
     assert snf.u @ m @ snf.v == d
-    assert snf.u_inv.shape == (rows, rows) and snf.v_inv.shape == (cols, cols)
-    assert mat_mul(snf.u_inv.entries, snf.u.entries, rows) == _identity_rows(rows)
-    assert mat_mul(snf.v.entries, snf.v_inv.entries, cols) == _identity_rows(cols)
+    # the inverses multiplied out from the step logs by the oracle invert
+    # the transforms the package builds
+    u, u_inv, v, v_inv = step_log_transforms(snf)
+    assert (u, v) == ([list(r) for r in snf.u.entries], [list(r) for r in snf.v.entries])
+    assert len(u_inv) == rows and len(v_inv) == cols
+    assert mat_mul(u_inv, snf.u.entries, rows) == _identity_rows(rows)
+    assert mat_mul(snf.v.entries, v_inv, cols) == _identity_rows(cols)
 
 
 def test_snf_unit_pivot_tie_break_is_pinned():
@@ -157,10 +162,9 @@ def test_snf_unit_pivot_tie_break_is_pinned():
     assert snf.v.entries == (
         (0, 1, 4, -31), (1, 3, 9, -67), (0, 0, -1, 9), (0, 0, -1, 8)
     )
-    assert snf.u_inv.entries == ((-1, 0, 0), (0, 1, 0), (1, 2, 1))
-    assert snf.v_inv.entries == (
-        (-3, 1, -2, -1), (1, 0, -1, 5), (0, 0, 8, -9), (0, 0, 1, -1)
-    )
+    _, u_inv, _, v_inv = step_log_transforms(snf)
+    assert u_inv == [[-1, 0, 0], [0, 1, 0], [1, 2, 1]]
+    assert v_inv == [[-3, 1, -2, -1], [1, 0, -1, 5], [0, 0, 8, -9], [0, 0, 1, -1]]
 
 
 def test_no_engine_path_replays_a_transform(monkeypatch):
@@ -180,7 +184,7 @@ def test_no_engine_path_replays_a_transform(monkeypatch):
         raise AssertionError("a whole transform was read")
 
     monkeypatch.setattr(complexes_mod, "smith_normal_form", recording_snf)
-    for name in ("u", "v", "u_inv", "v_inv"):
+    for name in ("u", "v", "d"):
         monkeypatch.setattr(SNFDecomposition, name, property(forbidden))
     c = complexes_mod.GradedComplex(
         (1, 2, 1), (IntMatrix.from_rows([[1], [2]]), IntMatrix.from_rows([[2, -1]]))
@@ -617,8 +621,9 @@ def test_internal_results_skip_the_entry_type_scan(monkeypatch):
     monkeypatch.setattr(IntMatrix, "from_rows", staticmethod(scanned))
     snf = smith_normal_form(m)
     assert snf.u @ m @ snf.v == snf.d
-    assert snf.u @ snf.u_inv == IntMatrix.eye(3, 3, 0) == IntMatrix._computed(
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    assert snf.v_inv @ snf.v == IntMatrix.eye(4, 4, 0)
+    _, u_inv, _, v_inv = step_log_transforms(snf)
+    assert snf.u @ IntMatrix._computed(u_inv, 3) == IntMatrix.eye(3, 3, 0) == \
+        IntMatrix._computed([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    assert IntMatrix._computed(v_inv, 4) @ snf.v == IntMatrix.eye(4, 4, 0)
     assert IntMatrix.from_blocks(blocks) == want_blocks
     assert cohomology(cx, 1).shape == ((), 0) and cohomology(cx, 2).shape == ((2,), 0)

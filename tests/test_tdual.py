@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tduality.catalog import catalog_build, euler_model_from_label_coeffs
+from tduality.catalog import catalog_build, euler_model_from_cocycle, euler_model_from_label_coeffs
 from tduality.complexes import class_coordinates, cohomology
 from tduality.errors import PreconditionError
 from tduality.gysin import total_space, zero_euler_model
@@ -160,6 +160,24 @@ def test_double_dual_examples(make):
     assert report.euler_exact
     assert report.flux_comparable
     assert report.flux_congruent
+
+
+def test_double_dual_of_a_hand_built_representative_is_flagged_unavailable():
+    # the Euler cocycle is the H^2 generator plus the coboundary of the
+    # indicator of edge 0; the double dual rebuilds the reduced
+    # representative, so its total differs from the original one and the
+    # flux cannot be compared, which the report says instead of passing
+    torus = catalog_build("torus2")
+    base = torus.complex
+    edge = tuple(int(i == 0) for i in range(base.rank_at(1)))
+    rep = tuple(g + d for g, d in
+                zip(cohomology(base, 2).generators[0], base.delta_at(1).apply(edge)))
+    model = euler_model_from_cocycle(torus, rep)
+    report = double_dual_check(triple_from_flux_coords(model, (1,)))
+    assert report.euler_exact
+    assert not report.flux_comparable and not report.flux_congruent
+    assert not report.ok
+    assert total_space(report.second.dual_model).total != total_space(model).total
 
 
 def test_push_flux_additive():
