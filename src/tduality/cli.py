@@ -44,9 +44,7 @@ from . import borel as borel_mod
 from . import tdual as tdual_mod
 from .catalog import CATALOG_NAMES, SHIPPED_LENS_PARAMETERS, catalog_build, display_name
 from .complexes import cohomology, cohomology_shapes, describe_shape, validate_complex
-from .dsl import (
-    ActionSpec, EulerSpec, ResolvedSpec, SpecFile, build_euler_model, parse_spec, resolve,
-)
+from .dsl import ActionSpec, ResolvedSpec, SpecFile, parse_spec, resolve
 from .errors import InternalCheckError, ParseError, PreconditionError
 from .gysin import SIGN_CONVENTION, gysin_sequence, total_space
 from .matrices import Vector
@@ -125,11 +123,15 @@ def _coords(vec: Vector) -> list[int]:
     return [int(x) for x in vec]
 
 
+def _named(table: dict, what: str, name: str):
+    if name not in table:
+        raise PreconditionError(f"no {what} named {name!r} in the model file")
+    return table[name]
+
+
 def _cmd_cohom(args, resolved: ResolvedSpec) -> Report:
     name = args.complex
-    if name not in resolved.complexes:
-        raise PreconditionError(f"no complex named {name!r} in the model file")
-    entry = resolved.complexes[name]
+    entry = _named(resolved.complexes, "complex", name)
     cx = entry.complex
     report = validate_complex(cx)
     if not report.valid:
@@ -166,14 +168,10 @@ def _dual_payload(result) -> dict:
 
 def _cmd_dualize(args, resolved: ResolvedSpec) -> Report:
     name = args.bundle
-    if name not in resolved.bundles:
-        raise PreconditionError(f"no bundle named {name!r} in the model file")
-    model = resolved.bundles[name]
+    model = _named(resolved.bundles, "bundle", name)
     flux_part = ""
     if args.flux is not None:
-        if args.flux not in resolved.fluxes:
-            raise PreconditionError(f"no flux named {args.flux!r} in the model file")
-        coords = resolved.fluxes[args.flux]
+        coords = _named(resolved.fluxes, "flux", args.flux)
         t = tdual_mod.triple_from_flux_coords(model, coords)
         flux_part = f" --flux {args.flux}"
     else:
@@ -190,22 +188,10 @@ def _cmd_dualize(args, resolved: ResolvedSpec) -> Report:
     return Report(payload)
 
 
-def _action_space(spec: ActionSpec, resolved: ResolvedSpec) -> borel_mod.SemiFreeSpace:
-    bundle = None
-    if spec.kind == "free_bundle":
-        entry = resolved.complexes[spec.base]
-        bundle = build_euler_model(entry, spec.euler or EulerSpec(coeffs={}))
-    return borel_mod.SemiFreeSpace(
-        spec.kind, charges=spec.charges, bundle=bundle, flux=spec.flux
-    )
-
-
 def _cmd_borel(args, resolved: ResolvedSpec) -> Report:
     name = args.action
-    if name not in resolved.actions:
-        raise PreconditionError(f"no action named {name!r} in the model file")
-    spec = resolved.actions[name]
-    space = _action_space(spec, resolved)
+    spec = _named(resolved.actions, "action", name)
+    space = spec.space()
     n = spec.truncation
     bundle = borel_mod.truncated_borel(space, n)
     total = total_space(bundle.euler_s1).total
@@ -256,8 +242,8 @@ def _fits(coords: Vector, bundles: dict) -> str:
         f"{len(coords)} coordinates fit no bundle's H^3 (generators: {listed})")
 
 
-def _action_rows(name: str, spec: ActionSpec, resolved: ResolvedSpec) -> list:
-    space = cache(lambda: _action_space(spec, resolved))  # built once, by the first row
+def _action_rows(name: str, spec: ActionSpec) -> list:
+    space = cache(spec.space)  # built once, by the first row
     rows = [(f"action {name}: Borel model builds",
              lambda: _holds(borel_mod.mathai_wu_dual, space(), spec.truncation), False),
             (f"action {name}: stable under N -> N+1",
@@ -278,7 +264,7 @@ def _verify_table(resolved: ResolvedSpec, include_catalog: bool) -> list:
     table += [[(f"flux {name}: coordinate vector well-formed",
                 lambda v=coords: _fits(v, resolved.bundles), False)]
               for name, coords in resolved.fluxes.items()]
-    table += [_action_rows(name, spec, resolved) for name, spec in resolved.actions.items()]
+    table += [_action_rows(name, spec) for name, spec in resolved.actions.items()]
     if include_catalog:
         params = {"cp": (2,), "lens": (5, 1)}
         table += [[(f"catalog {display_name(c, params.get(c, ()))}: valid complex",

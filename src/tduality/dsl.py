@@ -33,7 +33,11 @@ references resolve to earlier sections):
 
 Each section accepts only the keys listed for it (for an algebraic complex,
 ``delta0`` .. ``delta{len(ranks) - 2}``), each at most once; any other key, or
-a key given twice, is a parse error at that key's line and column.
+a key given twice, is a parse error.  A complex ``kind`` and an action
+``type`` outside the lists above are parse errors too.  An error in a key's
+value is reported at that key's line and column; an error of the whole
+section, such as a missing key, at the line and column of its header's
+``[``.  A leading UTF-8 byte-order mark is ignored.
 
 A line-oriented format keeps goldens diff-friendly and error positions exact;
 structured output is the CLI's --json flag, not the input's job.
@@ -43,10 +47,10 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import repeat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from .borel import KINDS, SemiFreeSpace
 from .catalog import (
     CATALOG_NAMES, MAX_LEVEL, CatalogModel, catalog_build, euler_model_from_cocycle,
     euler_model_from_label_coeffs,
@@ -72,23 +76,17 @@ _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
 class Section:
     kind: str
     name: str
-    entries: tuple[tuple[str, str], ...]
-    line: int = field(compare=False, default=0)  # diagnostics only
-    # (line, column) of each entry's key, parallel to ``entries``
-    positions: tuple[tuple[int, int], ...] = field(compare=False, default=())
+    entries: tuple[tuple[str, str, int, int], ...]  # (key, value, line, column)
+    line: int  # of the header's "["
+    column: int
 
     def get(self, key: str) -> Optional[str]:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return None
+        return next((v for k, v, _, _ in self.entries if k == key), None)
 
     def position(self, key: str) -> tuple[int, int]:
-        """Where ``key`` is set, or the header line when it is not."""
-        for (k, _), pos in zip(self.entries, self.positions):
-            if k == key:
-                return pos
-        return self.line, 0
+        """Where ``key`` is set, or the header when it is not."""
+        return next(((line, col) for k, _, line, col in self.entries if k == key),
+                    (self.line, self.column))
 
 
 @dataclass(frozen=True)
@@ -97,18 +95,9 @@ class SpecFile:
 
 
 def parse_spec(text: str) -> SpecFile:
-    sections: list[Section] = []
-    current: Optional[tuple[str, str, int, list[tuple[str, str]], list[tuple[int, int]]]] = None
-    seen: set[tuple[str, str]] = set()
-
-    def close_current():
-        nonlocal current
-        if current is not None:
-            kind, name, line, entries, positions = current
-            sections.append(Section(kind, name, tuple(entries), line, tuple(positions)))
-            current = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    sections: dict[tuple[str, str], tuple[int, int, list]] = {}  # in file order
+    body: Optional[list] = None
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -121,21 +110,19 @@ def parse_spec(text: str) -> SpecFile:
             kind, name = m.group(1), m.group(2)
             if kind not in SECTION_KINDS:
                 raise ParseError(f"unknown section kind {kind!r}", lineno, col)
-            if (kind, name) in seen:
+            if (kind, name) in sections:
                 raise ParseError(f"duplicate {kind} name {name!r}", lineno, col)
-            seen.add((kind, name))
-            close_current()
-            current = (kind, name, lineno, [], [])
+            body = []
+            sections[kind, name] = (lineno, col, body)
             continue
         m = _KEY_RE.match(stripped)
         if not m:
             raise ParseError("expected 'key = value'", lineno, col)
-        if current is None:
+        if body is None:
             raise ParseError("key outside of any section", lineno, col)
-        current[3].append((m.group(1), m.group(2).strip()))
-        current[4].append((lineno, col))
-    close_current()
-    return SpecFile(tuple(sections))
+        body.append((m.group(1), m.group(2).strip(), lineno, col))
+    return SpecFile(tuple(Section(kind, name, tuple(body), line, col)
+                          for (kind, name), (line, col, body) in sections.items()))
 
 
 # Python's own grammar of a decimal integer literal, which ``int`` accepts
@@ -231,9 +218,15 @@ class ActionSpec:
     kind: str
     charges: tuple[int, ...]
     truncation: int
-    base: Optional[str]
-    euler: Optional[EulerSpec]
+    base: Optional[CatalogModel]  # free_bundle only
+    euler: EulerSpec
     flux: Optional[Vector]
+
+    def space(self) -> SemiFreeSpace:
+        """The action as a ``SemiFreeSpace``; a ``PreconditionError`` when its data
+        do not build one."""
+        bundle = None if self.base is None else build_euler_model(self.base, self.euler)
+        return SemiFreeSpace(self.kind, charges=self.charges, bundle=bundle, flux=self.flux)
 
 
 @dataclass(frozen=True)
@@ -248,15 +241,15 @@ def _require(section: Section, key: str) -> str:
     v = section.get(key)
     if v is None:
         raise ParseError(
-            f"[{section.kind} {section.name}] is missing key {key!r}", section.line
+            f"[{section.kind} {section.name}] is missing key {key!r}", *section.position(key)
         )
     return v
 
 
 def _check_keys(section: Section, allowed: tuple[str, ...]) -> None:
-    """Reject, at its line, the first key the section does not read or sets twice."""
+    """Reject, at its position, the first key the section does not read or sets twice."""
     seen = set()
-    for (key, _), pos in zip(section.entries, section.positions or repeat((section.line, 0))):
+    for key, _, *pos in section.entries:
         if key in seen:
             raise ParseError(f"key {key!r} given twice in [{section.kind} {section.name}]", *pos)
         if key not in allowed:
@@ -342,6 +335,17 @@ def _resolve_complex(section: Section) -> CatalogModel:
     )
 
 
+def _base(section: Section, complexes: dict[str, CatalogModel]) -> CatalogModel:
+    """The complex that ``base =`` names, declared before ``section``."""
+    name = _require(section, "base")
+    if name not in complexes:
+        raise ParseError(
+            f"{section.kind} {section.name!r} references undeclared complex {name!r}",
+            *section.position("base"),
+        )
+    return complexes[name]
+
+
 def build_euler_model(entry: CatalogModel, spec: EulerSpec) -> EulerModel:
     if spec.cocycle is not None:
         return euler_model_from_cocycle(entry, spec.cocycle)
@@ -363,46 +367,26 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             complexes[section.name] = _resolve_complex(section)
         elif section.kind == "bundle":
             _check_keys(section, ("base", "euler"))
-            base_name = _require(section, "base")
-            if base_name not in complexes:
-                raise ParseError(
-                    f"bundle {section.name!r} references undeclared complex {base_name!r}",
-                    *section.position("base"),
-                )
+            base = _base(section, complexes)
             euler_spec = parse_euler_value(_require(section, "euler"), section)
-            bundles[section.name] = build_euler_model(complexes[base_name], euler_spec)
+            bundles[section.name] = build_euler_model(base, euler_spec)
         elif section.kind == "flux":
             _check_keys(section, ("h",))
             fluxes[section.name] = _parse_int_list(_require(section, "h"), section, "h")
         elif section.kind == "action":
             kind = _require(section, "type")
+            if kind not in KINDS:
+                raise ParseError(f"unknown action type {kind!r} in [action {section.name}]",
+                                 *section.position("type"))
             bundle_keys = ("base", "euler") if kind == "free_bundle" else ()
             _check_keys(section, ("type", "charges", "truncation", *bundle_keys, "h"))
             charges = _parse_int_list(section.get("charges") or "", section, "charges")
-            truncation_value = section.get("truncation")
-            truncation = (
-                1 if truncation_value is None
-                else _parse_int(truncation_value, section, "truncation")
-            )
-            base_name = section.get("base")
-            if kind == "free_bundle":
-                if base_name is None:
-                    raise ParseError(
-                        f"free_bundle action {section.name!r} needs a base",
-                        section.line,
-                    )
-                if base_name not in complexes:
-                    raise ParseError(
-                        f"action {section.name!r} references undeclared complex {base_name!r}",
-                        *section.position("base"),
-                    )
-            euler_value = section.get("euler")
-            euler_spec = (
-                parse_euler_value(euler_value, section) if euler_value is not None else None
-            )
-            flux_value = section.get("h")
-            flux = _parse_int_list(flux_value, section, "h") if flux_value is not None else None
+            truncation, euler, flux = (section.get(key) for key in ("truncation", "euler", "h"))
             actions[section.name] = ActionSpec(
-                kind, charges, truncation, base_name, euler_spec, flux
+                kind, charges,
+                1 if truncation is None else _parse_int(truncation, section, "truncation"),
+                _base(section, complexes) if bundle_keys else None,
+                EulerSpec(coeffs={}) if euler is None else parse_euler_value(euler, section),
+                None if flux is None else _parse_int_list(flux, section, "h"),
             )
     return ResolvedSpec(complexes, bundles, fluxes, actions)

@@ -12,10 +12,10 @@ class TdualityError(Exception):
 class ParseError(TdualityError):
     """Malformed model file: syntax, duplicate name, dangling reference."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    def __init__(self, message: str, line: int, column: int):
         self.line = line
         self.column = column
-        super().__init__(f"line {line}, column {column}: {message}" if line else message)
+        super().__init__(f"line {line}, column {column}: {message}")
 
 
 class PreconditionError(TdualityError):

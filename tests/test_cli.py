@@ -493,6 +493,24 @@ def test_undecodable_input_cannot_be_read(tmp_path):
         assert proc.stderr.startswith("cannot read input: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_a_model_file_saved_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    model = tmp_path / "bom.tdsl"
+    model.write_text(SAMPLE.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert model.read_bytes().startswith(b"\xef\xbb\xbf")
+    argv = ("borel", "--action", "m", "--route", "both")
+    assert run(capsys, *argv, str(model)) == run(capsys, *argv, str(SAMPLE))
+
+
+def test_a_byte_order_mark_on_stdin_is_ignored(tmp_path):
+    model = tmp_path / "bom.tdsl"
+    model.write_text(SAMPLE.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    with open(model, "rb") as fh:
+        # a UTF-8 stdin keeps the mark as the text's first character
+        proc = _run_module("cohom", "--complex", "cp2", "-", stdin=fh, PYTHONIOENCODING="utf-8")
+    want = _run_module("cohom", "--complex", "cp2", str(SAMPLE))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, want.stdout, "")
+
+
 def test_bundle_over_non_cochain_base_is_user_data(tmp_path):
     model = tmp_path / "bad.tdsl"
     model.write_text(
@@ -526,7 +544,8 @@ USER_INPUT_ERRORS = {
         ["cohom", "--complex", "a"], EXIT_PARSE, "line 3, column 1: negative rank"),
     "free bundle without base": (
         "[action a]\ntype = free_bundle\ntruncation = 1\n",
-        ["borel", "--action", "a"], EXIT_PARSE, "free_bundle action 'a' needs a base"),
+        ["borel", "--action", "a"], EXIT_PARSE,
+        "line 1, column 1: [action a] is missing key 'base'"),
     "free bundle over undeclared base": (
         "[action a]\ntype = free_bundle\nbase = nowhere\ntruncation = 1\n",
         ["borel", "--action", "a"], EXIT_PARSE,
@@ -537,12 +556,15 @@ USER_INPUT_ERRORS = {
     "negative vertex": (
         "[complex a]\nkind = simplicial\nfacets = -1,0\n",
         ["cohom", "--complex", "a"], EXIT_PARSE, "line 3, column 1: negative vertex"),
+    "unknown action type": (
+        "[action a]\ntype = bogus\n", ["verify"], EXIT_PARSE,
+        "parse error: line 2, column 1: unknown action type 'bogus' in [action a]"),
     "Euler class without cup": (
         "[complex a]\nkind = algebraic\nranks = 1,0,1\n[bundle b]\nbase = a\neuler = coeffs=1\n",
         ["dualize", "--bundle", "b"], EXIT_PRECONDITION, "base carries no cup structure"),
     "cp without params": (
         "[complex a]\nkind = catalog\nname = cp\n",
-        ["cohom", "--complex", "a"], EXIT_PARSE, "line 1, column 0: cp requires one parameter"),
+        ["cohom", "--complex", "a"], EXIT_PARSE, "line 1, column 1: cp requires one parameter"),
 }
 
 

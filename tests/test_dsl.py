@@ -6,7 +6,6 @@ from tduality.complexes import cohomology
 from tduality.dsl import (
     EulerSpec,
     Section,
-    SpecFile,
     parse_euler_value,
     parse_spec,
     resolve,
@@ -71,6 +70,27 @@ def test_duplicate_names_rejected():
 def test_key_outside_section_rejected():
     with pytest.raises(ParseError, match="outside"):
         parse_spec("kind = algebraic\n")
+
+
+def test_unknown_action_type_rejected_at_its_key():
+    # checked against borel.KINDS at parse, like an unknown complex kind,
+    # and before the keys, which depend on the type
+    for text, column in (("[action a]\ntype = bogus\n", 1),
+                         ("[action a]\n  type = bogus\nbase = c\n", 3)):
+        with pytest.raises(ParseError) as err:
+            resolve(parse_spec(text))
+        assert str(err.value) == \
+            f"line 2, column {column}: unknown action type 'bogus' in [action a]"
+    with pytest.raises(ParseError, match="line 1, column 1: .action a. is missing key 'type'"):
+        resolve(parse_spec("[action a]\ncharges = 2\n"))
+
+
+def test_a_leading_byte_order_mark_is_ignored():
+    text = "[complex c]\nkind = algebraic\nranks = 1,1\n"
+    assert parse_spec("\ufeff" + text) == parse_spec(text)
+    # only a leading one: elsewhere it is text of the line
+    with pytest.raises(ParseError, match="line 1, column 1: expected 'key = value'"):
+        parse_spec("\ufeff\ufeff" + text)
 
 
 def test_unknown_section_kind_rejected():
@@ -194,10 +214,17 @@ def test_value_errors_point_at_the_key_line():
     # an empty params is still the empty parameter list
     resolved = resolve(parse_spec("[complex p]\nkind = catalog\nname = torus2\nparams =\n"))
     assert resolved.complexes["p"].complex.ranks == (7, 21, 14)
-    # a missing key has no line of its own: the header is reported
+    # a missing key has no line of its own: the header's "[" is reported
     with pytest.raises(ParseError, match="missing key 'ranks'") as err:
         resolve(parse_spec("\n[complex c]\nkind = algebraic\n"))
-    assert (err.value.line, err.value.column) == (2, 0)
+    assert (err.value.line, err.value.column) == (2, 1)
+    with pytest.raises(ParseError, match="missing key 'base'") as err:
+        resolve(parse_spec("\n  [action a]\ntype = free_bundle\n"))
+    assert (err.value.line, err.value.column) == (2, 3)
+    # so is an error of the section's whole data, here a catalog build's
+    with pytest.raises(ParseError, match="cp requires one parameter") as err:
+        resolve(parse_spec("# cp\n   [complex c]\nkind = catalog\nname = cp\n"))
+    assert (err.value.line, err.value.column) == (2, 4)
 
 
 
@@ -211,8 +238,8 @@ def test_a_literal_past_the_digit_limit_names_the_limit():
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        section = Section("action", "a", (("charges", "x"), ("truncation", "x")), 1,
-                          ((2, 1), (3, 2)))
+        section = Section("action", "a", (("charges", "x", 2, 1), ("truncation", "x", 3, 2)),
+                          1, 1)
         over, limit = "9" * 5000, "more than 4300 digits"
         for call, text, key, pos in ((_parse_int, f" {over} ", "truncation", (3, 2)),
                                      (_parse_int, "-" + over, "truncation", (3, 2)),
@@ -286,11 +313,6 @@ def test_unknown_and_repeated_keys_are_parse_errors():
     assert err.value.line == 4
     with pytest.raises(ParseError, match="unknown key 'params'"):
         resolve(parse_spec("[complex s]\nkind = simplicial\nfacets = 0,1\nparams = 2\n"))
-    # a section built without key positions is checked too, at its header
-    entries = (("kind", "algebraic"), ("ranks", "1,1"), ("colour", "red"))
-    with pytest.raises(ParseError, match="unknown key 'colour'") as err:
-        resolve(SpecFile((Section("complex", "c", entries, 7),)))
-    assert (err.value.line, err.value.column) == (7, 0)
 
 
 @pytest.mark.parametrize("section, extra", [

@@ -23,7 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tduality.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
-from tduality.dsl import MAX_DEGREES
+from tduality.dsl import MAX_DEGREES, parse_spec, resolve
+from tduality.errors import ParseError, PreconditionError
 
 small = st.integers(-1, 4)
 
@@ -204,6 +205,25 @@ FUZZ = settings(
 @given(argv=command_line(), text=model_text())
 def test_generated_models_and_commands_keep_the_exit_contract(argv, text):
     assert run_main(argv, text) in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)
+
+
+@FUZZ
+@given(text=model_text(), drop=st.integers(0, 12))
+def test_every_parse_error_names_a_line_and_its_first_column(text, drop):
+    # a key's error is at the key, a section's at its header: either way the
+    # first non-blank character of a line of the text.  Line ``drop`` is left
+    # out, so that keys go missing in about one draw in six.
+    lines = text.splitlines()
+    del lines[drop:drop + 1]
+    try:
+        resolve(parse_spec("\n".join(lines) + "\n"))
+    except ParseError as exc:
+        assert 1 <= exc.line <= len(lines), str(exc)
+        line = lines[exc.line - 1]
+        assert exc.column == len(line) - len(line.lstrip()) + 1 >= 1, str(exc)
+        assert str(exc).startswith(f"line {exc.line}, column {exc.column}: ")
+    except PreconditionError:
+        pass  # bad user data, which resolve may meet building a model
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=5))
