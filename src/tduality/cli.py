@@ -168,7 +168,7 @@ def _dual_payload(result) -> dict:
 
 def _cmd_dualize(args, resolved: ResolvedSpec) -> Report:
     name = args.bundle
-    model = _named(resolved.bundles, "bundle", name)
+    model = _named(resolved.bundles, "bundle", name)()
     flux_part = ""
     if args.flux is not None:
         coords = _named(resolved.fluxes, "flux", args.flux)
@@ -234,9 +234,9 @@ def _exact(model) -> str:
     return "not exact at " + ", ".join(failing) if failing else ""
 
 
-def _fits(coords: Vector, bundles: dict) -> str:
-    # a bundle whose total does not build fails this line with its own error
-    counts = {b: cohomology(total_space(m).total, 3).coord_dim for b, m in bundles.items()}
+def _fits(coords: Vector, models: dict) -> str:
+    # a bundle whose model or total does not build fails this line with its own error
+    counts = {b: cohomology(total_space(m()).total, 3).coord_dim for b, m in models.items()}
     listed = ", ".join(f"{b} {k}" for b, k in counts.items()) or "none"
     return "" if len(coords) in counts.values() else (
         f"{len(coords)} coordinates fit no bundle's H^3 (generators: {listed})")
@@ -258,11 +258,12 @@ def _verify_table(resolved: ResolvedSpec, include_catalog: bool) -> list:
     table = [[(f"complex {name}: coboundary squares to zero",
                lambda cx=entry.complex: _valid(cx), False)]
              for name, entry in resolved.complexes.items()]
-    table += [[(f"bundle {b}: total complex valid", lambda m=m: _holds(total_space, m), True),
-               (f"bundle {b}: Gysin sequence exact at all nodes", lambda m=m: _exact(m), True)]
-              for b, m in resolved.bundles.items()]
+    models = {b: cache(build) for b, build in resolved.bundles.items()}  # built on first read
+    table += [[(f"bundle {b}: total complex valid", lambda m=m: _holds(total_space, m()), True),
+               (f"bundle {b}: Gysin sequence exact at all nodes", lambda m=m: _exact(m()), True)]
+              for b, m in models.items()]
     table += [[(f"flux {name}: coordinate vector well-formed",
-                lambda v=coords: _fits(v, resolved.bundles), False)]
+                lambda v=coords: _fits(v, models), False)]
               for name, coords in resolved.fluxes.items()]
     table += [_action_rows(name, spec) for name, spec in resolved.actions.items()]
     if include_catalog:

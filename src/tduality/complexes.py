@@ -14,9 +14,9 @@ then free generators, so coordinates are canonical and reports diff cleanly.
 degree, from the invariant factors of the coboundaries: the torsion of
 ``H^n`` is the factors ``>= 2`` of ``delta[n-1]``, and the free rank is
 ``rank C^n - rank delta[n] - rank delta[n-1]``.  The factors come from
-``matrices.invariant_factors``, which splits off unit pivots on sparse rows
-and runs the Smith routine only on the dense core left; invariant factors
-are unique, so the shapes equal those of the full elimination.  It reads no
+``matrices.invariant_factors``, which splits off unit pivots first and runs
+the Smith routine only on the core left; invariant factors are unique, so
+the shapes equal those of the full elimination.  It reads no
 transform and forms no product, so reports that print or compare shapes only
 use it.  ``cohomology`` keeps the full ``smith_normal_form``, whose step logs
 fix the printed generators, and eliminates each coboundary once per complex
@@ -463,10 +463,10 @@ def direct_sum(*parts: GradedComplex) -> GradedComplex:
 
 def _kron(x: IntMatrix, y: IntMatrix) -> IntMatrix:
     """Kronecker product, ``x[i][j] * y[k][l]`` at ``(i * y.rows + k, j * y.cols + l)``."""
-    return IntMatrix._computed(
-        (tuple(s * t for s in xrow for t in yrow) for xrow in x.entries for yrow in y.entries),
-        x.cols * y.cols,
-    )
+    return IntMatrix(x.rows * y.rows, x.cols * y.cols, tuple(
+        tuple((j * y.cols + l, s * t) for j, s in xrow for l, t in yrow)
+        for xrow in x.nonzeros for yrow in y.nonzeros
+    ))
 
 
 def tensor_product(a: GradedComplex, b: GradedComplex) -> GradedComplex:

@@ -48,7 +48,8 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .borel import KINDS, SemiFreeSpace
 from .catalog import (
@@ -232,7 +233,7 @@ class ActionSpec:
 @dataclass(frozen=True)
 class ResolvedSpec:
     complexes: dict[str, CatalogModel]
-    bundles: dict[str, EulerModel]
+    bundles: dict[str, Callable[[], EulerModel]]  # built on call, like ActionSpec.space
     fluxes: dict[str, Vector]
     actions: dict[str, ActionSpec]
 
@@ -356,9 +357,10 @@ def build_euler_model(entry: CatalogModel, spec: EulerSpec) -> EulerModel:
 
 
 def resolve(spec: SpecFile) -> ResolvedSpec:
-    """Build model objects from the AST; declared-before-use enforced."""
+    """Build model objects from the AST, bundles and actions when first
+    called; declared-before-use enforced."""
     complexes: dict[str, CatalogModel] = {}
-    bundles: dict[str, EulerModel] = {}
+    bundles: dict[str, Callable[[], EulerModel]] = {}
     fluxes: dict[str, Vector] = {}
     actions: dict[str, ActionSpec] = {}
 
@@ -367,9 +369,8 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             complexes[section.name] = _resolve_complex(section)
         elif section.kind == "bundle":
             _check_keys(section, ("base", "euler"))
-            base = _base(section, complexes)
-            euler_spec = parse_euler_value(_require(section, "euler"), section)
-            bundles[section.name] = build_euler_model(base, euler_spec)
+            bundles[section.name] = partial(build_euler_model, _base(section, complexes),
+                                            parse_euler_value(_require(section, "euler"), section))
         elif section.kind == "flux":
             _check_keys(section, ("h",))
             fluxes[section.name] = _parse_int_list(_require(section, "h"), section, "h")

@@ -244,8 +244,9 @@ def _lattices(incoming: IntMatrix, node: CohomologyGroup, outgoing: IntMatrix,
     """
     dim, width = node.coord_dim, nxt.coord_dim
     relations = node.relation_rows()
-    image = hermite_normal_form([*zip(*incoming.entries), *relations], dim)
-    graph = [outgoing.col(j) + (0,) * j + (1,) + (0,) * (dim - j - 1) for j in range(dim)]
+    image = hermite_normal_form([*incoming.columns(), *relations], dim)
+    graph = [column + (0,) * j + (1,) + (0,) * (dim - j - 1)
+             for j, column in enumerate(outgoing.columns())]
     graph += [r + (0,) * dim for r in nxt.relation_rows()]
     kernel_rows = [row[width:] for row in hermite_normal_form(graph, width + dim)
                    if not any(row[:width])]

@@ -7,14 +7,24 @@ option.
 
 Conventions:
 
+* An ``IntMatrix`` stores one form: per row, its nonzero entries as
+  ``(column, value)`` pairs in increasing column order.  Every constructor
+  and operation builds that form directly, so equal matrices have equal
+  rows and a matrix costs what its nonzeros cost.  ``entries``, the dense
+  rows, is a view built on each read for printing and the test oracles; no
+  engine path reads it.
 * Matrices act on column vectors; ``m @ v`` is matrix-vector application.
+  ``a @ b`` adds ``x * (row k of b)`` for each pair ``(k, x)`` of a row of
+  ``a``; ``m @ v`` sums ``x * v[k]`` over the pairs of each row.
 * ``smith_normal_form`` returns ``U, D, V`` with ``U @ M @ V == D``, both
   transforms unimodular, ``D`` diagonal with a divisibility chain
   ``d1 | d2 | ...`` and nonnegative entries.  The pivot rule (smallest nonzero
   absolute value, ties broken by lowest row then lowest column index) is fixed
   so decompositions are deterministic.  The pivot search stops at the first
-  entry of absolute value 1 in row-major order, which is the entry the rule
-  picks, so the early exit leaves the decomposition unchanged.
+  row holding an entry of absolute value 1, whose first such entry is the
+  one the rule picks, so the early exit leaves the decomposition unchanged.
+  It eliminates on dict rows with an index of the rows holding each
+  column, so a step touches only nonzeros.
 * ``smith_normal_form`` eliminates on a copy of ``M`` only and logs each
   step as a row step ``(i, j, q)``: ``row_i -= q row_j``, a swap when
   ``q == 0``, a negation when ``i == j``.  A column step ``col_i -= q col_j``
@@ -31,11 +41,11 @@ Conventions:
   ``v`` and ``d`` build them on read for the test oracles and the
   benchmark's tracer.
 * ``invariant_factors`` gives the nonzero Smith diagonal alone.  It splits
-  off unit pivots on dict rows of the nonzeros, choosing each to limit
-  fill-in (Kaczynski-Mrozek-Slusarek; Dumas-Saunders-Villard), and runs
-  ``smith_normal_form`` only on the dense core left.  It logs no step and
-  keeps no transform.  Invariant factors are unique, so the result is that of
-  the full elimination whatever the pivot order.  Only shapes use it: a
+  off unit pivots first, choosing each to limit fill-in
+  (Kaczynski-Mrozek-Slusarek; Dumas-Saunders-Villard), and runs
+  ``smith_normal_form`` only on the core left.  It logs no step and keeps no
+  transform.  Invariant factors are unique, so the result is that of the
+  full elimination whatever the pivot order.  Only shapes use it: a
   presentation's generators are read off the transforms, and another pivot
   order would print other generators.
 * Structural maps and assembled coboundaries are built from three
@@ -43,27 +53,15 @@ Conventions:
   ``(i, i + offset)``, ``IntMatrix.block_diag(blocks)``, the blocks along
   the diagonal, and ``IntMatrix.from_blocks``, a grid of blocks (the
   coboundaries of cones and tensor products).
-* Products skip zeros: ``a @ b`` adds ``a[i][k] * (row k of b)`` only where
-  ``a[i][k] != 0``, and only at that row's nonzero columns, so a structural
-  map or a coboundary costs what its nonzeros cost.  ``m @ v`` adds
-  ``m[i][k] * v[k]`` only where ``v[k] != 0``, at the rows where column ``k``
-  is nonzero.  The arithmetic is exact, so each result equals the dense sum.
-* The two layouts these read, the nonzero columns of each row and the
-  nonzero rows of each column, are built on first use and kept in the
-  instance ``__dict__`` by ``kept``, a ``functools.cached_property``
-  without the per-instance lock it takes before Python 3.12; a later read
-  finds the value there and calls nothing.  Neither is a field, so
-  equality, ``repr`` and pickling ignore them; each costs one index per
-  nonzero entry.
 * Cache keys hash once: ``IntMatrix``, and through ``hash_once`` the complexes,
   cochain maps and Euler models that key the ``lru_cache`` lookups, keep the
   dataclass default hash after its first computation.
 * Entry types are checked where outside input enters, in
   ``IntMatrix.from_rows``, which in the engine only ``dsl`` calls.  Every
   result the engine computes itself (Smith's ``D``, presentations, induced
-  matrices, cup operators, coboundaries) goes through the private
-  ``IntMatrix._computed``, which keeps the shape checks only, or through the
-  integer constructors.
+  matrices, cup operators, coboundaries) is built from its rows directly or
+  through the private ``IntMatrix._computed``, which takes dense rows and
+  keeps the shape checks only.
 * Lattices are handled through a unique row-style Hermite normal form:
   positive pivots, entries in the pivot column of earlier rows reduced into
   ``[0, pivot)``, rows ordered by pivot column.
@@ -73,12 +71,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import accumulate, compress, count
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
 
 Vector = tuple[int, ...]
+Row = tuple[tuple[int, int], ...]  # (column, value) pairs, columns increasing, values nonzero
 
 
 def hash_once(cls):
@@ -124,23 +123,29 @@ class kept:
         return value
 
 
+def _collected(acc: dict[int, int]) -> Row:
+    """The nonzeros of a ``{column: value}`` accumulator, in column order."""
+    return tuple(pair for pair in sorted(acc.items()) if pair[1])
+
+
 @hash_once
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix stored row-major."""
+    """Immutable integer matrix stored as sorted sparse rows (see the module
+    docstring)."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    nonzeros: tuple[Row, ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError(f"expected {self.cols} columns, got {len(row)}")
+        if len(self.nonzeros) != self.rows:
+            raise ValueError(f"expected {self.rows} rows, got {len(self.nonzeros)}")
+        for row in self.nonzeros:
+            if row and not 0 <= row[0][0] <= row[-1][0] < self.cols:
+                raise ValueError(f"a row holds a column outside 0..{self.cols - 1}")
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -155,112 +160,114 @@ class IntMatrix:
             width = cols
         else:
             width = 0
-        return IntMatrix(len(data), width, data)
+        return IntMatrix._computed(data, width)
 
     @staticmethod
-    def _computed(rows: Iterable[Iterable[int]], cols: int) -> "IntMatrix":
-        """``from_rows`` without the entry type scan, for rows of integers the
-        engine computed itself."""
-        data = tuple(map(tuple, rows))
-        return IntMatrix(len(data), cols, data)
+    def _computed(rows: Iterable[Sequence[int]], cols: int) -> "IntMatrix":
+        """``from_rows`` without the entry type scan, for dense rows of
+        integers the engine computed itself."""
+        data = []
+        for row in rows:
+            if len(row) != cols:
+                raise ValueError(f"expected {cols} columns, got {len(row)}")
+            data.append(tuple(zip(compress(count(), row), filter(None, row))))
+        return IntMatrix(len(data), cols, tuple(data))
+
+    def _filled(self) -> list[list[int]]:
+        """The dense rows as lists, for ``entries`` and ``columns``."""
+        filled = []
+        for row in self.nonzeros:
+            dense = [0] * self.cols
+            for j, x in row:
+                dense[j] = x
+            filled.append(dense)
+        return filled
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The dense rows, built on each read."""
+        return tuple(map(tuple, self._filled()))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return IntMatrix(rows, cols, ((),) * rows)
 
     @staticmethod
     def eye(rows: int, cols: int, offset: int) -> "IntMatrix":
         """Ones at ``(i, i + offset)`` where that lies inside, zeros elsewhere."""
-        zero = (0,) * cols
         return IntMatrix(rows, cols, tuple(
-            zero[:j] + (1,) + zero[j + 1:] if 0 <= j < cols else zero
-            for j in range(offset, rows + offset)
+            ((j, 1),) if 0 <= j < cols else () for j in range(offset, rows + offset)
         ))
 
     @staticmethod
     def block_diag(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
         """The blocks along the diagonal, zeros elsewhere; any block may be empty."""
-        cols = sum(b.cols for b in blocks)
-        rows: list[tuple[int, ...]] = []
+        rows: list[Row] = []
         left = 0
         for b in blocks:
-            rows += [(0,) * left + row + (0,) * (cols - left - b.cols) for row in b.entries]
+            rows += [tuple((j + left, x) for j, x in row) for row in b.nonzeros]
             left += b.cols
-        return IntMatrix(len(rows), cols, tuple(rows))
+        return IntMatrix(len(rows), left, tuple(rows))
 
     @staticmethod
     def column(vec: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(vec), 1, tuple((int(x),) for x in vec))
+        return IntMatrix(len(vec), 1, tuple(((0, int(x)),) if x else () for x in vec))
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-            # Each nonzero a = row[k] adds a * (right row k), at that row's
-            # nonzero columns only, so the cost follows the nonzeros.
-            right = other.entries
-            support = other._row_cols
+            right = other.nonzeros
             out = []
-            for row, nonzero in zip(self.entries, self._row_cols):
-                acc = [0] * other.cols
-                for k in nonzero:
-                    a, r = row[k], right[k]
-                    for j in support[k]:
-                        acc[j] += a * r[j]
-                out.append(tuple(acc))
+            for row in self.nonzeros:
+                if len(row) == 1:  # a structural map's row: one right row, scaled
+                    (k, a), = row
+                    out.append(right[k] if a == 1 else tuple((j, a * b) for j, b in right[k]))
+                    continue
+                acc: dict[int, int] = {}
+                for k, a in row:
+                    for j, b in right[k]:
+                        acc[j] = acc.get(j, 0) + a * b
+                out.append(_collected(acc))
             return IntMatrix(self.rows, other.cols, tuple(out))
         return self.apply(other)
-
-    @kept
-    def _row_cols(self) -> tuple[tuple[int, ...], ...]:
-        """Per row, the columns holding a nonzero entry."""
-        cols = range(self.cols)
-        return tuple(tuple(compress(cols, row)) for row in self.entries)
-
-    @kept
-    def _col_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per column, the rows holding a nonzero entry."""
-        rows = range(self.rows)
-        return tuple(tuple(compress(rows, col)) for col in zip(*self.entries))
 
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} against {self.shape} matrix")
-        entries = self.entries
-        if not entries:
-            return ()
-        layout = self._col_rows
-        acc = [0] * self.rows
-        for k, x in enumerate(vec):
-            if x:
-                for i in layout[k]:
-                    acc[i] += entries[i][k] * x
-        return tuple(acc)
+        out = []
+        for row in self.nonzeros:
+            acc = 0
+            for j, x in row:
+                acc += x * vec[j]
+            out.append(acc)
+        return tuple(out)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
+        out = []
+        for r1, r2 in zip(self.nonzeros, other.nonzeros):
+            acc = dict(r1)
+            for j, x in r2:
+                acc[j] = acc.get(j, 0) + x
+            out.append(_collected(acc))
+        return IntMatrix(self.rows, self.cols, tuple(out))
 
     def scale(self, c: int) -> "IntMatrix":
         if c == 1:
             return self
-        return IntMatrix(
-            self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries)
-        )
+        if c == 0:
+            return IntMatrix.zeros(self.rows, self.cols)
+        return IntMatrix(self.rows, self.cols,
+                         tuple(tuple((j, c * x) for j, x in row) for row in self.nonzeros))
 
-    def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+    def columns(self) -> tuple[Vector, ...]:
+        """Every column as a vector, transposed from the filled rows."""
+        return tuple(zip(*self._filled())) if self.rows else ((),) * self.cols
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
+        return not any(self.nonzeros)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -268,34 +275,31 @@ class IntMatrix:
 
     @staticmethod
     def from_blocks(blocks: Sequence[Sequence["IntMatrix"]]) -> "IntMatrix":
-        """Assemble a block matrix; each block row must have uniform height."""
-        rows: list[tuple[int, ...]] = []
+        """Assemble a block matrix; each block row must have uniform height
+        and the width of the first."""
+        width = sum(b.cols for b in blocks[0]) if blocks else 0
+        rows: list[Row] = []
         for block_row in blocks:
             height = block_row[0].rows
-            for b in block_row:
-                if b.rows != height:
-                    raise ValueError("ragged block row")
-            rows += [sum(parts, ()) for parts in zip(*(b.entries for b in block_row))]
-        width = sum(b.cols for b in blocks[0]) if blocks else 0
-        return IntMatrix._computed(rows, width)
-
-
-def _apply_step(rows: list[list[int]], i: int, j: int, q: int) -> None:
-    """``row_i -= q row_j`` in place; a swap when ``q == 0``, a negation
-    when ``i == j``."""
-    if i == j:
-        rows[i] = [-x for x in rows[i]]
-    elif q == 0:
-        rows[i], rows[j] = rows[j], rows[i]
-    else:
-        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
+            if any(b.rows != height for b in block_row) or sum(b.cols for b in block_row) != width:
+                raise ValueError("ragged block row")
+            lefts = list(accumulate((b.cols for b in block_row), initial=0))
+            rows += [tuple((j + left, x) for left, part in zip(lefts, parts) for j, x in part)
+                     for parts in zip(*(b.nonzeros for b in block_row))]
+        return IntMatrix(len(rows), width, tuple(rows))
 
 
 def _apply_steps(rows: list[list[int]], steps: Iterable[tuple[int, int, int]]) -> list[list[int]]:
-    """The logged row steps applied in order to ``rows`` in place; returns
-    ``rows``."""
+    """The logged row steps applied in order to ``rows`` in place, each
+    ``row_i -= q row_j``, a swap when ``q == 0``, a negation when ``i == j``;
+    returns ``rows``."""
     for i, j, q in steps:
-        _apply_step(rows, i, j, q)
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        elif q == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
     return rows
 
 
@@ -382,46 +386,75 @@ class SNFDecomposition:
         return tuple(row[0] for row in self.v_times([[x] for x in y]))
 
 
+def _dict_rows(m: IntMatrix) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """The rows of ``m`` as ``{column: value}`` dicts, and its columns as
+    ``{row: value}`` dicts."""
+    cols: list[dict[int, int]] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.nonzeros):
+        for j, x in row:
+            cols[j][i] = x
+    return [dict(row) for row in m.nonzeros], cols
+
+
+def _step(rows: list[dict[int, int]], cols: list[dict[int, int]], i: int, j: int, q: int):
+    """``row_i -= q row_j`` on dict rows, a swap when ``q == 0`` and a
+    negation when ``i == j``, mirrored in their columns.  With the roles of
+    ``rows`` and ``cols`` exchanged it is the column step."""
+    ri, rj = rows[i], rows[j]
+    if i == j:
+        for k in ri:
+            ri[k] = cols[k][i] = -ri[k]
+    elif q == 0:
+        rows[i], rows[j] = rj, ri
+        for k in ri.keys() | rj.keys():
+            col = cols[k]
+            x, y = col.pop(i, 0), col.pop(j, 0)
+            if y:
+                col[i] = y
+            if x:
+                col[j] = x
+    else:
+        for k, y in rj.items():
+            x = ri.get(k, 0) - q * y
+            if x:
+                ri[k] = cols[k][i] = x
+            else:
+                del ri[k], cols[k][i]
+
+
 def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     """Smith normal form ``U @ M @ V == D`` with unimodular transforms.
 
     Deterministic: the pivot is always the submatrix entry of smallest nonzero
     absolute value, ties broken by lowest row index then lowest column index.
-    Only ``M`` is eliminated; a transform is its step log applied to an
-    operand.
+    Only ``M`` is eliminated, on its dict rows and columns; a transform is
+    its step log applied to an operand.
     """
     nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+    a, at = _dict_rows(m)
     row_steps: list[tuple[int, int, int]] = []
     col_steps: list[tuple[int, int, int]] = []
 
     def row_step(i, j, q):
         row_steps.append((i, j, q))
-        _apply_step(a, i, j, q)
+        _step(a, at, i, j, q)
 
     def col_step(i, j, q):
         # col_i -= q col_j (a swap when q == 0) is M @ E for the row step (j, i, q)
         col_steps.append((j, i, q))
-        if q == 0:
-            for r in a:
-                r[i], r[j] = r[j], r[i]
-        else:
-            for r in a:
-                r[i] -= q * r[j]
+        _step(at, a, i, j, q)
 
     def pivot(t):
-        # Row-major scan: the first unit entry is the one the rule picks.
+        # Rows in order, each at its smallest (|x|, column): a unit there is
+        # the entry the rule picks.
         best = None
         for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                x = row[j]
-                if x:
-                    ax = abs(x)
-                    if ax == 1:
-                        return (1, i, j)
-                    if best is None or ax < best[0]:
-                        best = (ax, i, j)
+            if a[i]:
+                ax, j = min((abs(x), j) for j, x in a[i].items())
+                if ax == 1:
+                    return (1, i, j)
+                if best is None or ax < best[0]:
+                    best = (ax, i, j)
         return best
 
     t = 0
@@ -438,26 +471,22 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
             if a[t][t] < 0:
                 row_step(t, t, 2)  # negate: row_t -= 2 row_t
             p = a[t][t]
-            for i in range(t + 1, nr):
+            # rows above t and columns left of t are zero off the diagonal
+            for i in sorted(at[t].keys() - {t}):
                 q = a[i][t] // p
                 if q:
                     row_step(i, t, q)
-            for j in range(t + 1, nc):
+            for j in sorted(a[t].keys() - {t}):
                 q = a[t][j] // p
                 if q:
                     col_step(j, t, q)
-            if any(a[i][t] for i in range(t + 1, nr)) or any(
-                a[t][j] for j in range(t + 1, nc)
-            ):
+            if len(at[t]) > 1 or len(a[t]) > 1:
                 best = pivot(t)  # remainders force a strictly smaller pivot
                 continue
             if p == 1:
                 break  # every entry is divisible by a unit pivot
-            bad_row = None
-            for i in range(t + 1, nr):
-                if any(a[i][j] % p for j in range(t + 1, nc)):
-                    bad_row = i
-                    break
+            bad_row = next((i for i in range(t + 1, nr) if any(x % p for x in a[i].values())),
+                           None)
             if bad_row is None:
                 break
             row_step(t, bad_row, -1)  # drag a non-divisible entry into row t
@@ -471,65 +500,37 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
 def invariant_factors(m: IntMatrix) -> Vector:
     """``smith_normal_form(m).factors`` without transforms.
 
-    Unit pivots are eliminated on dict rows of the nonzeros first: a unit
-    splits off as a direct summand ``(1)``.  The pivot is the unit entry in
-    a shortest row whose column has fewest entries, which keeps fill-in
-    low.  The documented Smith routine then runs on the dense core that is
-    left.  Invariant factors are unique, so any correct elimination gives
-    the same result.
+    Unit pivots are eliminated first: a unit splits off as a direct summand
+    ``(1)``.  The pivot is the unit entry in a shortest row whose column has
+    fewest entries, which keeps fill-in low.  The documented Smith routine
+    then runs on the core that is left.  Invariant factors are unique, so
+    any correct elimination gives the same result.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    indices = list(range(m.cols))
-    for i, row in enumerate(m.entries):
-        r = {j: row[j] for j in compress(indices, row)}
-        if r:
-            rows[i] = r
-            for j in r:
-                cols.setdefault(j, set()).add(i)
-    heap = [(len(r), i) for i, r in rows.items()]
+    rows, cols = _dict_rows(m)
+    heap = [(len(r), i) for i, r in enumerate(rows) if r]
     heapify(heap)
     units = 0
     while heap:
         length, i = heappop(heap)
-        r = rows.get(i)
-        if r is None or len(r) != length:
+        r = rows[i]
+        if len(r) != length:
             continue  # stale: the row was eliminated or changed since
         unit_cols = [j for j, x in r.items() if x == 1 or x == -1]
         if not unit_cols:
             continue  # no unit now; the row is queued again if it changes
         pj = min(unit_cols, key=lambda j: len(cols[j]))
-        del rows[i]
-        for j in r:
-            cols[j].discard(i)
         # row_k -= (r_k[pj] / p) row_i clears column pj; then column steps
         # against the pivot clear row i without touching anything else
-        p = r[pj]
-        for k in cols.pop(pj):
-            rk = rows[k]
-            q = rk[pj] * p
-            for j, x in r.items():
-                y = rk.get(j, 0) - q * x
-                if y:
-                    if j not in rk:
-                        cols[j].add(k)
-                    rk[j] = y
-                else:
-                    del rk[j]
-                    if j != pj:
-                        cols[j].discard(k)
-            if rk:
-                heappush(heap, (len(rk), k))
-            else:
-                del rows[k]
+        for k in [k for k in cols[pj] if k != i]:
+            _step(rows, cols, k, i, rows[k][pj] * r[pj])
+            if rows[k]:
+                heappush(heap, (len(rows[k]), k))
+        for j in r:
+            del cols[j][i]
+        rows[i] = {}
         units += 1
-    core_cols = sorted({j for r in rows.values() for j in r})
-    if not core_cols:
-        return (1,) * units
-    core = IntMatrix._computed(
-        ([r.get(j, 0) for j in core_cols] for _, r in sorted(rows.items())), len(core_cols)
-    )
-    return (1,) * units + smith_normal_form(core).factors
+    core = tuple(tuple(sorted(r.items())) for r in rows if r)  # zero columns change no factor
+    return (1,) * units + smith_normal_form(IntMatrix(len(core), m.cols, core)).factors
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -52,9 +52,10 @@ class SimplicialComplex:
 # at most 200 facets).
 MAX_FACET_SIZE = 10
 MAX_FACETS = 500
-# Bound on the entries of each dense coboundary, len(faces[d]) *
-# len(faces[d + 1]), checked once the closure is built.  It admits 500
-# disjoint edges, the largest 1-dimensional list the facet bounds admit.
+# Bound on len(faces[d]) * len(faces[d + 1]), checked once the closure is
+# built: coboundaries are stored sparse, but the kernel slab of a Smith form
+# and its coordinate rows are dense, and elimination may fill in.  It admits
+# 500 disjoint edges, the largest 1-dimensional list the facet bounds admit.
 MAX_COBOUNDARY_ENTRIES = 500_000
 
 
@@ -116,13 +117,13 @@ def cochain_complex_of(k: SimplicialComplex) -> GradedComplex:
     ranks = tuple(len(level) for level in k.faces)
     deltas = []
     for n in range(k.dim):
-        rows = [[0] * ranks[n] for _ in range(ranks[n + 1])]
         idx = _face_index(k, n)
-        for r, sigma in enumerate(k.faces[n + 1]):
-            for i in range(len(sigma)):
-                tau = sigma[:i] + sigma[i + 1:]
-                rows[r][idx[tau]] += -1 if i % 2 else 1
-        deltas.append(IntMatrix._computed(rows, ranks[n]))
+        # the faces of a simplex are distinct, so each row holds one entry per face
+        deltas.append(IntMatrix(ranks[n + 1], ranks[n], tuple(
+            tuple(sorted((idx[sigma[:i] + sigma[i + 1:]], -1 if i % 2 else 1)
+                         for i in range(len(sigma))))
+            for sigma in k.faces[n + 1]
+        )))
     return GradedComplex(ranks, tuple(deltas))
 
 
@@ -150,12 +151,13 @@ def _cup_matrix(f: Cochain, n: int) -> IntMatrix:
     rule: row ``sigma`` holds ``f(sigma[:p+1])`` at the column of its back
     face ``sigma[p:]``, ``p`` the degree of ``f``."""
     k, p = f.complex, f.degree
-    rows = [[0] * k.n_faces(n) for _ in range(k.n_faces(p + n))]
-    if rows and rows[0]:
-        front, back = _face_index(k, p), _face_index(k, n)
-        for row, sigma in zip(rows, k.faces[p + n]):
-            row[back[sigma[p:]]] += f.values[front[sigma[:p + 1]]]
-    return IntMatrix._computed(rows, k.n_faces(n))
+    if not (k.n_faces(p + n) and k.n_faces(n)):
+        return IntMatrix.zeros(k.n_faces(p + n), k.n_faces(n))
+    front, back = _face_index(k, p), _face_index(k, n)
+    values = (f.values[front[sigma[:p + 1]]] for sigma in k.faces[p + n])
+    return IntMatrix(k.n_faces(p + n), k.n_faces(n), tuple(
+        ((back[sigma[p:]], x),) if x else () for sigma, x in zip(k.faces[p + n], values)
+    ))
 
 
 def cup_product(f: Cochain, g: Cochain) -> Cochain:

@@ -115,7 +115,7 @@ def dualize(t: TDualityTriple) -> TDualResult:
     amb = ()
     if base.rank_at(3) and cohomology_shapes(base, 3)[3] != ((), 0):  # else H^3(B) = 0
         pulled = induced_matrix(dual_cone.inclusion, 3)
-        amb = tuple(pulled.col(j) for j in range(pulled.cols))
+        amb = pulled.columns()
     relations = dual_h3.relation_rows()
     full = hermite_normal_form(list(amb) + list(relations), dual_h3.coord_dim)
     # the relations f_i e_i (f_i >= 2) are independent, so they span a

@@ -1,11 +1,12 @@
 """Independent oracles for the test suite.
 
 These deliberately share no code with the package: a minimal gcd-reduction
-Smith diagonal without transform bookkeeping, a triple-loop matrix product,
-a Bareiss determinant, a brute-force solver over a box, a
+Smith diagonal without transform bookkeeping, ``smith_step_log``, the
+documented Smith pivot rule with its step logs on dense lists, a triple-loop
+matrix product, a Bareiss determinant, a brute-force solver over a box, a
 cohomology-shape calculator built only on the diagonal oracle, and the
-twisted-total and degree-0 cone block constructions on plain row lists.  Production
-results are checked against these, never the other way around.
+twisted-total and degree-0 cone block constructions on plain row lists.
+Production results are checked against these, never the other way around.
 
 Two exceptions read the package's Smith forms.  ``presentation``: the
 printed generators are fixed by the package's pivot rule, so it reads the
@@ -344,6 +345,65 @@ def step_log_transforms(snf):
     return u, u_inv, v, v_inv
 
 
+def smith_step_log(rows, width):
+    """``(factors, row_steps, col_steps)`` of the documented Smith rule on
+    plain dense lists, for comparison with ``smith_normal_form``.
+
+    Stage ``t`` pivots on the entry of smallest ``(|x|, row, column)`` in
+    rows and columns ``t..``; that is the first unit in row-major order when
+    there is one.  It is moved to ``(t, t)`` by a row swap then a column
+    swap and made positive by a negation; each row ``i > t`` then takes
+    ``row_i -= (a[i][t] // p) row_t`` and each column ``j > t`` takes
+    ``col_j -= (a[t][j] // p) col_t``.  Remainders restart the stage with a
+    new pivot; otherwise the first row ``i > t`` with an entry not divisible
+    by ``p`` is added to row ``t`` (the step ``(t, i, -1)``) and the stage
+    restarts, and with none the stage ends.  A column step ``col_i -= q
+    col_j`` is logged as the row step ``(j, i, q)``.
+    """
+    a = [list(r) for r in rows]
+    height = len(a)
+    row_log, col_log = [], []
+
+    def on_rows(i, j, q):
+        row_log.append((i, j, q))
+        _row_step(a, i, j, q)
+
+    def on_cols(i, j, q):
+        col_log.append((j, i, q))
+        _col_step(a, j, i, q)
+
+    def smallest(t):
+        cells = [(abs(a[i][j]), i, j)
+                 for i in range(t, height) for j in range(t, width) if a[i][j]]
+        return min(cells, default=None)
+
+    t = 0
+    best = smallest(0)
+    while t < min(height, width) and best is not None:
+        _, i, j = best
+        if i != t:
+            on_rows(t, i, 0)
+        if j != t:
+            on_cols(t, j, 0)
+        if a[t][t] < 0:
+            on_rows(t, t, 2)
+        p = a[t][t]
+        for i in range(t + 1, height):
+            if a[i][t] // p:
+                on_rows(i, t, a[i][t] // p)
+        for j in range(t + 1, width):
+            if a[t][j] // p:
+                on_cols(j, t, a[t][j] // p)
+        remainders = [a[i][t] for i in range(t + 1, height)] + a[t][t + 1:]
+        undivided = [i for i in range(t + 1, height) if any(x % p for x in a[i][t + 1:])]
+        if not any(remainders) and undivided:
+            on_rows(t, undivided[0], -1)
+        elif not any(remainders):
+            t += 1
+        best = smallest(t)
+    return tuple(a[i][i] for i in range(t)), tuple(row_log), tuple(col_log)
+
+
 def presentation(c, n):
     """``H^n(c)`` presented over the whole kernel of ``delta^n``, then
     selected: ``(torsion, free_rank, generators, coordinates)``.
@@ -400,7 +460,8 @@ def smith_exact_at(incoming, node, outgoing, nxt):
 
     dim = node.coord_dim
     relations = list(node.relation_rows())
-    image_rows = [incoming.col(j) for j in range(incoming.cols)] + relations
+    dense = incoming.entries
+    image_rows = [tuple(row[j] for row in dense) for j in range(incoming.cols)] + relations
 
     rel_rows = list(nxt.relation_rows())
     augmented = IntMatrix.from_rows(

@@ -528,6 +528,10 @@ def test_bundle_over_non_cochain_base_is_user_data(tmp_path):
 # One user input per branch of the exit-code contract: the model text (None
 # reads tests/data/sample.tdsl), the command, its exit code and a fragment
 # of what it prints on stderr.
+UNKNOWN_LABEL_BUNDLE = "[complex c]\nkind = catalog\nname = cp\nparams = 2\n" \
+    "[bundle b]\nbase = c\neuler = 3*zz\n"
+# case: (model text, None for the sample; argv; exit code; a fragment of
+# stderr, None when it is empty; and, when stdout is not empty, a fragment of it)
 USER_INPUT_ERRORS = {
     "invalid complex": (
         "[complex a]\nkind = algebraic\nranks = 1,1,1\ndelta0 = 1\ndelta1 = 1\n",
@@ -565,19 +569,35 @@ USER_INPUT_ERRORS = {
     "cp without params": (
         "[complex a]\nkind = catalog\nname = cp\n",
         ["cohom", "--complex", "a"], EXIT_PARSE, "line 1, column 1: cp requires one parameter"),
+    # a bundle is built when a command reads it: the complex under it still
+    # reports, and verify fails the bundle's first row as user data
+    "unknown Euler label, cohom of the base": (
+        UNKNOWN_LABEL_BUNDLE, ["cohom", "--complex", "c"], EXIT_OK, None,
+        "complex: cp(2)\ndegree_window: 0..4\n"),
+    "unknown Euler label, verify": (
+        UNKNOWN_LABEL_BUNDLE, ["verify"], EXIT_PRECONDITION, "verification failed",
+        "  name: bundle b: total complex valid\n  ok: False\n"
+        "  detail: unknown degree-2 labels ['zz'] on cp(2); declared: ['u']\nfailures: 1\n"),
 }
 
 
 @pytest.mark.parametrize("case", USER_INPUT_ERRORS)
 def test_each_user_input_error_exits_with_its_code_and_message(tmp_path, case):
-    text, argv, code, fragment = USER_INPUT_ERRORS[case]
+    text, argv, code, fragment, *printed = USER_INPUT_ERRORS[case]
     model = SAMPLE
     if text is not None:
         model = tmp_path / "m.tdsl"
         model.write_text(text, encoding="utf-8")
     proc = _run_module(*argv, str(model))
-    assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
-    assert fragment in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if printed:
+        assert printed[0] in proc.stdout
+    else:
+        assert proc.stdout == ""
+    if fragment is None:
+        assert proc.stderr == ""
+    else:
+        assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -978,3 +998,47 @@ def test_every_model_file_has_a_transcript_digest():
     # the digest test and the CI step both take their list from the digests,
     # so a model file without one would go unchecked
     assert {p.stem for p in DATA.glob("*.tdsl")} == {p.stem for p in DATA.glob("*.sha256")}
+
+
+def _clear_engine_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "tduality" or name.startswith("tduality."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_no_engine_path_reads_the_dense_view(capsys, monkeypatch):
+    from tduality.complexes import cohomology
+    from tduality.dsl import resolve
+    from tduality.gysin import gysin_sequence, total_space
+    from tduality.matrices import IntMatrix
+
+    strip = ";".join(f"{i},{i + 1},{i + 2}" for i in range(60))
+    euler = ",".join(str(i % 3 - 1) for i in range(60))  # a nonzero 2-cocycle
+    text = (f"[complex s]\nkind = simplicial\nfacets = {strip}\n"
+            f"[bundle b]\nbase = s\neuler = coeffs={euler}\n")
+
+    def run_all():
+        # from empty caches, so every matrix is built and eliminated again
+        _clear_engine_caches()
+        runs = []
+        for path in (SAMPLE, DATA / "user.tdsl"):
+            runs.append((main(["verify", "--all", str(path)]), capsys.readouterr()))
+        model = resolve(parse_spec(text)).bundles["b"]()
+        total = total_space(model).total
+        groups = [cohomology(cx, n) for cx in (model.base, total) for n in range(cx.top_degree + 1)]
+        runs.append(([(g.torsion, g.free_rank, g.generators) for g in groups],
+                     gysin_sequence(model, 0, total.top_degree)))
+        return runs
+
+    plain = run_all()
+    assert [code for code, _ in plain[:2]] == [EXIT_OK, EXIT_OK]
+    assert all(node.exact for node in plain[2][1].nodes)
+
+    def dense_view(self):
+        raise AssertionError("an engine path read IntMatrix.entries")
+
+    monkeypatch.setattr(IntMatrix, "entries", property(dense_view), raising=False)
+    assert run_all() == plain
+    _clear_engine_caches()

@@ -10,7 +10,7 @@ from tduality.dsl import (
     parse_spec,
     resolve,
 )
-from tduality.errors import ParseError
+from tduality.errors import ParseError, PreconditionError
 
 SAMPLE = """
 # projective base plus a twisted bundle over it
@@ -115,7 +115,7 @@ def test_declared_before_use_enforced():
 
 def test_resolve_builds_models():
     resolved = resolve(parse_spec(SAMPLE))
-    assert resolved.bundles["b"].euler_rep == (5,)
+    assert resolved.bundles["b"]().euler_rep == (5,)
     circle = resolved.complexes["c"].complex
     assert [cohomology(circle, n).describe() for n in (0, 1)] == ["Z", "Z"]
     triangle = resolved.complexes["t"].complex
@@ -160,15 +160,17 @@ def test_simplicial_bundle_with_explicit_cocycle():
         "[complex s2]\nkind = simplicial\nfacets = 0,1,2;0,1,3;0,2,3;1,2,3\n"
         "[bundle h]\nbase = s2\neuler = vol\n"
     )
-    # simplicial user complexes have no declared labels, only AW cocycles work
-    with pytest.raises(Exception):
-        resolve(parse_spec(text))
+    # simplicial user complexes have no declared labels, only AW cocycles
+    # work; a bundle is built when it is first read
+    bundle = resolve(parse_spec(text)).bundles["h"]
+    with pytest.raises(PreconditionError, match=r"unknown degree-2 labels \['vol'\] on user:s2; declared: none"):
+        bundle()
     text_ok = (
         "[complex s2]\nkind = simplicial\nfacets = 0,1,2;0,1,3;0,2,3;1,2,3\n"
         "[bundle h]\nbase = s2\neuler = coeffs=0,0,0,1\n"
     )
     resolved = resolve(parse_spec(text_ok))
-    assert resolved.bundles["h"].provenance == "simplicial-AW"
+    assert resolved.bundles["h"]().provenance == "simplicial-AW"
 
 
 def test_bad_facets_reported_at_parse_level():

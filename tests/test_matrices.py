@@ -12,6 +12,7 @@ from oracles import (
     eye_rows,
     mat_mul,
     matrix_rank,
+    smith_step_log,
     snf_diag,
     step_log_transforms,
 )
@@ -229,6 +230,38 @@ def test_kernel_slab_is_a_kernel_basis_with_coordinates(rows, cols, percent, rng
     check_kernel_slab(IntMatrix.from_rows(_sparse_rows(rng, rows, cols, percent), cols=cols))
 
 
+@st.composite
+def smith_inputs(draw):
+    """Dense rows and a width: sparse draws with zero rows and columns and
+    300-bit entries, products through a narrower inner size (rank
+    deficient), and coboundary-like rows of a few entries +-1."""
+    rng = draw(st.randoms(use_true_random=True))
+    kind = draw(st.sampled_from(("sparse", "low rank", "coboundary")))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if kind == "sparse":
+        return _sparse_rows(rng, rows, cols, draw(st.sampled_from((0, 10, 30, 60, 100)))), cols
+    if kind == "low rank":
+        inner = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+        return mat_mul(_sparse_rows(rng, rows, inner, 70), _sparse_rows(rng, inner, cols, 70),
+                       cols), cols
+    rows, cols = draw(st.integers(0, 16)), draw(st.integers(0, 16))
+    out = []
+    for _ in range(rows):
+        row = [0] * cols
+        for j in rng.sample(range(cols), min(cols, rng.randint(0, 3))):
+            row[j] = rng.choice((-1, 1))
+        out.append(row)
+    return out, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_inputs())
+def test_smith_form_follows_the_documented_pivot_rule_step_by_step(drawn):
+    rows, cols = drawn
+    snf = smith_normal_form(IntMatrix.from_rows(rows, cols=cols))
+    assert (snf.factors, snf.row_steps, snf.col_steps) == smith_step_log(rows, cols)
+
+
 def test_matmul_empty_shapes():
     for (r, k, c) in ((0, 0, 1), (0, 0, 0), (2, 0, 3), (0, 3, 2), (3, 2, 0)):
         prod = IntMatrix.zeros(r, k) @ IntMatrix.zeros(k, c)
@@ -278,8 +311,8 @@ def test_sparse_product_matches_triple_loop_at_every_density(rows, inner, cols, 
 @given(st.integers(0, 7), st.integers(0, 7), st.sampled_from((0, 10, 30, 60, 100)),
        st.randoms(use_true_random=True))
 def test_apply_matches_dense_sum_at_every_density(rows, cols, percent, rng):
-    # apply visits only the vector's nonzero columns through a layout kept
-    # after the first call: the zero vector builds it, the others reuse it
+    # apply sums over the stored nonzeros of each row: the zero vector, then
+    # vectors as sparse as the matrix
     m = _sparse_rows(rng, rows, cols, percent)
     mat = IntMatrix.from_rows(m, cols=cols)
     for vec in ([0] * cols, *_sparse_rows(rng, 3, cols, percent)):
@@ -291,7 +324,7 @@ def test_apply_matches_dense_sum_at_every_density(rows, cols, percent, rng):
 
 def test_apply_rejects_a_wrong_length_vector():
     m = IntMatrix.from_rows([[1, 0], [0, 1]])
-    for _ in range(2):  # before and after the layout is kept
+    for _ in range(2):  # a rejected call leaves the matrix as it was
         for vec in ((), (1,), (1, 0, 0)):
             with pytest.raises(ValueError):
                 m.apply(vec)
@@ -301,22 +334,29 @@ def test_apply_rejects_a_wrong_length_vector():
     assert IntMatrix.zeros(3, 0).apply(()) == (0, 0, 0)
 
 
-def test_column_layout_is_not_part_of_the_matrix():
+def test_sorted_sparse_rows_are_the_one_stored_form():
     import dataclasses
     import pickle
 
-    m, twin = (IntMatrix.from_rows([[0, 2, 0], [1, 0, 0]]) for _ in range(2))
+    m, twin = (IntMatrix.from_rows([[0, 2, 0], [1, 0, -3]]) for _ in range(2))
     before = repr(m)
-    assert m.apply((1, 1, 1)) == (2, 1)
-    layout = vars(m)["_col_rows"]
-    assert layout == ((1,), (0,), ())
-    assert m.apply((0, 5, 7)) == (10, 0) and vars(m)["_col_rows"] is layout
-    assert "_col_rows" not in vars(twin)
-    assert tuple(f.name for f in dataclasses.fields(m)) == ("rows", "cols", "entries")
+    assert tuple(f.name for f in dataclasses.fields(m)) == ("rows", "cols", "nonzeros")
+    assert m.nonzeros == (((1, 2),), ((0, 1), (2, -3)))
+    # the dense rows and the columns are built on each read and kept nowhere
+    assert m.entries == ((0, 2, 0), (1, 0, -3)) and m.entries is not m.entries
+    assert m.columns() == ((0, 1), (2, 0), (0, -3))
+    assert m.apply((1, 1, 1)) == (2, -2)
+    assert m @ IntMatrix.eye(3, 1, 0) == IntMatrix.from_rows([[0], [1]])
+    assert set(vars(m)) == {"rows", "cols", "nonzeros"}
     assert m == twin and hash(m) == hash(twin) and repr(m) == before == repr(twin)
     copy = pickle.loads(pickle.dumps(m))
-    assert set(vars(copy)) == {"rows", "cols", "entries"} and copy == m
-    assert copy.apply((1, 1, 1)) == (2, 1)
+    assert set(vars(copy)) == {"rows", "cols", "nonzeros"} and copy == m
+    assert copy.apply((1, 1, 1)) == (2, -2)
+    # every operation keeps the form: no zero is stored, columns increase
+    for built in (m + m.scale(-1), m.scale(0), IntMatrix.zeros(2, 3), m @ IntMatrix.zeros(3, 2)):
+        assert built.nonzeros == ((), ()) and built.is_zero()
+    sums = IntMatrix.from_rows([[1, 1], [0, 2]]) + IntMatrix.from_rows([[-1, 3], [5, -2]])
+    assert sums.nonzeros == (((1, 4),), ((0, 5),))
 
 
 @settings(max_examples=100, deadline=None)
@@ -448,8 +488,14 @@ def test_reduce_mod_lattice_is_coset_invariant():
 
 
 def test_matrix_shape_and_type_guards():
+    for rows, cols, nonzeros in ((1, 2, ((),) * 2), (1, 2, (((2, 1),),)), (1, 2, (((-1, 1),),)),
+                                 (-1, 0, ())):
+        with pytest.raises(ValueError):
+            IntMatrix(rows, cols, nonzeros)
     with pytest.raises(ValueError):
-        IntMatrix(1, 2, ((1,),))
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_blocks([[IntMatrix.zeros(1, 1)], [IntMatrix.zeros(1, 2)]])
     with pytest.raises(TypeError):
         IntMatrix.from_rows([[1.5]])
     with pytest.raises(ValueError):
@@ -543,7 +589,7 @@ def _key_pairs():
     ))
     return (
         (IntMatrix.eye(2, 3, 1), IntMatrix.from_rows([[0, 1, 0], [0, 0, 1]]),
-         ("rows", "cols", "entries")),
+         ("rows", "cols", "nonzeros")),
         (cp2.complex, built, ("ranks", "deltas")),
         (euler_model_from_label_coeffs(cp2, {"u": 3}).mu, mu,
          ("source", "target", "degree", "mats")),
@@ -581,8 +627,8 @@ def test_second_hash_does_not_rehash_the_rows():
             calls.append(self)
             return super().__hash__()
 
-    m = IntMatrix(2, 2, (CountingRow((1, 2)), CountingRow((3, 4))))
-    assert hash(m) == hash((2, 2, ((1, 2), (3, 4))))
+    m = IntMatrix(2, 2, (CountingRow(((0, 1), (1, 2))), CountingRow(((0, 3), (1, 4)))))
+    assert hash(m) == hash((2, 2, (((0, 1), (1, 2)), ((0, 3), (1, 4)))))
     assert len(calls) == 2
     hash(m)
     assert len(calls) == 2
