@@ -196,7 +196,7 @@ def _glued_cup(glued: GradedComplex, free_part: GradedComplex, piece: GradedComp
     free_coeffs, piece_coeffs = z[:split], z[split:]
     return CochainMap(glued, glued, 2, tuple(
         IntMatrix.block_diag(
-            [IntMatrix.column(free_coeffs) if d == 0
+            [IntMatrix.from_rows([[x] for x in free_coeffs], cols=1) if d == 0
              else IntMatrix.zeros(free_part.rank_at(d + 2), free_part.rank_at(d))]
             + [IntMatrix.eye(piece.rank_at(d + 2), piece.rank_at(d), 0).scale(b)
                for b in piece_coeffs]
@@ -223,7 +223,7 @@ def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
     # free part restricts with differences c_j - c_{j-1} to consecutive
     # boundary spheres; unit restricts to every component
     r_a = CochainMap(free_part, overlaps, 0, (
-        IntMatrix.column((1,) * m),
+        IntMatrix.from_rows([[1]] * m, cols=1),
         IntMatrix.zeros(0, 0),
         IntMatrix.eye(m, m - 1, 0) + IntMatrix.eye(m, m - 1, -1).scale(-1),
     ))

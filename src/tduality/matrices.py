@@ -173,20 +173,10 @@ class IntMatrix:
             data.append(tuple(zip(compress(count(), row), filter(None, row))))
         return IntMatrix(len(data), cols, tuple(data))
 
-    def _filled(self) -> list[list[int]]:
-        """The dense rows as lists, for ``entries`` and ``columns``."""
-        filled = []
-        for row in self.nonzeros:
-            dense = [0] * self.cols
-            for j, x in row:
-                dense[j] = x
-            filled.append(dense)
-        return filled
-
     @property
     def entries(self) -> tuple[Vector, ...]:
-        """The dense rows, built on each read."""
-        return tuple(map(tuple, self._filled()))
+        """The dense rows, built on each read from ``columns``."""
+        return tuple(zip(*self.columns())) if self.cols else ((),) * self.rows
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -209,10 +199,6 @@ class IntMatrix:
             left += b.cols
         return IntMatrix(len(rows), left, tuple(rows))
 
-    @staticmethod
-    def column(vec: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(vec), 1, tuple(((0, int(x)),) if x else () for x in vec))
-
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
@@ -220,10 +206,6 @@ class IntMatrix:
             right = other.nonzeros
             out = []
             for row in self.nonzeros:
-                if len(row) == 1:  # a structural map's row: one right row, scaled
-                    (k, a), = row
-                    out.append(right[k] if a == 1 else tuple((j, a * b) for j, b in right[k]))
-                    continue
                 acc: dict[int, int] = {}
                 for k, a in row:
                     for j, b in right[k]:
@@ -263,8 +245,17 @@ class IntMatrix:
                          tuple(tuple((j, c * x) for j, x in row) for row in self.nonzeros))
 
     def columns(self) -> tuple[Vector, ...]:
-        """Every column as a vector, transposed from the filled rows."""
-        return tuple(zip(*self._filled())) if self.rows else ((),) * self.cols
+        """Every column as a dense vector: rows filled from the nonzeros,
+        transposed by ``zip`` (faster on small matrices than filled columns)."""
+        if not self.rows:
+            return ((),) * self.cols
+        filled = []
+        for row in self.nonzeros:
+            dense = [0] * self.cols
+            for j, x in row:
+                dense[j] = x
+            filled.append(dense)
+        return tuple(zip(*filled))
 
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
@@ -358,7 +349,7 @@ class SNFDecomposition:
     @property
     def d(self) -> IntMatrix:
         (rows, cols), r = self.shape, self.rank
-        blocks = [IntMatrix.column((f,)) for f in self.factors]
+        blocks = [IntMatrix(1, 1, (((0, f),),)) for f in self.factors]
         return IntMatrix.block_diag(blocks + [IntMatrix.zeros(rows - r, cols - r)])
 
     @property

@@ -1,6 +1,6 @@
 """Run the slowest admitted inputs, each in a child process with bounded memory.
 
-    python tests/slow_inputs.py [--timeout SECONDS]
+    python tests/slow_inputs.py
 
 Writes three model files that the input bounds admit and that take the
 engine seconds, not milliseconds:
@@ -11,15 +11,14 @@ engine seconds, not milliseconds:
   ``{-1, 0, 1}`` by ``random.Random(160)``.
 
 Each runs as ``python -m tduality`` with ``src`` on ``PYTHONPATH``, under a
-1.5 GB address-space limit set in that child only, and a timeout (120 s by
-default).  One line per input gives its time and exit code.  The script
-exits 1 when any input crashes, exits other than 0, writes a traceback or
-runs out of time.  Standard library only; pytest does not collect it.
+1.5 GB address-space limit set in that child only, and a ``TIMEOUT`` of
+120 s.  One line per input gives its time and exit code.  The script exits
+1 when any input crashes, exits other than 0, writes a traceback or runs out
+of time.  Standard library only; pytest does not collect it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import resource
@@ -31,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ADDRESS_SPACE = 1536 * 2**20
+TIMEOUT = 120
 
 
 def _zero_bundle_model(facets: list[tuple[int, ...]]) -> str:
@@ -59,16 +59,16 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run(label: str, argv: list[str], text: str, model: Path, timeout: float) -> bool:
+def run(label: str, argv: list[str], text: str, model: Path) -> bool:
     model.write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     start = time.perf_counter()
     try:
         proc = subprocess.run([sys.executable, "-m", "tduality", *argv, str(model)],
-                              capture_output=True, text=True, env=env, timeout=timeout,
+                              capture_output=True, text=True, env=env, timeout=TIMEOUT,
                               preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
-        print(f"{label}: timed out after {timeout:.0f} s")
+        print(f"{label}: timed out after {TIMEOUT} s")
         return False
     seconds = time.perf_counter() - start
     ok = proc.returncode == 0 and "Traceback" not in proc.stderr
@@ -79,11 +79,8 @@ def run(label: str, argv: list[str], text: str, model: Path, timeout: float) -> 
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=120.0)
-    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as folder:
-        results = [run(label, argv, text, Path(folder) / f"input{i}.tdsl", args.timeout)
+        results = [run(label, argv, text, Path(folder) / f"input{i}.tdsl")
                    for i, (label, argv, text) in enumerate(INPUTS)]
     return 0 if all(results) else 1
 

@@ -16,7 +16,7 @@ from oracles import (
     snf_diag,
     step_log_transforms,
 )
-from tduality.complexes import direct_sum
+from tduality.complexes import _kron, direct_sum
 from tduality.errors import PreconditionError
 from tduality.matrices import (
     IntMatrix,
@@ -30,6 +30,7 @@ from tduality.matrices import (
     solve_integer_system,
     unimodular_inverse,
 )
+from tduality.simplicial import Cochain, _cup_matrix, cochain_complex_of, from_facets
 
 
 def check_snf_invariants(m: IntMatrix):
@@ -357,6 +358,44 @@ def test_sorted_sparse_rows_are_the_one_stored_form():
         assert built.nonzeros == ((), ()) and built.is_zero()
     sums = IntMatrix.from_rows([[1, 1], [0, 2]]) + IntMatrix.from_rows([[-1, 3], [5, -2]])
     assert sums.nonzeros == (((1, 4),), ((0, 5),))
+
+
+def _canonical(m: IntMatrix) -> bool:
+    """Each row's pairs have increasing columns inside the width and nonzero
+    integer values: the one form equality, the hash and Smith's pivot search
+    rely on."""
+    return len(m.nonzeros) == m.rows and all(
+        all(type(j) is int and type(x) is int and x for j, x in row)
+        and all(0 <= j < m.cols for j, _ in row)
+        and all(a[0] < b[0] for a, b in zip(row, row[1:]))
+        for row in m.nonzeros
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.sampled_from((0, 10, 40, 100)),
+       st.randoms(use_true_random=True))
+def test_every_constructor_and_operation_stores_canonical_rows(rows, cols, percent, rng):
+    # __post_init__ checks the shape only; this pins the rest of the row form
+    # on everything that builds a matrix, sums and products cancelling to zero
+    # and the simplicial coboundaries and cup operators included
+    def drawn(r, c):
+        return IntMatrix.from_rows(_sparse_rows(rng, r, c, percent), cols=c)
+
+    a, b, c = drawn(rows, cols), drawn(rows, cols), drawn(cols, rows)
+    built = [a, a + b, a + a.scale(-1), a.scale(rng.choice((-2, 0, 1, 3))), a @ c, c @ a,
+             IntMatrix.eye(rows, cols, rng.randint(-3, 3)), IntMatrix.zeros(rows, cols),
+             IntMatrix.block_diag([a, c, b]), IntMatrix.from_blocks([[a, b], [b, a]]),
+             _kron(a, c), IntMatrix.from_rows([[0] * cols] * rows, cols=cols)]
+    facets = [sorted(rng.sample(range(6), rng.randint(1, 4))) for _ in range(rng.randint(1, 5))]
+    k = from_facets(facets)
+    built += cochain_complex_of(k).deltas
+    for p in range(k.dim + 1):
+        f = Cochain(k, p, tuple(rng.choice((0, 0, 1, -2)) for _ in range(k.n_faces(p))))
+        built += [_cup_matrix(f, n) for n in range(k.dim + 1 - p)]
+    for m in built:
+        assert _canonical(m), m
+        assert IntMatrix.from_rows(m.entries, cols=m.cols) == m
 
 
 @settings(max_examples=100, deadline=None)
