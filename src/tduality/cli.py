@@ -37,7 +37,6 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Optional, Sequence
 
 from . import borel as borel_mod
@@ -133,9 +132,6 @@ def _cmd_cohom(args, resolved: ResolvedSpec) -> Report:
     name = args.complex
     entry = _named(resolved.complexes, "complex", name)
     cx = entry.complex
-    report = validate_complex(cx)
-    if not report.valid:
-        raise PreconditionError(f"complex {name!r} is invalid: {report.detail}")
     top = cx.top_degree
     if args.max_degree is not None:
         top = min(top, args.max_degree)
@@ -243,14 +239,13 @@ def _fits(coords: Vector, models: dict) -> str:
 
 
 def _action_rows(name: str, spec: ActionSpec) -> list:
-    space = cache(spec.space)  # built once, by the first row
     rows = [(f"action {name}: Borel model builds",
-             lambda: _holds(borel_mod.mathai_wu_dual, space(), spec.truncation), False),
+             lambda: _holds(borel_mod.mathai_wu_dual, spec.space(), spec.truncation), False),
             (f"action {name}: stable under N -> N+1",
-             lambda: borel_mod.stability_check(space(), spec.truncation), True)]
+             lambda: borel_mod.stability_check(spec.space(), spec.truncation), True)]
     if spec.kind in borel_mod._SIMPLICIAL_ROUTE:
         rows.append((f"action {name}: dualization routes agree",
-                     lambda: borel_mod.lens_certificate(space(), spec.truncation), True))
+                     lambda: borel_mod.lens_certificate(spec.space(), spec.truncation), True))
     return rows
 
 
@@ -258,12 +253,11 @@ def _verify_table(resolved: ResolvedSpec, include_catalog: bool) -> list:
     table = [[(f"complex {name}: coboundary squares to zero",
                lambda cx=entry.complex: _valid(cx), False)]
              for name, entry in resolved.complexes.items()]
-    models = {b: cache(build) for b, build in resolved.bundles.items()}  # built on first read
     table += [[(f"bundle {b}: total complex valid", lambda m=m: _holds(total_space, m()), True),
                (f"bundle {b}: Gysin sequence exact at all nodes", lambda m=m: _exact(m()), True)]
-              for b, m in models.items()]
+              for b, m in resolved.bundles.items()]
     table += [[(f"flux {name}: coordinate vector well-formed",
-                lambda v=coords: _fits(v, models), False)]
+                lambda v=coords: _fits(v, resolved.bundles), False)]
               for name, coords in resolved.fluxes.items()]
     table += [_action_rows(name, spec) for name, spec in resolved.actions.items()]
     if include_catalog:

@@ -30,9 +30,11 @@ degree, every degree of ``cp(N)``) has the identity as its slab, so it
 reuses the form of degree ``n-1``.
 ``first_shape_difference`` compares two complexes by their shapes, for the
 stability and lens certificates.
-``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``require_cocycle``
-checks a given cochain (length, then the first nonzero entry of its
-coboundary) and ``CohomologyGroup.require_coords`` a class's coordinate
+``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``require_complex``
+checks a complex (the first ``delta[n+1] @ delta[n]`` that is not zero;
+``cohomology``, ``cohomology_shapes`` and ``gysin.total_space`` call it),
+``require_cocycle`` a given cochain (length, then the first nonzero entry of
+its coboundary) and ``CohomologyGroup.require_coords`` a class's coordinate
 count, for every engine caller.  ``mapping_cone`` builds the cone of a
 cochain map of any degree ``d >= 0``; ``gysin.total_space`` and
 ``borel.mayer_vietoris_glue`` return such cones.  Cones and
@@ -115,7 +117,6 @@ class GradedComplex:
 class ValidationReport:
     valid: bool
     detail: Optional[str] = None
-    degree: Optional[int] = None
 
 
 # Cache bounds are a few times the largest working set measured for one
@@ -126,11 +127,7 @@ def validate_complex(c: GradedComplex) -> ValidationReport:
     for n in range(len(c.deltas) - 1):
         comp = c.deltas[n + 1] @ c.deltas[n]
         if not comp.is_zero():
-            return ValidationReport(
-                False,
-                f"delta[{n + 1}] @ delta[{n}] != 0",
-                degree=n,
-            )
+            return ValidationReport(False, f"delta[{n + 1}] @ delta[{n}] != 0")
     return ValidationReport(True)
 
 
@@ -209,10 +206,11 @@ def describe_shape(shape: Shape) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _require_valid(c: GradedComplex) -> None:
+def require_complex(c: GradedComplex) -> None:
+    """Raise ``PreconditionError`` unless ``c`` is a cochain complex."""
     report = validate_complex(c)
     if not report.valid:
-        raise PreconditionError(f"invalid complex: {report.detail}")
+        raise PreconditionError(f"not a cochain complex: {report.detail}")
 
 
 # Forms read from empty caches, dualize's delta[3] included: a double dual and Gysin
@@ -235,7 +233,7 @@ def cohomology(c: GradedComplex, n: int) -> CohomologyGroup:
 
     Requires a valid complex.  Degrees outside ``0..D`` yield the zero group.
     """
-    _require_valid(c)
+    require_complex(c)
     rank_n = c.rank_at(n)
     snf_a = _smith(c, n)     # of delta[n] : C^n -> C^{n+1}
     # kernel basis = last k columns of V; kernel coordinates = last k rows of V^-1
@@ -289,9 +287,9 @@ def cohomology_shapes(c: GradedComplex, top: int) -> tuple[Shape, ...]:
     entry per degree; degrees above the complex give ``((), 0)``.
 
     Computed from the invariant factors of ``delta[-1..top]`` alone (see the
-    module docstring); an invalid complex raises as ``cohomology`` does.
+    module docstring); ``require_complex`` gates ``c`` as in ``cohomology``.
     """
-    _require_valid(c)
+    require_complex(c)
     factors = [_coboundary_factors(c, d) for d in range(-1, top + 1)]
     return tuple(
         (tuple(f for f in below if f >= 2), c.rank_at(d) - len(out) - len(below))

@@ -28,7 +28,7 @@ references resolve to earlier sections):
     charges = 3 | 1,1
     truncation = 2
     base = COMPLEXNAME         (free_bundle only)
-    euler = ...                (free_bundle only)
+    euler = ...                (free_bundle only; absent means 0)
     h = 1                      (optional flux coordinates)
 
 Each section accepts only the keys listed for it (for an algebraic complex,
@@ -39,6 +39,9 @@ value is reported at that key's line and column; an error of the whole
 section, such as a missing key, at the line and column of its header's
 ``[``.  A leading UTF-8 byte-order mark is ignored.
 
+A ``[bundle]`` and a ``free_bundle`` action hold one builder of their Euler
+model, the engine call of ``parse_euler_value``, built once on first read.
+
 A line-oriented format keeps goldens diff-friendly and error positions exact;
 structured output is the CLI's --json flag, not the input's job.
 """
@@ -48,7 +51,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 from .borel import KINDS, SemiFreeSpace
@@ -58,7 +61,7 @@ from .catalog import (
 )
 from .complexes import GradedComplex
 from .errors import ParseError, PreconditionError
-from .gysin import CupStructure, EulerModel, zero_euler_model
+from .gysin import CupStructure, EulerModel
 from .matrices import IntMatrix, Vector
 from .simplicial import MAX_COBOUNDARY_ENTRIES, cochain_complex_of, from_facets
 
@@ -183,24 +186,19 @@ def _parse_matrix(value: str, rows: int, cols: int, section: Section, key: str) 
 _TERM_RE = re.compile(r"([+-]?)\s*(?:(\d+)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_]*)")
 
 
-@dataclass(frozen=True)
-class EulerSpec:
-    """Either label coefficients or an explicit degree-2 cocycle."""
-
-    coeffs: Optional[dict[str, int]] = None
-    cocycle: Optional[Vector] = None
-
-
-def parse_euler_value(value: str, section: Section) -> EulerSpec:
+def parse_euler_value(value: str, section: Section,
+                      base: CatalogModel) -> Callable[[], EulerModel]:
+    """The engine call building the Euler model ``value`` names on ``base``, once:
+    ``euler_model_from_cocycle`` for ``coeffs=``, else ``euler_model_from_label_coeffs``
+    (no labels for ``0``)."""
     value = value.strip()
     if value.startswith("coeffs="):
-        return EulerSpec(cocycle=_parse_int_list(value[len("coeffs="):], section, "euler"))
-    if value == "0":
-        return EulerSpec(coeffs={})
+        cocycle = _parse_int_list(value[len("coeffs="):], section, "euler")
+        return cache(partial(euler_model_from_cocycle, base, cocycle))
     coeffs: dict[str, int] = {}
     pos = 0
     compact = value.replace(" ", "")
-    while pos < len(compact) or not coeffs:  # an empty value is no expression
+    while value != "0" and (pos < len(compact) or not coeffs):  # an empty value is no expression
         m = _TERM_RE.match(compact, pos)
         if not m or m.start() != pos:
             raise ParseError(
@@ -211,7 +209,7 @@ def parse_euler_value(value: str, section: Section) -> EulerSpec:
         label = m.group(3)
         coeffs[label] = coeffs.get(label, 0) + sign * mult
         pos = m.end()
-    return EulerSpec(coeffs=coeffs)
+    return cache(partial(euler_model_from_label_coeffs, base, coeffs))
 
 
 @dataclass(frozen=True)
@@ -219,21 +217,20 @@ class ActionSpec:
     kind: str
     charges: tuple[int, ...]
     truncation: int
-    base: Optional[CatalogModel]  # free_bundle only
-    euler: EulerSpec
+    bundle: Optional[Callable[[], EulerModel]]  # free_bundle only, from parse_euler_value
     flux: Optional[Vector]
 
     def space(self) -> SemiFreeSpace:
         """The action as a ``SemiFreeSpace``; a ``PreconditionError`` when its data
         do not build one."""
-        bundle = None if self.base is None else build_euler_model(self.base, self.euler)
+        bundle = None if self.bundle is None else self.bundle()
         return SemiFreeSpace(self.kind, charges=self.charges, bundle=bundle, flux=self.flux)
 
 
 @dataclass(frozen=True)
 class ResolvedSpec:
     complexes: dict[str, CatalogModel]
-    bundles: dict[str, Callable[[], EulerModel]]  # built on call, like ActionSpec.space
+    bundles: dict[str, Callable[[], EulerModel]]  # from parse_euler_value, built once
     fluxes: dict[str, Vector]
     actions: dict[str, ActionSpec]
 
@@ -347,15 +344,6 @@ def _base(section: Section, complexes: dict[str, CatalogModel]) -> CatalogModel:
     return complexes[name]
 
 
-def build_euler_model(entry: CatalogModel, spec: EulerSpec) -> EulerModel:
-    if spec.cocycle is not None:
-        return euler_model_from_cocycle(entry, spec.cocycle)
-    assert spec.coeffs is not None
-    if not spec.coeffs:
-        return zero_euler_model(entry.complex, entry.cup, entry.provenance)
-    return euler_model_from_label_coeffs(entry, spec.coeffs)
-
-
 def resolve(spec: SpecFile) -> ResolvedSpec:
     """Build model objects from the AST, bundles and actions when first
     called; declared-before-use enforced."""
@@ -369,8 +357,8 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             complexes[section.name] = _resolve_complex(section)
         elif section.kind == "bundle":
             _check_keys(section, ("base", "euler"))
-            bundles[section.name] = partial(build_euler_model, _base(section, complexes),
-                                            parse_euler_value(_require(section, "euler"), section))
+            base = _base(section, complexes)
+            bundles[section.name] = parse_euler_value(_require(section, "euler"), section, base)
         elif section.kind == "flux":
             _check_keys(section, ("h",))
             fluxes[section.name] = _parse_int_list(_require(section, "h"), section, "h")
@@ -386,8 +374,8 @@ def resolve(spec: SpecFile) -> ResolvedSpec:
             actions[section.name] = ActionSpec(
                 kind, charges,
                 1 if truncation is None else _parse_int(truncation, section, "truncation"),
-                _base(section, complexes) if bundle_keys else None,
-                EulerSpec(coeffs={}) if euler is None else parse_euler_value(euler, section),
+                parse_euler_value("0" if euler is None else euler, section,
+                                  _base(section, complexes)) if bundle_keys else None,
                 None if flux is None else _parse_int_list(flux, section, "h"),
             )
     return ResolvedSpec(complexes, bundles, fluxes, actions)

@@ -61,6 +61,7 @@ from .complexes import (
     cohomology,
     mapping_cone,
     require_cocycle,
+    require_complex,
     validate_complex,
 )
 from .errors import InternalCheckError, PreconditionError
@@ -179,12 +180,9 @@ def _realize_euler_class(
 # ``verify --all`` builds 23 totals.
 @lru_cache(maxsize=128)
 def total_space(model: EulerModel) -> MappingCone:
-    """The twisted total, the cone of ``mu``; it satisfies ``validate_complex``."""
-    report = validate_complex(model.base)
-    if not report.valid:
-        raise PreconditionError(
-            f"base is not a cochain complex at degree {report.degree}: {report.detail}"
-        )
+    """The twisted total, the cone of ``mu``, over a base that passes
+    ``require_complex``; it satisfies ``validate_complex``."""
+    require_complex(model.base)
     cone = mapping_cone(model.mu)
     report = validate_complex(cone.total)
     if not report.valid:

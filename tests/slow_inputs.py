@@ -2,13 +2,16 @@
 
     python tests/slow_inputs.py
 
-Writes three model files that the input bounds admit and that take the
+Writes four model files that the input bounds admit and that take the
 engine seconds, not milliseconds:
 
 * ``verify`` on the strip of 498 triangles ``i,i+1,i+2`` with a zero bundle;
 * ``verify`` on 500 disjoint edges with a zero bundle;
 * ``cohom`` on one dense 160 x 160 coboundary, its entries drawn from
-  ``{-1, 0, 1}`` by ``random.Random(160)``.
+  ``{-1, 0, 1}`` by ``random.Random(160)``;
+* ``verify --all`` on a ``multi_monopole`` at the Borel bounds,
+  ``borel.MAX_CHARGES = 20`` charges just below 10^6 at
+  ``borel.MAX_TRUNCATION = 199``.
 
 Each runs as ``python -m tduality`` with ``src`` on ``PYTHONPATH``, under a
 1.5 GB address-space limit set in that child only, and a ``TIMEOUT`` of
@@ -46,12 +49,22 @@ def _dense_model(size: int) -> str:
     return f"[complex d]\nkind = algebraic\nranks = {size},{size}\ndelta0 = {rows}\n"
 
 
+# The slowest charges found at the bounds: the 18 largest primes below 10^6
+# and the two composites 999849 = 3 * 333283 and 999847 = 467 * 2141, so that
+# a signed sum of the 20 vanishes and the charges glue over the 3-sphere.
+MONOPOLE_CHARGES = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907, 999883,
+                    999863, 999853, 999849, 999847, 999809, 999773, 999769, 999763, 999749,
+                    999727, 999721)
+
 INPUTS = (
     ("verify, strip of 498 triangles", ["verify"],
      _zero_bundle_model([(i, i + 1, i + 2) for i in range(498)])),
     ("verify, 500 disjoint edges", ["verify"],
      _zero_bundle_model([(2 * i, 2 * i + 1) for i in range(500)])),
     ("cohom, dense 160 x 160 coboundary", ["cohom", "--complex", "d"], _dense_model(160)),
+    ("verify --all, multi_monopole of 20 charges at truncation 199", ["verify", "--all"],
+     "[action m]\ntype = multi_monopole\n"
+     f"charges = {','.join(map(str, MONOPOLE_CHARGES))}\ntruncation = 199\n"),
 )
 
 

@@ -304,7 +304,7 @@ def test_verify_checks_each_flux_against_the_bundle_totals(tmp_path, capsys, mon
     # internal for a broken total, user data for a base that is no cochain complex
     non_cochain = ("[complex bad]\nkind = algebraic\nranks = 1,1,1,1\ndelta0 = 1\ndelta1 = 1\n"
                    "[bundle b]\nbase = bad\neuler = 0\n")
-    not_a_complex = "base is not a cochain complex at degree 0: delta[1] @ delta[0] != 0"
+    not_a_complex = "not a cochain complex: delta[1] @ delta[0] != 0"
     model.write_text(bundles + fluxes, encoding="utf-8")
     with broken_totals(monkeypatch):
         broken = run(capsys, "--json", "verify", str(model))
@@ -522,7 +522,7 @@ def test_bundle_over_non_cochain_base_is_user_data(tmp_path):
         proc = _run_module(*argv)
         assert proc.returncode == EXIT_PRECONDITION, proc.stderr
         assert "Traceback" not in proc.stderr
-    assert "not a cochain complex at degree 0" in proc.stderr
+    assert "not a cochain complex: delta[1] @ delta[0] != 0" in proc.stderr
 
 
 # One user input per branch of the exit-code contract: the model text (None
@@ -535,7 +535,8 @@ UNKNOWN_LABEL_BUNDLE = "[complex c]\nkind = catalog\nname = cp\nparams = 2\n" \
 USER_INPUT_ERRORS = {
     "invalid complex": (
         "[complex a]\nkind = algebraic\nranks = 1,1,1\ndelta0 = 1\ndelta1 = 1\n",
-        ["cohom", "--complex", "a"], EXIT_PRECONDITION, "complex 'a' is invalid"),
+        ["cohom", "--complex", "a"], EXIT_PRECONDITION,
+        "precondition violated: not a cochain complex: delta[1] @ delta[0] != 0"),
     "unknown flux": (
         None, ["dualize", "--bundle", "b", "--flux", "nope"], EXIT_PRECONDITION,
         "no flux named 'nope'"),
@@ -579,6 +580,39 @@ USER_INPUT_ERRORS = {
         "  name: bundle b: total complex valid\n  ok: False\n"
         "  detail: unknown degree-2 labels ['zz'] on cp(2); declared: ['u']\nfailures: 1\n"),
 }
+
+
+def _non_cochain_base_cases() -> dict:
+    """A base that is not a cochain complex fails one gate with one message,
+    whichever Euler form, section and command reach it."""
+    base = "[complex c]\nkind = algebraic\nranks = 1,1,1,1\ndelta0 = 1\ndelta1 = 1\n"
+    message = "not a cochain complex: delta[1] @ delta[0] != 0"
+    cases = {"non-cochain base, cohom": (
+        base, ["cohom", "--complex", "c"], EXIT_PRECONDITION, f"precondition violated: {message}")}
+    for euler in ("0", "coeffs=0"):
+        bundle = base + f"[bundle b]\nbase = c\neuler = {euler}\n[flux f]\nh = 1\n"
+        action = base + f"[action a]\ntype = free_bundle\nbase = c\neuler = {euler}\n"
+        cases.update({
+            f"non-cochain base, [bundle] euler = {euler}, dualize": (
+                bundle, ["dualize", "--bundle", "b"], EXIT_PRECONDITION,
+                f"precondition violated: {message}"),
+            f"non-cochain base, [bundle] euler = {euler}, verify": (
+                bundle, ["verify"], EXIT_PRECONDITION, "verification failed",
+                f"  name: bundle b: total complex valid\n  ok: False\n  detail: {message}\n"
+                f"  name: flux f: coordinate vector well-formed\n  ok: False\n"
+                f"  detail: {message}\nfailures: 3\n"),
+            f"non-cochain base, free_bundle euler = {euler}, borel": (
+                action, ["borel", "--action", "a"], EXIT_PRECONDITION,
+                f"precondition violated: {message}"),
+            f"non-cochain base, free_bundle euler = {euler}, verify": (
+                action, ["verify"], EXIT_PRECONDITION, "verification failed",
+                f"  name: action a: Borel model builds\n  ok: False\n  detail: {message}\n"
+                "failures: 2\n"),
+        })
+    return cases
+
+
+USER_INPUT_ERRORS.update(_non_cochain_base_cases())
 
 
 @pytest.mark.parametrize("case", USER_INPUT_ERRORS)

@@ -27,7 +27,7 @@ from tduality.catalog import (
 from tduality.errors import PreconditionError
 from tduality.gysin import (
     PROVENANCE_ALGEBRAIC, CupStructure, EulerModel, cone_exactness, fiber_integration, pullback,
-    realize_euler_class, zero_euler_model,
+    realize_euler_class, total_space, zero_euler_model,
 )
 from tduality.matrices import (
     IntMatrix,
@@ -77,7 +77,7 @@ def test_validate_flags_first_violation():
     )
     report = validate_complex(bad)
     assert not report.valid
-    assert report.degree == 0
+    assert report.detail == "delta[1] @ delta[0] != 0"
 
 
 def test_construction_rejects_shape_mismatch():
@@ -463,7 +463,10 @@ def test_cohomology_shapes_reject_an_invalid_complex_as_cohomology_does():
         cohomology(bad, 1)
     with pytest.raises(PreconditionError) as shaped:
         cohomology_shapes(bad, 2)
-    assert str(shaped.value) == str(presented.value) == "invalid complex: delta[1] @ delta[0] != 0"
+    with pytest.raises(PreconditionError) as total:  # the twisted total's base, too
+        total_space(zero_euler_model(bad))
+    assert (str(shaped.value) == str(presented.value) == str(total.value)
+            == "not a cochain complex: delta[1] @ delta[0] != 0")
 
 
 def test_first_shape_difference_names_the_first_degree_that_differs():

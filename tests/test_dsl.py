@@ -2,15 +2,16 @@ import sys
 
 import pytest
 
+from tduality.catalog import catalog_build, euler_model_from_cocycle, euler_model_from_label_coeffs
 from tduality.complexes import cohomology
 from tduality.dsl import (
-    EulerSpec,
     Section,
     parse_euler_value,
     parse_spec,
     resolve,
 )
 from tduality.errors import ParseError, PreconditionError
+from tduality.gysin import zero_euler_model
 
 SAMPLE = """
 # projective base plus a twisted bundle over it
@@ -145,14 +146,71 @@ def test_matrix_shape_errors_are_parse_errors():
 
 
 def test_euler_expression_forms():
+    cp2 = catalog_build("cp", (2,))
     section = parse_spec("[bundle b]\nbase=x\neuler=0\n").sections[0]
-    assert parse_euler_value("0", section) == EulerSpec(coeffs={})
-    assert parse_euler_value("3*u", section).coeffs == {"u": 3}
-    assert parse_euler_value("u", section).coeffs == {"u": 1}
-    assert parse_euler_value("2*u - vol", section).coeffs == {"u": 2, "vol": -1}
-    assert parse_euler_value("coeffs=1,0,2", section).cocycle == (1, 0, 2)
+
+    def call(value):  # the engine call behind the builder, and its arguments
+        deferred = parse_euler_value(value, section, cp2).__wrapped__
+        return deferred.func, deferred.args
+
+    by_labels = euler_model_from_label_coeffs
+    assert call("0") == (by_labels, (cp2, {}))
+    assert call("3*u") == (by_labels, (cp2, {"u": 3}))
+    assert call("u") == (by_labels, (cp2, {"u": 1}))
+    assert call("2*u - vol") == (by_labels, (cp2, {"u": 2, "vol": -1}))
+    assert call("coeffs=1,0,2") == (euler_model_from_cocycle, (cp2, (1, 0, 2)))
+    assert parse_euler_value("3*u", section, cp2)().euler_rep == (3,)
+    with pytest.raises(PreconditionError, match=r"unknown degree-2 labels \['vol'\]"):
+        parse_euler_value("2*u - vol", section, cp2)()
     with pytest.raises(ParseError):
-        parse_euler_value("5*", section)
+        parse_euler_value("5*", section, cp2)
+
+
+EULER_BASES = (
+    "[complex cp2]\nkind = catalog\nname = cp\nparams = 2\n"
+    "[complex torus]\nkind = catalog\nname = torus2\n"
+    "[complex rp2]\nkind = catalog\nname = rp2\n"
+    "[complex s2]\nkind = simplicial\nfacets = 0,1,2;0,1,3;0,2,3;1,2,3\n"
+    # H^2 = Z/6 and no cup product, as in tests/data/user.tdsl
+    "[complex tors]\nkind = algebraic\nranks = 1,2,2,1\ndelta1 = 2,0;0,3\n"
+)
+
+# Each Euler form on each base it applies to: 0 everywhere, a label expression
+# where the base declares labels, coeffs= a cocycle of the base's degree-2 rank
+# (on tors a coboundary, since a nonzero class needs a cup product).
+EULER_FORMS = [
+    *((base, "0") for base in ("cp2", "torus", "rp2", "s2", "tors")),
+    ("cp2", "2*u - 3*u"), ("torus", "2*vol"), ("rp2", "w"),
+    ("cp2", "coeffs=3"), ("torus", "coeffs=1" + ",0" * 13), ("rp2", "coeffs=1" + ",0" * 9),
+    ("s2", "coeffs=0,0,0,1"), ("tors", "coeffs=2,3"),
+]
+
+
+@pytest.mark.parametrize("base, euler", EULER_FORMS)
+def test_one_builder_per_euler_form(base, euler):
+    text = (EULER_BASES + f"[bundle b]\nbase = {base}\neuler = {euler}\n"
+            f"[action a]\ntype = free_bundle\nbase = {base}\neuler = {euler}\n"
+            f"[action z]\ntype = free_bundle\nbase = {base}\n")
+    resolved = resolve(parse_spec(text))
+    build = resolved.bundles["b"]
+    model = build()
+    assert build() is model  # built once
+    action = resolved.actions["a"]
+    assert action.bundle() == model
+    assert action.space().bundle is action.bundle()
+    if euler == "0":
+        entry = resolved.complexes[base]
+        assert model == zero_euler_model(entry.complex, entry.cup, entry.provenance)
+        # an action that leaves euler out holds the zero class
+        assert resolved.actions["z"].bundle() == model
+
+
+def test_empty_euler_of_a_free_bundle_action_is_a_parse_error_at_its_key():
+    text = ("[complex c]\nkind = catalog\nname = cp\nparams = 2\n"
+            "[action a]\ntype = free_bundle\nbase = c\neuler =\n")
+    with pytest.raises(ParseError, match="cannot parse euler expression ''") as err:
+        resolve(parse_spec(text))
+    assert (err.value.line, err.value.column) == (8, 1)
 
 
 def test_simplicial_bundle_with_explicit_cocycle():
