@@ -56,7 +56,7 @@ from .tdual import TDualResult, dualize, triple, triple_from_flux_coords
 KINDS = ("point_fixed", "monopole", "free_hopf", "multi_monopole", "free_bundle")
 
 # Most charges of a multi-monopole: the glued model grows with their number.  The
-# slowest 20 found take ``verify --all`` 2 to 3 s at MAX_TRUNCATION (tests/slow_inputs.py).
+# slowest 20 found take ``verify --all`` under 3 s at MAX_TRUNCATION (tests/slow_inputs.py).
 MAX_CHARGES = 20
 
 
