@@ -101,7 +101,9 @@ class SemiFreeSpace:
 
 @dataclass(frozen=True)
 class BorelBundle:
-    truncation: int
+    """The Borel model of an action at one truncation level: the Euler model
+    of its circle bundle, whose base is ``base_model``."""
+
     euler_s1: EulerModel
 
     @property
@@ -242,7 +244,7 @@ def _multi_monopole_bundle(charges: tuple[int, ...], n: int) -> BorelBundle:
     # boundary values match the signed charges
     free_coeffs = tuple(accumulate(s * k for s, k in zip(signs[:-1], charges[:-1])))
     euler = free_coeffs + charges
-    return BorelBundle(n, EulerModel(glued, euler, cup.operator(euler), PROVENANCE_ALGEBRAIC, cup))
+    return BorelBundle(EulerModel(glued, euler, cup.operator(euler), PROVENANCE_ALGEBRAIC, cup))
 
 
 # Largest truncation N of an action whose model is built at level N: the
@@ -271,14 +273,14 @@ def truncated_borel(space: SemiFreeSpace, n: int) -> BorelBundle:
 def _borel_bundle(space: SemiFreeSpace, n: int) -> BorelBundle:
     if space.kind == "free_hopf":
         model = catalog_build("sphere2")
-        return BorelBundle(n, euler_model_from_label_coeffs(model, {"vol": 1}))
+        return BorelBundle(euler_model_from_label_coeffs(model, {"vol": 1}))
     if space.kind == "free_bundle":
-        return BorelBundle(n, space.bundle)
+        return BorelBundle(space.bundle)
     if len(space.charges) > 1:
         return _multi_monopole_bundle(space.charges, n)
     # point_fixed is charge 1; monopole and a one-charge multi_monopole are charge k
     (k,) = space.charges or (1,)
-    return BorelBundle(n, euler_model_from_label_coeffs(catalog_build("cp", (n,)), {"u": k}))
+    return BorelBundle(euler_model_from_label_coeffs(catalog_build("cp", (n,)), {"u": k}))
 
 
 def mathai_wu_dual(space: SemiFreeSpace, n: int) -> TDualResult:

@@ -219,13 +219,9 @@ def _holds(build: Callable, *args) -> str:
     return ""
 
 
-def _valid(cx) -> str:
-    return validate_complex(cx).detail or ""
-
-
 def _exact(model) -> str:
     seq = gysin_sequence(model, 0, total_space(model).total.top_degree)
-    failing = [node.label + ("" if node.witness is None else f" (witness {list(node.witness)})")
+    failing = [f"{node.label} (witness {list(node.witness)})"
                for node in seq.nodes if not node.exact]
     return "not exact at " + ", ".join(failing) if failing else ""
 
@@ -251,7 +247,7 @@ def _action_rows(name: str, spec: ActionSpec) -> list:
 
 def _verify_table(resolved: ResolvedSpec, include_catalog: bool) -> list:
     table = [[(f"complex {name}: coboundary squares to zero",
-               lambda cx=entry.complex: _valid(cx), False)]
+               lambda cx=entry.complex: validate_complex(cx), False)]
              for name, entry in resolved.complexes.items()]
     table += [[(f"bundle {b}: total complex valid", lambda m=m: _holds(total_space, m()), True),
                (f"bundle {b}: Gysin sequence exact at all nodes", lambda m=m: _exact(m()), True)]
@@ -263,7 +259,8 @@ def _verify_table(resolved: ResolvedSpec, include_catalog: bool) -> list:
     if include_catalog:
         params = {"cp": (2,), "lens": (5, 1)}
         table += [[(f"catalog {display_name(c, params.get(c, ()))}: valid complex",
-                    lambda c=c: _valid(catalog_build(c, params.get(c, ())).complex), True)]
+                    lambda c=c: validate_complex(catalog_build(c, params.get(c, ())).complex),
+                    True)]
                   for c in CATALOG_NAMES]
         # the twisted cone over cp(n) with Euler class k*u is the monopole's total
         table += [[(f"catalog: twisted cone over cp({n}) with k={k} matches the explicit "

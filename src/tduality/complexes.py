@@ -30,25 +30,28 @@ degree, every degree of ``cp(N)``) has the identity as its slab, so it
 reuses the form of degree ``n-1``.
 ``first_shape_difference`` compares two complexes by their shapes, for the
 stability and lens certificates.
-``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``require_complex``
-checks a complex (the first ``delta[n+1] @ delta[n]`` that is not zero;
-``cohomology``, ``cohomology_shapes`` and ``gysin.total_space`` call it),
+``describe_shape`` formats a shape as ``Z/k + Z^r``.  ``validate_complex``
+returns its witness, ``""`` for a cochain complex or else the first
+``delta[n+1] @ delta[n] != 0``; ``require_complex`` raises with that witness
+(``cohomology``, ``cohomology_shapes`` and ``gysin.total_space`` call it),
 ``require_cocycle`` a given cochain (length, then the first nonzero entry of
 its coboundary) and ``CohomologyGroup.require_coords`` a class's coordinate
 count, for every engine caller.  ``mapping_cone`` builds the cone of a
-cochain map of any degree ``d >= 0``; ``gysin.total_space`` and
-``borel.mayer_vietoris_glue`` return such cones.  Cones and
+cochain map of any degree ``d >= 0``, whose inclusion and projection are
+``functools.cached_property`` values built on first read, as are a complex's
+zero edge maps; ``gysin.total_space`` and ``borel.mayer_vietoris_glue``
+return such cones.  Cones and
 ``tensor_product`` assemble their coboundaries with ``IntMatrix.from_blocks``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .matrices import (IntMatrix, SNFDecomposition, Vector, hash_once, invariant_factors, kept,
+from .matrices import (IntMatrix, SNFDecomposition, Vector, hash_once, invariant_factors,
                        smith_normal_form)
 
 _ZERO_BY_ZERO = IntMatrix.zeros(0, 0)  # delta_at beyond both edges, shared by every complex
@@ -94,7 +97,7 @@ class GradedComplex:
             return self.deltas[n]
         return self._edge_deltas.get(n, _ZERO_BY_ZERO)
 
-    @kept
+    @cached_property
     def _edge_deltas(self) -> dict[int, IntMatrix]:
         """The zero maps into degree 0 and out of the top degree ``t``, built once."""
         t = self.top_degree
@@ -113,22 +116,17 @@ class GradedComplex:
         return GradedComplex((), ())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    detail: Optional[str] = None
-
-
 # Cache bounds are a few times the largest working set measured for one
 # command: ``verify --all`` on the shipped sample validates 49 complexes.
 @lru_cache(maxsize=256)
-def validate_complex(c: GradedComplex) -> ValidationReport:
-    """Check ``delta[n+1] @ delta[n] == 0`` for all degrees; never raises."""
+def validate_complex(c: GradedComplex) -> str:
+    """``""`` when ``delta[n+1] @ delta[n] == 0`` in every degree, otherwise
+    the first that is not, as ``delta[n+1] @ delta[n] != 0``; never raises."""
     for n in range(len(c.deltas) - 1):
         comp = c.deltas[n + 1] @ c.deltas[n]
         if not comp.is_zero():
-            return ValidationReport(False, f"delta[{n + 1}] @ delta[{n}] != 0")
-    return ValidationReport(True)
+            return f"delta[{n + 1}] @ delta[{n}] != 0"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -208,9 +206,9 @@ def describe_shape(shape: Shape) -> str:
 
 def require_complex(c: GradedComplex) -> None:
     """Raise ``PreconditionError`` unless ``c`` is a cochain complex."""
-    report = validate_complex(c)
-    if not report.valid:
-        raise PreconditionError(f"not a cochain complex: {report.detail}")
+    witness = validate_complex(c)
+    if witness:
+        raise PreconditionError(f"not a cochain complex: {witness}")
 
 
 # Forms read from empty caches, dualize's delta[3] included: a double dual and Gysin
@@ -411,7 +409,7 @@ class MappingCone:
     def shift(self) -> int:
         return min(0, self.f.degree - 1)
 
-    @kept
+    @cached_property
     def inclusion(self) -> CochainMap:
         c_cx, k = self.f.target, self.shift
         return CochainMap(c_cx, self.total, -k, tuple(
@@ -419,7 +417,7 @@ class MappingCone:
             for m in range(len(c_cx.ranks))
         ))
 
-    @kept
+    @cached_property
     def projection(self) -> CochainMap:
         a_cx, c_cx, k = self.f.source, self.f.target, self.shift
         d = k + 1 - self.f.degree

@@ -31,9 +31,10 @@ Exactness at a node compares the Hermite forms of the image and kernel
 lattices in its coordinates, both found by Hermite forms alone, so the
 certificate shares no elimination with the Smith forms that built the
 presentations it checks.  Neither lattice changes when a map is multiplied by -1, so the
-connecting map goes in unsigned.  A node that is not exact carries a
-witness: a kernel vector outside the image, or else an image vector outside
-the kernel.
+connecting map goes in unsigned.  A ``SequenceNode`` holds its label and
+its witness alone, and is exact when the witness is ``None``: a node that is
+not exact carries a kernel vector outside the image, or else an image vector
+outside the kernel.
 
 Three pure functions of immutable, hash-once arguments keep their results in
 bounded LRU caches: ``total_space`` (``maxsize=128``), ``realize_euler_class``
@@ -43,7 +44,8 @@ each induced matrix once.  Exactness verdicts are not cached: every
 ``cone_exactness`` call decides its nodes again, with three Hermite forms
 at each nonzero node (a zero node is exact at once), and finds a witness
 only for a node that is not exact.  A cone builds its structural maps, and
-checks that they commute, the first time each is read.
+checks that they commute, the first time each is read
+(``functools.cached_property``).
 """
 
 from __future__ import annotations
@@ -181,12 +183,12 @@ def _realize_euler_class(
 @lru_cache(maxsize=128)
 def total_space(model: EulerModel) -> MappingCone:
     """The twisted total, the cone of ``mu``, over a base that passes
-    ``require_complex``; it satisfies ``validate_complex``."""
+    ``require_complex``; ``validate_complex`` finds no witness in it."""
     require_complex(model.base)
     cone = mapping_cone(model.mu)
-    report = validate_complex(cone.total)
-    if not report.valid:
-        raise InternalCheckError(f"twisted total complex broken: {report.detail}")
+    witness = validate_complex(cone.total)
+    if witness:
+        raise InternalCheckError(f"twisted total complex broken: {witness}")
     return cone
 
 
@@ -271,12 +273,15 @@ def exactness_witness(incoming: IntMatrix, node: CohomologyGroup, outgoing: IntM
 
 @dataclass(frozen=True)
 class SequenceNode:
-    """One node of a long exact sequence; a node that is not exact carries
-    ``exactness_witness``'s vector in its coordinates."""
+    """One node of a long exact sequence and ``exactness_witness``'s vector
+    in its coordinates, ``None`` at an exact node."""
 
     label: str
-    exact: bool
-    witness: Optional[Vector] = None
+    witness: Optional[Vector]
+
+    @property
+    def exact(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -316,9 +321,8 @@ def cone_exactness(
                 induced_matrix(out, d),
                 cohomology(out.target, d + out.degree),
             )
-            exact = exact_at(*args)
-            witness = None if exact else exactness_witness(*args)
-            nodes.append(SequenceNode(label.format(d), exact, witness))
+            witness = None if exact_at(*args) else exactness_witness(*args)
+            nodes.append(SequenceNode(label.format(d), witness))
             d += out.degree
     return SequenceReport((lo + cone.shift, hi), tuple(nodes))
 

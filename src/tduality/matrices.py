@@ -55,13 +55,18 @@ Conventions:
   coboundaries of cones and tensor products).
 * Cache keys hash once: ``IntMatrix``, and through ``hash_once`` the complexes,
   cochain maps and Euler models that key the ``lru_cache`` lookups, keep the
-  dataclass default hash after its first computation.
+  dataclass default hash after its first computation.  A value these types
+  build on first read (a complex's edge maps, a cone's structural maps) is a
+  ``functools.cached_property``, kept in the instance ``__dict__`` and, like
+  the hash, left behind on pickling.
 * Entry types are checked where outside input enters, in
-  ``IntMatrix.from_rows``, which in the engine only ``dsl`` calls.  Every
-  result the engine computes itself (Smith's ``D``, presentations, induced
-  matrices, cup operators, coboundaries) is built from its rows directly or
-  through the private ``IntMatrix._computed``, which takes dense rows and
-  keeps the shape checks only.
+  ``IntMatrix.from_rows``: ``dsl`` calls it on model-file matrices, and
+  ``borel._glued_cup`` and ``borel._multi_monopole_bundle`` on their
+  one-column blocks.  Every result the engine computes itself (Smith's
+  ``D``, presentations, induced matrices, cup operators, coboundaries) is
+  built from its rows directly or through the private
+  ``IntMatrix._computed``, which takes dense rows and keeps the shape
+  checks only.
 * Lattices are handled through a unique row-style Hermite normal form:
   positive pivots, entries in the pivot column of earlier rows reduced into
   ``[0, pivot)``, rows ordered by pivot column.
@@ -106,23 +111,6 @@ def hash_once(cls):
     return cls
 
 
-class kept:
-    """``functools.cached_property`` without its lock: the first read stores
-    the value in the instance ``__dict__`` under the attribute's name, where
-    every later read finds it before this non-data descriptor."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 def _collected(acc: dict[int, int]) -> Row:
     """The nonzeros of a ``{column: value}`` accumulator, in column order."""
     return tuple(pair for pair in sorted(acc.items()) if pair[1])
@@ -149,17 +137,15 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
+        """The matrix of dense rows of integers, ``cols`` wide: a ``cols``
+        that differs from a row's length raises ``ValueError`` naming both.
+        Without ``cols`` the first row sets the width, ``0`` with no rows."""
         data = tuple(tuple(row) for row in rows)
         for row in data:
             for x in row:
                 if not isinstance(x, int):
                     raise TypeError(f"matrix entries must be integers, got {type(x).__name__}")
-        if data:
-            width = len(data[0])
-        elif cols is not None:
-            width = cols
-        else:
-            width = 0
+        width = cols if cols is not None else len(data[0]) if data else 0
         return IntMatrix._computed(data, width)
 
     @staticmethod

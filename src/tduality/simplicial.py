@@ -29,10 +29,10 @@ Simplex = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Face-closed complex; ``faces[d]`` lists the d-simplices lexicographically."""
+    """Face-closed complex; ``faces[d]`` lists the d-simplices lexicographically.
 
-    vertex_count: int
-    facets: tuple[Simplex, ...]
+    Two facet lists with one closure give equal complexes."""
+
     faces: tuple[tuple[Simplex, ...], ...]
 
     @property
@@ -102,9 +102,7 @@ def from_facets(facets: Sequence[Sequence[int]]) -> SimplicialComplex:
                 f"= {entries} entries, above simplicial.MAX_COBOUNDARY_ENTRIES = "
                 f"{MAX_COBOUNDARY_ENTRIES}"
             )
-    faces = tuple(tuple(sorted(level)) for level in levels)
-    vertex_count = max(v for f in norm for v in f) + 1
-    return SimplicialComplex(vertex_count, tuple(sorted(set(norm))), faces)
+    return SimplicialComplex(tuple(tuple(sorted(level)) for level in levels))
 
 
 def _face_index(k: SimplicialComplex, d: int) -> dict[Simplex, int]:

@@ -44,7 +44,7 @@ def random_complex(rng: random.Random, max_rank=3, max_deg=6) -> GradedComplex:
         changes[n + 1] @ seeds[n] @ unimodular_inverse(changes[n]) for n in range(top)
     )
     cx = GradedComplex(tuple(ranks), deltas)
-    assert validate_complex(cx).valid
+    assert validate_complex(cx) == ""
     return cx
 
 

@@ -55,7 +55,7 @@ def test_every_catalog_model_validates():
     ]
     for name, params in cases:
         model = catalog_build(name, params)
-        assert validate_complex(model.complex).valid
+        assert validate_complex(model.complex) == ""
 
 
 def test_cone_over_cp_reproduces_rank_one_model_for_shipped_parameters():

@@ -640,7 +640,7 @@ def test_failed_gysin_check_names_its_nodes(capsys, monkeypatch):
 
     def broken(model, lo, hi):
         return SequenceReport((lo, hi), (
-            SequenceNode("H^0(B)", True), SequenceNode("H^2(E)", False),
+            SequenceNode("H^0(B)", None), SequenceNode("H^2(E)", (0, 3)),
         ))
 
     monkeypatch.setattr("tduality.cli.gysin_sequence", broken)
@@ -652,7 +652,7 @@ def test_failed_gysin_check_names_its_nodes(capsys, monkeypatch):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     check = checks["bundle b: Gysin sequence exact at all nodes"]
     assert not check["ok"]
-    assert check["detail"] == "not exact at H^2(E)"
+    assert check["detail"] == "not exact at H^2(E) (witness [0, 3])"
 
 
 def test_failed_gysin_check_gives_each_node_its_witness(capsys, monkeypatch):

@@ -335,6 +335,18 @@ def test_apply_rejects_a_wrong_length_vector():
     assert IntMatrix.zeros(3, 0).apply(()) == (0, 0, 0)
 
 
+def test_from_rows_rejects_a_width_that_differs_from_its_rows():
+    # the ValueError names the declared width first, then the row's
+    for rows, cols in (([[1, 2]], 3), ([[1, 2]], 1), ([[1, 2]], 0), ([[1], [2, 3]], 1)):
+        want = len(next(row for row in rows if len(row) != cols))
+        with pytest.raises(ValueError, match=f"expected {cols} columns, got {want}"):
+            IntMatrix.from_rows(rows, cols=cols)
+    assert IntMatrix.from_rows([[1, 2]], cols=2).shape == (1, 2)
+    assert IntMatrix.from_rows([[1, 2]]).shape == (1, 2)
+    assert IntMatrix.from_rows([], cols=3).shape == (0, 3)
+    assert IntMatrix.from_rows([]).shape == (0, 0)
+
+
 def test_sorted_sparse_rows_are_the_one_stored_form():
     import dataclasses
     import pickle
