@@ -1,13 +1,13 @@
 """Mutation check of the engine's certificates: can each check fail?
 
-    python tests/mutants.py [--timeout SECONDS] [NAME ...]
+    python tests/mutants.py
 
 Each entry of ``MUTANTS`` names one check, an exact text in one file under
 ``src/tduality/`` and the text that replaces it, and the test files expected
 to catch the change.  Every mutant is applied alone to a fresh copy of
 ``src/`` and ``tests/`` in a temporary directory, and only its test files run
-there (``python -m pytest -x``) under the timeout.  A failing run catches the
-mutant, and so does one that runs past the timeout; a passing run means the
+there (``python -m pytest -x``) under ``TIMEOUT_S``.  A failing run catches
+the mutant, and so does one that runs past the timeout; a passing run means the
 mutant survived.  Before any mutant, the listed test files run once on the
 unchanged copy and must pass.
 
@@ -19,7 +19,6 @@ skips this file, which defines no tests.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # per pytest run; the slowest, test_cli.py, takes about 10 s
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _copy_tree(into: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
 
 
-def _pytest(tree: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, float]:
+def _pytest(tree: Path, tests: tuple[str, ...]) -> tuple[str, float]:
     """``passed``, ``failed``, ``timeout`` or ``error (exit N)`` for the run of
     ``tests`` in ``tree``, with its wall time."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -96,7 +96,7 @@ def _pytest(tree: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, fl
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=timeout)
+            timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout", time.perf_counter() - start
     outcome = {0: "passed", 1: "failed"}.get(proc.returncode, f"error (exit {proc.returncode})")
@@ -114,40 +114,30 @@ def _apply(tree: Path, mutant: Mutant) -> bool:
     return True
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds allowed to each pytest run (default 300)")
-    parser.add_argument("names", nargs="*", help="run only the mutants with these names")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no mutant named {', '.join(sorted(unknown))}")
-
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="tduality-mutants-") as scratch:
         clean = Path(scratch) / "clean"
         _copy_tree(clean)
-        files = tuple(sorted({t for m in chosen for t in m.tests}))
-        outcome, seconds = _pytest(clean, files, args.timeout)
+        files = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+        outcome, seconds = _pytest(clean, files)
         print(f"unchanged tree: {outcome} ({seconds:.1f} s) on {', '.join(files)}", flush=True)
         if outcome != "passed":
             return 1
-        for k, mutant in enumerate(chosen):
+        for k, mutant in enumerate(MUTANTS):
             tree = Path(scratch) / f"mutant{k}"
             _copy_tree(tree)
             if not _apply(tree, mutant):
                 print(f"error: {mutant.name}: old text not found exactly once in {mutant.path}")
                 bad += 1
                 continue
-            outcome, seconds = _pytest(tree, mutant.tests, args.timeout)
+            outcome, seconds = _pytest(tree, mutant.tests)
             verdict = {"failed": "caught", "timeout": "caught (timeout)",
                        "passed": "SURVIVED"}.get(outcome, outcome)
             bad += verdict not in ("caught", "caught (timeout)")
             print(f"{verdict}: {mutant.name} ({seconds:.1f} s)", flush=True)
             shutil.rmtree(tree)
-    print(f"{len(chosen)} mutants, {bad} not caught")
+    print(f"{len(MUTANTS)} mutants, {bad} not caught")
     return 1 if bad else 0
 
 
